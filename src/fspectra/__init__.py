@@ -67,7 +67,7 @@ from .spectral import (
     interlacing_check,
     spectral_radius,
 )
-from .transforms import KelmansResult, best_cycle_subdivision, kelmans, subdivide
+from .transforms import KelmansResult, best_cycle_subdivision, kelmans
 from .weights import PropertyReport, WeightSpec, check_property, eval_weight, parse_weight
 
 __version__ = "0.1.0"

@@ -16,11 +16,11 @@ from .graph_core import (
     canonical_form,
     format_graph_text,
     read_graph_file,
+    subdivided,
 )
-from .luman import certify, principal_incidence
+from .luman import certify
 from .spectral import DEFAULT_TOL, f_adjacency, f_spectral_radius, full_spectrum
 from .transforms import kelmans as kelmans_op
-from .transforms import subdivide
 from .weights import parse_weight
 
 
@@ -154,8 +154,7 @@ def _cmd_certify(args):
     print(f"consistent {str(report.consistent).lower()}")
     print(f"max_vertex_slack {max(abs(s) for s in report.vertex_slack.values()):.3e}")
     print(f"max_edge_slack {max(abs(s) for s in report.edge_slack.values()):.3e}")
-    B = principal_incidence(G, f)
-    for (v, e), val in sorted(B.items()):
+    for (v, e), val in sorted(report.incidence.items()):
         print(f"B {v} {e[0]}-{e[1]} {val:.6f}")
     return 0
 
@@ -171,7 +170,7 @@ def _emit_graph(G, out):
 
 def _cmd_subdivide(args):
     G = _load_graph(args)
-    _emit_graph(subdivide(G, _parse_edge(args.edge)), args.out)
+    _emit_graph(subdivided(G, _parse_edge(args.edge)), args.out)
     return 0
 
 

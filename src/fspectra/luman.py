@@ -37,15 +37,6 @@ from .weights import WeightSpec, eval_weight
 
 NORMALITY_TOL = 1e-8
 
-CLASSIFICATIONS = (
-    "normal",
-    "subnormal",
-    "strictly_subnormal",
-    "supernormal",
-    "strictly_supernormal",
-    "none",
-)
-
 # Relative headroom accepted when alpha' computed from an eigensolver lands
 # a hair above the exact boundary 1/4 (cycles hit the boundary exactly).
 _ALPHA_PRIME_SLACK = 1e-9
@@ -56,7 +47,10 @@ _UNIT_WEIGHT = WeightSpec.constant(1.0)
 
 def alpha_of(G, f, tol=DEFAULT_TOL):
     """alpha(G) = rho_f(G)^(-2), the certification level of G itself."""
-    rho = f_spectral_radius(G, f, tol=tol).rho
+    return _alpha(f_spectral_radius(G, f, tol=tol).rho)
+
+
+def _alpha(rho):
     if rho <= 0:
         raise BadParams("alpha is undefined for a graph with rho = 0")
     return rho ** -2
@@ -106,7 +100,10 @@ def principal_incidence(G, f, tol=DEFAULT_TOL):
     """
     if not is_connected(G):
         raise BadParams("principal incidence needs a connected graph")
-    res = f_spectral_radius(G, f, tol=tol)
+    return _principal(G, f, f_spectral_radius(G, f, tol=tol))
+
+
+def _principal(G, f, res):
     x = res.vector
     degs = degrees(G)
     values = {}
@@ -123,7 +120,8 @@ class NormalityReport:
 
     vertex_slack[v] = 1 - sum of B(v, .);  edge_slack[e] = product/w^2 - alpha.
     A slack within tol counts as zero; `strictly_*` means the inequality
-    pattern holds but some slack exceeds tol.
+    pattern holds but some slack exceeds tol. ``incidence`` is the B that
+    was classified.
     """
 
     alpha: float
@@ -132,6 +130,7 @@ class NormalityReport:
     tol: float
     vertex_slack: dict = field(default_factory=dict)
     edge_slack: dict = field(default_factory=dict)
+    incidence: IncidenceWeights | None = None
 
 
 def classify_normality(G, f, B, alpha, tol=NORMALITY_TOL, weight_overrides=None):
@@ -191,7 +190,7 @@ def classify_normality(G, f, B, alpha, tol=NORMALITY_TOL, weight_overrides=None)
             consistent = False
             break
 
-    return NormalityReport(alpha, classification, consistent, tol, vertex_slack, edge_slack)
+    return NormalityReport(alpha, classification, consistent, tol, vertex_slack, edge_slack, B)
 
 
 @dataclass(frozen=True)
@@ -429,8 +428,12 @@ def certify(G, f, tol=NORMALITY_TOL, eig_tol=DEFAULT_TOL):
     """Principal-incidence certification of G: returns (alpha, report).
 
     For any connected graph this classifies as normal and consistent, which
-    is the exactness half of the method.
+    is the exactness half of the method. G is solved once; the report's
+    ``incidence`` is the principal incidence matrix.
     """
-    alpha = alpha_of(G, f, tol=eig_tol)
-    B = principal_incidence(G, f, tol=eig_tol)
+    res = f_spectral_radius(G, f, tol=eig_tol)
+    alpha = _alpha(res.rho)
+    if not is_connected(G):
+        raise BadParams("principal incidence needs a connected graph")
+    B = _principal(G, f, res)
     return alpha, classify_normality(G, f, B, alpha, tol=tol)

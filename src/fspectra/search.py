@@ -6,18 +6,16 @@ canonical forms at every level. Every connected graph with m >= n edges
 has a non-bridge edge, so removing it reaches m - 1 keeping connectivity;
 the level-by-level growth is therefore exhaustive.
 
-Candidate evaluation may fan out over a thread pool sized by the
-FSPECTRA_THREADS environment variable (unset/1 = sequential, 0 = one per
-CPU); results are reduced in canonical order, so reports are deterministic
-regardless of schedule.
+Every search scores its candidates once, keeps the extremal value and the
+candidates tied with it, and reports winners in canonical order. Each named
+verification is one small function in the ``_CHECKS`` table.
 """
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .errors import BadParams, MissingTableEntry, SizeLimit
 from .families import FamilySpec, forbidden_fixtures, identify_pendant_free_bicyclic, make
@@ -36,40 +34,6 @@ ENUMERATION_MAX_ORDER = 9
 TIE_TOL = 1e-7
 
 SEARCH_CLASSES = ("trees", "unicyclic", "bicyclic", "pendant_free_bicyclic")
-
-THEOREMS = (
-    "theta-infty-equality",
-    "base-graph-reduction",
-    "theta-minimal",
-    "infty-minimal",
-    "infty-star-domination",
-    "main-bicyclic",
-    "forbidden-subgraphs",
-    "max-unicyclic-base",
-    "max-bicyclic-base",
-    "conjecture-pstarstar",
-)
-
-
-def _worker_count():
-    raw = os.environ.get("FSPECTRA_THREADS", "").strip()
-    if raw == "" or raw == "1":
-        return 1
-    k = int(raw)
-    if k < 0:
-        raise BadParams("FSPECTRA_THREADS must be >= 0")
-    if k == 0:
-        return os.cpu_count() or 1
-    return k
-
-
-def _map_candidates(fn, items):
-    workers = _worker_count()
-    items = list(items)
-    if workers <= 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def enumerate_pendant_free_bicyclic(n):
@@ -160,14 +124,17 @@ def class_graphs(class_name, n):
     raise BadParams(f"unknown search class {class_name!r}")
 
 
+
+
 @dataclass
 class SearchReport:
     """Extremal outcome over one enumerated class.
 
     ``winners`` collects every graph within ``tie_tol`` of the extremal
-    value, sorted by canonical form. ``skipped`` counts candidates a table
-    weight could not evaluate (missing degree pairs); they are excluded
-    from the optimum.
+    value, sorted by canonical form; ``winner_values`` holds their Perron
+    values in the same order. ``skipped`` counts candidates a table weight
+    could not evaluate (missing degree pairs); they are excluded from the
+    optimum.
     """
 
     class_name: str
@@ -180,13 +147,24 @@ class SearchReport:
     skipped: int
     elapsed: float
     tie_tol: float = TIE_TOL
+    winner_values: list = field(default_factory=list)
 
 
-def _rho_or_none(G, f):
-    try:
-        return f_spectral_radius(G, f).rho
-    except MissingTableEntry:
-        return None
+def _scored(items, f, graph_of=lambda G: G):
+    """(rho, item) for every item whose graph f can evaluate, in input order."""
+    out = []
+    for item in items:
+        try:
+            out.append((f_spectral_radius(graph_of(item), f).rho, item))
+        except MissingTableEntry:
+            pass
+    return out
+
+
+def _best(scored, objective, tie_tol):
+    """The extremal rho of (rho, item) pairs and the pairs within tie_tol of it."""
+    best = (min if objective == "min" else max)(v for v, _ in scored)
+    return best, [(v, item) for v, item in scored if abs(v - best) <= tie_tol]
 
 
 def extremal(class_name, n, f, objective="min", tie_tol=TIE_TOL):
@@ -195,39 +173,33 @@ def extremal(class_name, n, f, objective="min", tie_tol=TIE_TOL):
         raise BadParams("objective must be 'min' or 'max'")
     start = time.perf_counter()
     graphs = class_graphs(class_name, n)
-    values = _map_candidates(lambda G: _rho_or_none(G, f), graphs)
-    scored = [(v, G) for v, G in zip(values, graphs) if v is not None]
-    skipped = len(graphs) - len(scored)
+    scored = _scored(graphs, f)
     if not scored:
         raise BadParams(f"no evaluable graphs in class {class_name} at n={n}")
-    best = min(v for v, _ in scored) if objective == "min" else max(v for v, _ in scored)
-    winners = [
-        (canonical_form(G), G, v) for v, G in scored if abs(v - best) <= tie_tol
-    ]
-    winners.sort(key=lambda t: t[0])
-    elapsed = time.perf_counter() - start
+    best, ties = _best(scored, objective, tie_tol)
+    ties.sort(key=lambda t: canonical_form(t[1]))
     return SearchReport(
         class_name=class_name,
         order=n,
         weight=f,
         objective=objective,
-        winners=[G for _, G, _ in winners],
+        winners=[G for _, G in ties],
         value=best,
         examined=len(scored),
-        skipped=skipped,
-        elapsed=elapsed,
+        skipped=len(graphs) - len(scored),
+        elapsed=time.perf_counter() - start,
         tie_tol=tie_tol,
+        winner_values=[v for v, _ in ties],
     )
 
 
 def report_records(report):
     """Machine-readable rows: (canonical encoding, rho, family tag)."""
     rows = []
-    for G in report.winners:
+    for G, rho in zip(report.winners, report.winner_values):
         n, bits = canonical_form(G)
         enc = f"{n}:" + "".join(str(b) for b in bits)
         spec = identify_pendant_free_bicyclic(G)
-        rho = f_spectral_radius(G, report.weight).rho
         rows.append((enc, rho, str(spec) if spec else "-"))
     return rows
 
@@ -277,13 +249,28 @@ class TheoremReport:
         return self
 
 
-def _balanced_split(m):
-    """The (s, t) with 2s + t = m and |s - t| <= 1."""
+class _Ranges(NamedTuple):
+    s_values: tuple
+    t_values: tuple
+    n_values: tuple
+    m_values: tuple
+    class_names: tuple
+    tie_tol: float
+
+
+def _balanced(kind, m):
+    """The theta- or infty-type spec (s, s, t) of size m with 2s + t = m and
+    |s - t| <= 1, as a string; theta lengths are listed sorted."""
     for s in range(1, m):
         t = m - 2 * s
         if t >= 1 and abs(s - t) <= 1:
-            return s, t
+            lengths = tuple(sorted((s, s, t))) if kind == "theta" else (s, s, t)
+            return str(FamilySpec(kind, lengths))
     raise BadParams(f"no balanced split for m={m}")
+
+
+def _pendant_free_of_kind(kind, m):
+    return [sp for sp in enumerate_pendant_free_bicyclic(m - 1) if sp.kind == kind]
 
 
 def _winner_specs(report):
@@ -292,6 +279,144 @@ def _winner_specs(report):
         spec = identify_pendant_free_bicyclic(G)
         out.add(str(spec) if spec else repr(G))
     return out
+
+
+def _each_winner(rep, f, r, class_name, objective, ok, label):
+    """Search the class at every order in r and add one check per winner.
+
+    ``label`` is formatted with f, class_name, n and rho (the extremal value).
+    """
+    for n in r.n_values:
+        report = extremal(class_name, n, f, objective, r.tie_tol)
+        text = label.format(f=f, class_name=class_name, n=n, rho=report.value)
+        for G in report.winners:
+            rep.add(ok(G), text)
+
+
+def _check_theta_infty_equality(rep, f, r):
+    for s in r.s_values:
+        for t in r.t_values:
+            a = f_spectral_radius(make(FamilySpec("theta", (s, s, t))), f).rho
+            b = f_spectral_radius(make(FamilySpec("infty", (s, s, t))), f).rho
+            rep.add(
+                abs(a - b) <= r.tie_tol,
+                f"{f} theta({s},{s},{t})={a:.9f} infty({s},{s},{t})={b:.9f}",
+            )
+
+
+def _check_base_graph_reduction(rep, f, r):
+    _each_winner(
+        rep, f, r, "bicyclic", "min",
+        lambda G: min(degrees(G)) >= 2,
+        "{f} n={n}: min winner pendant-free (rho={rho:.6f})",
+    )
+
+
+def _check_type_minimal(kind, rep, f, r):
+    for m in r.m_values:
+        expect = _balanced(kind, m)
+        _, ties = _best(_scored(_pendant_free_of_kind(kind, m), f, make), "min", r.tie_tol)
+        winners = {str(sp) for _, sp in ties}
+        rep.add(
+            winners == {expect},
+            f"{f} m={m}: min {kind}-type winners {sorted(winners)} expected [{expect}]",
+        )
+
+
+def _check_infty_star_domination(rep, f, r):
+    for m in r.m_values:
+        if m < 9:
+            raise BadParams("infty-star domination needs size >= 9")
+        theta_best = min(v for v, _ in _scored(_pendant_free_of_kind("theta", m), f, make))
+        stars = [FamilySpec("infty_star", (l1, m - l1)) for l1 in range(3, m // 2 + 1)]
+        for rho, sp in _scored(stars, f, make):
+            l1, l2 = sp.params
+            rep.add(
+                theta_best < rho - r.tie_tol,
+                f"{f} m={m}: best theta {theta_best:.6f} < infty-star({l1},{l2}) {rho:.6f}",
+            )
+
+
+def _check_main_bicyclic(rep, f, r):
+    for n in r.n_values:
+        if n < 8:
+            raise BadParams("main theorem instances need order >= 8")
+        expect = {_balanced("theta", n + 1), _balanced("infty", n + 1)}
+        winners = _winner_specs(extremal("pendant_free_bicyclic", n, f, "min", r.tie_tol))
+        rep.add(
+            winners == expect,
+            f"{f} n={n}: winners {sorted(winners)} expected {sorted(expect)}",
+        )
+
+
+def _check_forbidden_subgraphs(rep, f, r):
+    fixtures = forbidden_fixtures()
+    for class_name in r.class_names:
+        _each_winner(
+            rep, f, r, class_name, "max",
+            lambda G: not any(contains_induced(G, H) for H in fixtures),
+            "{f} {class_name} n={n}: max winner avoids all six fixtures",
+        )
+
+
+def _check_max_unicyclic_base(rep, f, r):
+    c3 = make(FamilySpec("cycle", (3,)))
+    _each_winner(
+        rep, f, r, "unicyclic", "max",
+        lambda G: is_isomorphic(base_graph(G), c3),
+        "{f} n={n}: max unicyclic winner has base C3",
+    )
+
+
+def _check_max_bicyclic_base(rep, f, r):
+    targets = [make(FamilySpec("theta", (1, 2, 2))), make(FamilySpec("theta", (2, 2, 2)))]
+    _each_winner(
+        rep, f, r, "bicyclic", "max",
+        lambda G: any(is_isomorphic(base_graph(G), T) for T in targets),
+        "{f} n={n}: max bicyclic winner has base theta(1,2,2) or theta(2,2,2)",
+    )
+
+
+# The conjectured maximiser of each class at order n.
+_CONJECTURED = {
+    "trees": lambda n: FamilySpec("double_star", (math.ceil(n / 2), n // 2)),
+    "unicyclic": lambda n: FamilySpec("c3_pendants", (math.ceil((n - 3) / 2), (n - 3) // 2, 0)),
+    "bicyclic": lambda n: FamilySpec("theta122_pendants", (math.ceil((n - 4) / 2), (n - 4) // 2)),
+}
+
+
+def _check_conjecture_pstarstar(rep, f, r):
+    for class_name in r.class_names:
+        for n in r.n_values:
+            if class_name not in _CONJECTURED:
+                raise BadParams(f"conjecture check has no target for {class_name!r}")
+            spec = _CONJECTURED[class_name](n)
+            target = make(spec)
+            report = extremal(class_name, n, f, "max", r.tie_tol)
+            match = any(is_isomorphic(G, target) for G in report.winners)
+            rep.observe(
+                f"{f} {class_name} n={n}: observed max "
+                f"{'matches' if match else 'differs from'} conjectured {spec} "
+                f"(rho={report.value:.6f})"
+            )
+
+
+# Named verifications, in the order the CLI lists them. Each check runs one
+# weight over the ranges and adds its lines to the report.
+_CHECKS = {
+    "theta-infty-equality": _check_theta_infty_equality,
+    "base-graph-reduction": _check_base_graph_reduction,
+    "theta-minimal": partial(_check_type_minimal, "theta"),
+    "infty-minimal": partial(_check_type_minimal, "infty"),
+    "infty-star-domination": _check_infty_star_domination,
+    "main-bicyclic": _check_main_bicyclic,
+    "forbidden-subgraphs": _check_forbidden_subgraphs,
+    "max-unicyclic-base": _check_max_unicyclic_base,
+    "max-bicyclic-base": _check_max_bicyclic_base,
+    "conjecture-pstarstar": _check_conjecture_pstarstar,
+}
+
+THEOREMS = tuple(_CHECKS)
 
 
 def verify_theorem(
@@ -309,173 +434,11 @@ def verify_theorem(
     ``weights`` is a list of WeightSpec. Callers pick ranges small enough
     for exhaustive checking; everything here is desk scale.
     """
-    if theorem not in THEOREMS:
+    check = _CHECKS.get(theorem)
+    if check is None:
         raise BadParams(f"unknown theorem id {theorem!r}")
     rep = TheoremReport(theorem, None)
-
-    if theorem == "theta-infty-equality":
-        for f in weights:
-            for s in s_values:
-                for t in t_values:
-                    a = f_spectral_radius(make(FamilySpec("theta", (s, s, t))), f).rho
-                    b = f_spectral_radius(make(FamilySpec("infty", (s, s, t))), f).rho
-                    rep.add(
-                        abs(a - b) <= tie_tol,
-                        f"{f} theta({s},{s},{t})={a:.9f} infty({s},{s},{t})={b:.9f}",
-                    )
-        return rep.finalize()
-
-    if theorem == "base-graph-reduction":
-        for f in weights:
-            for n in n_values:
-                report = extremal("bicyclic", n, f, "min", tie_tol)
-                for G in report.winners:
-                    rep.add(
-                        min(degrees(G)) >= 2,
-                        f"{f} n={n}: min winner pendant-free (rho={report.value:.6f})",
-                    )
-        return rep.finalize()
-
-    if theorem in ("theta-minimal", "infty-minimal"):
-        kind = "theta" if theorem == "theta-minimal" else "infty"
-        for f in weights:
-            for m in m_values:
-                s, t = _balanced_split(m)
-                if kind == "theta":
-                    expect = str(FamilySpec("theta", tuple(sorted((s, s, t)))))
-                else:
-                    expect = str(FamilySpec("infty", (s, s, t)))
-                specs = [
-                    sp
-                    for sp in enumerate_pendant_free_bicyclic(m - 1)
-                    if sp.kind == kind
-                ]
-                scored = []
-                for sp in specs:
-                    rho = _rho_or_none(make(sp), f)
-                    if rho is not None:
-                        scored.append((rho, sp))
-                best = min(v for v, _ in scored)
-                winners = {str(sp) for v, sp in scored if abs(v - best) <= tie_tol}
-                rep.add(
-                    winners == {expect},
-                    f"{f} m={m}: min {kind}-type winners {sorted(winners)} expected [{expect}]",
-                )
-        return rep.finalize()
-
-    if theorem == "infty-star-domination":
-        for f in weights:
-            for m in m_values:
-                if m < 9:
-                    raise BadParams("infty-star domination needs size >= 9")
-                theta_best = min(
-                    v
-                    for v in (
-                        _rho_or_none(make(sp), f)
-                        for sp in enumerate_pendant_free_bicyclic(m - 1)
-                        if sp.kind == "theta"
-                    )
-                    if v is not None
-                )
-                for l1 in range(3, m // 2 + 1):
-                    l2 = m - l1
-                    if l2 < l1:
-                        continue
-                    rho = _rho_or_none(make(FamilySpec("infty_star", (l1, l2))), f)
-                    if rho is None:
-                        continue
-                    rep.add(
-                        theta_best < rho - tie_tol,
-                        f"{f} m={m}: best theta {theta_best:.6f} < infty-star({l1},{l2}) {rho:.6f}",
-                    )
-        return rep.finalize()
-
-    if theorem == "main-bicyclic":
-        for f in weights:
-            for n in n_values:
-                if n < 8:
-                    raise BadParams("main theorem instances need order >= 8")
-                s, t = _balanced_split(n + 1)
-                expect = {
-                    str(FamilySpec("theta", tuple(sorted((s, s, t))))),
-                    str(FamilySpec("infty", (s, s, t))),
-                }
-                report = extremal("pendant_free_bicyclic", n, f, "min", tie_tol)
-                winners = _winner_specs(report)
-                rep.add(
-                    winners == expect,
-                    f"{f} n={n}: winners {sorted(winners)} expected {sorted(expect)}",
-                )
-        return rep.finalize()
-
-    if theorem == "forbidden-subgraphs":
-        fixtures = forbidden_fixtures()
-        for f in weights:
-            for class_name in class_names:
-                for n in n_values:
-                    report = extremal(class_name, n, f, "max", tie_tol)
-                    for G in report.winners:
-                        bad = [i for i, H in enumerate(fixtures) if contains_induced(G, H)]
-                        rep.add(
-                            not bad,
-                            f"{f} {class_name} n={n}: max winner avoids all six fixtures",
-                        )
-        return rep.finalize()
-
-    if theorem == "max-unicyclic-base":
-        c3 = make(FamilySpec("cycle", (3,)))
-        for f in weights:
-            for n in n_values:
-                report = extremal("unicyclic", n, f, "max", tie_tol)
-                for G in report.winners:
-                    rep.add(
-                        is_isomorphic(base_graph(G), c3),
-                        f"{f} n={n}: max unicyclic winner has base C3",
-                    )
-        return rep.finalize()
-
-    if theorem == "max-bicyclic-base":
-        targets = [
-            make(FamilySpec("theta", (1, 2, 2))),
-            make(FamilySpec("theta", (2, 2, 2))),
-        ]
-        for f in weights:
-            for n in n_values:
-                report = extremal("bicyclic", n, f, "max", tie_tol)
-                for G in report.winners:
-                    B = base_graph(G)
-                    rep.add(
-                        any(is_isomorphic(B, T) for T in targets),
-                        f"{f} n={n}: max bicyclic winner has base theta(1,2,2) or theta(2,2,2)",
-                    )
-        return rep.finalize()
-
-    if theorem == "conjecture-pstarstar":
-        for f in weights:
-            for class_name in class_names:
-                for n in n_values:
-                    if class_name == "trees":
-                        target = make(FamilySpec("double_star", (math.ceil(n / 2), n // 2)))
-                        label = f"double-star:{math.ceil(n / 2)},{n // 2}"
-                    elif class_name == "unicyclic":
-                        target = make(
-                            FamilySpec("c3_pendants", (math.ceil((n - 3) / 2), (n - 3) // 2, 0))
-                        )
-                        label = f"c3:{math.ceil((n - 3) / 2)},{(n - 3) // 2},0"
-                    elif class_name == "bicyclic":
-                        target = make(
-                            FamilySpec("theta122_pendants", (math.ceil((n - 4) / 2), (n - 4) // 2))
-                        )
-                        label = f"theta122:{math.ceil((n - 4) / 2)},{(n - 4) // 2}"
-                    else:
-                        raise BadParams(f"conjecture check has no target for {class_name!r}")
-                    report = extremal(class_name, n, f, "max", tie_tol)
-                    match = any(is_isomorphic(G, target) for G in report.winners)
-                    rep.observe(
-                        f"{f} {class_name} n={n}: observed max "
-                        f"{'matches' if match else 'differs from'} conjectured {label} "
-                        f"(rho={report.value:.6f})"
-                    )
-        return rep.finalize()
-
-    raise BadParams(f"unhandled theorem {theorem!r}")
+    ranges = _Ranges(s_values, t_values, n_values, m_values, class_names, tie_tol)
+    for f in weights:
+        check(rep, f, ranges)
+    return rep.finalize()

@@ -15,11 +15,6 @@ from .spectral import f_spectral_radius
 from .weights import eval_weight
 
 
-def subdivide(G, e):
-    """Replace edge e = (u, v) by u-w, w-v with a fresh degree-2 vertex w."""
-    return subdivided(G, e)
-
-
 @dataclass
 class KelmansResult:
     """Outcome of a Kelmans operation.

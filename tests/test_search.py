@@ -119,16 +119,6 @@ def test_report_output_shapes():
     assert text.startswith("# class=")
 
 
-def test_threads_env_reduction_unchanged(monkeypatch):
-    base = extremal("pendant_free_bicyclic", 7, SOMBOR, "min")
-    monkeypatch.setenv("FSPECTRA_THREADS", "3")
-    threaded = extremal("pendant_free_bicyclic", 7, SOMBOR, "min")
-    assert [canonical_form(G) for G in base.winners] == [
-        canonical_form(G) for G in threaded.winners
-    ]
-    assert threaded.value == pytest.approx(base.value, abs=1e-12)
-
-
 def test_verify_equality_small():
     report = verify_theorem(
         "theta-infty-equality", [SOMBOR], s_values=(3,), t_values=(2, 3)

@@ -1,0 +1,61 @@
+"""Each graph is solved once per query: reports and certificates reuse the
+Perron data they already have instead of solving again.
+
+Every Perron solve goes through ``spectral.spectral_radius``, so counting
+its calls counts eigensolves whichever module asks for them.
+"""
+
+import pytest
+
+from fspectra import spectral
+from fspectra.cli import main
+from fspectra.families import make, parse_family
+from fspectra.luman import certify
+from fspectra.search import class_graphs, extremal, report_tsv
+from fspectra.weights import parse_weight
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    calls = []
+    real = spectral.spectral_radius
+
+    def counted(M, *args, **kwargs):
+        calls.append(M.shape[0])
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "spectral_radius", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "class_name, n, weight, objective, all_tie",
+    [
+        ("unicyclic", 8, "randic", "min", True),  # rho = 1 on every member
+        ("pendant_free_bicyclic", 8, "sombor", "min", False),
+        ("trees", 7, "zagreb2", "max", False),
+    ],
+)
+def test_extremal_and_report_solve_once_per_member(
+    solves, class_name, n, weight, objective, all_tie
+):
+    size = len(class_graphs(class_name, n))
+    report = extremal(class_name, n, parse_weight(weight), objective)
+    text = report_tsv(report)
+    assert len(solves) == size
+    assert report.examined == size
+    assert (len(report.winners) == size) is all_tie
+    assert len(text.splitlines()) == len(report.winners) + 2
+
+
+def test_certify_solves_once(solves):
+    alpha, report = certify(make(parse_family("theta:3,3,2")), parse_weight("sombor"))
+    assert len(solves) == 1
+    assert report.classification == "normal"
+    assert alpha > 0
+
+
+def test_cli_certify_solves_once(solves, capsys):
+    assert main(["certify", "--family", "theta:3,3,2", "--weight", "sombor"]) == 0
+    assert "classification normal" in capsys.readouterr().out
+    assert len(solves) == 1

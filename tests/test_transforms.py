@@ -6,9 +6,9 @@ import pytest
 
 from fspectra.errors import EdgeNotFound, NoCycle
 from fspectra.families import FamilySpec, make, parse_family
-from fspectra.graph_core import Graph, cyclomatic_number, is_isomorphic
+from fspectra.graph_core import Graph, cyclomatic_number, is_isomorphic, subdivided
 from fspectra.spectral import f_spectral_radius
-from fspectra.transforms import best_cycle_subdivision, kelmans, subdivide
+from fspectra.transforms import best_cycle_subdivision, kelmans
 from fspectra.weights import parse_weight
 from helpers import random_connected_graph
 
@@ -19,30 +19,30 @@ ZAGREB1 = parse_weight("zagreb1")
 def test_subdivide_cycle():
     for n in (3, 5, 8):
         G = make(FamilySpec("cycle", (n,)))
-        H = subdivide(G, sorted(G.edges)[0])
+        H = subdivided(G, sorted(G.edges)[0])
         assert is_isomorphic(H, make(FamilySpec("cycle", (n + 1,))))
 
 
 def test_subdivide_theta():
     G = make(parse_family("theta:2,2,2"))
     path_edge = next(e for e in sorted(G.edges) if 0 in e and 1 not in e)
-    H = subdivide(G, path_edge)
+    H = subdivided(G, path_edge)
     assert is_isomorphic(H, make(parse_family("theta:3,2,2")))
 
 
 def test_subdivide_k2():
-    H = subdivide(Graph(2, [(0, 1)]), (0, 1))
+    H = subdivided(Graph(2, [(0, 1)]), (0, 1))
     assert is_isomorphic(H, make(FamilySpec("path", (3,))))
 
 
 def test_subdivide_counts_and_errors():
     G = make(parse_family("infty:3,3,2"))
-    H = subdivide(G, sorted(G.edges)[0])
+    H = subdivided(G, sorted(G.edges)[0])
     assert (H.n, H.m) == (G.n + 1, G.m + 1)
     assert cyclomatic_number(H) == cyclomatic_number(G)
     assert H.degree(G.n) == 2
     with pytest.raises(EdgeNotFound):
-        subdivide(make(FamilySpec("path", (4,))), (0, 3))
+        subdivided(make(FamilySpec("path", (4,))), (0, 3))
 
 
 def test_kelmans_p5_increases_rho():

@@ -1,0 +1,235 @@
+"""Pinned output of every named verification at small ranges.
+
+Each case fixes the exact check lines, the ``passed`` value and the CLI
+exit code of one ``verify`` run. Randic cases are all-tie searches, so they
+also pin the canonical order of the winners behind each line.
+"""
+
+import pytest
+
+from fspectra.cli import _parse_range, main
+from fspectra.errors import BadParams
+from fspectra.search import THEOREMS, verify_theorem
+from fspectra.weights import parse_weight
+
+CASES = [
+    (
+        "theta-infty-equality",
+        "sombor,zagreb1",
+        ("--s", "3", "--t", "2..3"),
+        True,
+        """\
+PASS sombor theta(3,3,2)=8.118038735 infty(3,3,2)=8.118038735
+PASS sombor theta(3,3,3)=7.817337800 infty(3,3,3)=7.817337800
+PASS zagreb1 theta(3,3,2)=11.288889346 infty(3,3,2)=11.288889346
+PASS zagreb1 theta(3,3,3)=10.888194417 infty(3,3,3)=10.888194417
+""",
+    ),
+    (
+        "base-graph-reduction",
+        "sombor",
+        ("--n", "6..7"),
+        True,
+        """\
+PASS sombor n=6: min winner pendant-free (rho=8.457653)
+PASS sombor n=7: min winner pendant-free (rho=8.118039)
+PASS sombor n=7: min winner pendant-free (rho=8.118039)
+""",
+    ),
+    (
+        "base-graph-reduction",
+        "randic",
+        ("--n", "5"),
+        False,
+        """\
+FAIL randic n=5: min winner pendant-free (rho=1.000000)
+PASS randic n=5: min winner pendant-free (rho=1.000000)
+FAIL randic n=5: min winner pendant-free (rho=1.000000)
+PASS randic n=5: min winner pendant-free (rho=1.000000)
+PASS randic n=5: min winner pendant-free (rho=1.000000)
+""",
+    ),
+    (
+        "theta-minimal",
+        "sombor,randic",
+        ("--m", "6..7"),
+        False,
+        """\
+PASS sombor m=6: min theta-type winners ['theta:2,2,2'] expected [theta:2,2,2]
+PASS sombor m=7: min theta-type winners ['theta:2,2,3'] expected [theta:2,2,3]
+FAIL randic m=6: min theta-type winners ['theta:1,2,3', 'theta:2,2,2'] expected [theta:2,2,2]
+FAIL randic m=7: min theta-type winners ['theta:1,2,4', 'theta:1,3,3', 'theta:2,2,3'] expected [theta:2,2,3]
+""",
+    ),
+    (
+        "infty-minimal",
+        "sombor,zagreb1",
+        ("--m", "8..9"),
+        True,
+        """\
+PASS sombor m=8: min infty-type winners ['infty:3,3,2'] expected [infty:3,3,2]
+PASS sombor m=9: min infty-type winners ['infty:3,3,3'] expected [infty:3,3,3]
+PASS zagreb1 m=8: min infty-type winners ['infty:3,3,2'] expected [infty:3,3,2]
+PASS zagreb1 m=9: min infty-type winners ['infty:3,3,3'] expected [infty:3,3,3]
+""",
+    ),
+    (
+        "infty-star-domination",
+        "sombor,randic",
+        ("--m", "9..10"),
+        False,
+        """\
+PASS sombor m=9: best theta 7.817338 < infty-star(3,6) 9.999412
+PASS sombor m=9: best theta 7.817338 < infty-star(4,5) 9.680906
+PASS sombor m=10: best theta 7.680721 < infty-star(3,7) 9.988531
+PASS sombor m=10: best theta 7.680721 < infty-star(4,6) 9.641417
+PASS sombor m=10: best theta 7.680721 < infty-star(5,5) 9.558358
+FAIL randic m=9: best theta 1.000000 < infty-star(3,6) 1.000000
+FAIL randic m=9: best theta 1.000000 < infty-star(4,5) 1.000000
+FAIL randic m=10: best theta 1.000000 < infty-star(3,7) 1.000000
+FAIL randic m=10: best theta 1.000000 < infty-star(4,6) 1.000000
+FAIL randic m=10: best theta 1.000000 < infty-star(5,5) 1.000000
+""",
+    ),
+    (
+        "main-bicyclic",
+        "sombor,randic",
+        ("--n", "8"),
+        False,
+        """\
+PASS sombor n=8: winners ['infty:3,3,3', 'theta:3,3,3'] expected ['infty:3,3,3', 'theta:3,3,3']
+FAIL randic n=8: winners ['infty-star:3,6', 'infty-star:4,5', 'infty:3,3,3', 'infty:3,4,2', 'infty:3,5,1', 'infty:4,4,1', 'theta:1,2,6', 'theta:1,3,5', 'theta:1,4,4', 'theta:2,2,5', 'theta:2,3,4', 'theta:3,3,3'] expected ['infty:3,3,3', 'theta:3,3,3']
+""",
+    ),
+    (
+        "forbidden-subgraphs",
+        "sombor",
+        ("--classes", "trees,unicyclic", "--n", "6"),
+        True,
+        """\
+PASS sombor trees n=6: max winner avoids all six fixtures
+PASS sombor unicyclic n=6: max winner avoids all six fixtures
+""",
+    ),
+    (
+        "forbidden-subgraphs",
+        "randic",
+        ("--classes", "trees", "--n", "6"),
+        False,
+        """\
+PASS randic trees n=6: max winner avoids all six fixtures
+PASS randic trees n=6: max winner avoids all six fixtures
+PASS randic trees n=6: max winner avoids all six fixtures
+FAIL randic trees n=6: max winner avoids all six fixtures
+FAIL randic trees n=6: max winner avoids all six fixtures
+FAIL randic trees n=6: max winner avoids all six fixtures
+""",
+    ),
+    (
+        "max-unicyclic-base",
+        "sombor,zagreb2",
+        ("--n", "5..6"),
+        True,
+        """\
+PASS sombor n=5: max unicyclic winner has base C3
+PASS sombor n=6: max unicyclic winner has base C3
+PASS zagreb2 n=5: max unicyclic winner has base C3
+PASS zagreb2 n=6: max unicyclic winner has base C3
+""",
+    ),
+    (
+        "max-unicyclic-base",
+        "randic",
+        ("--n", "5"),
+        False,
+        """\
+PASS randic n=5: max unicyclic winner has base C3
+PASS randic n=5: max unicyclic winner has base C3
+FAIL randic n=5: max unicyclic winner has base C3
+PASS randic n=5: max unicyclic winner has base C3
+FAIL randic n=5: max unicyclic winner has base C3
+""",
+    ),
+    (
+        "max-bicyclic-base",
+        "sombor,zagreb2",
+        ("--n", "5..6"),
+        True,
+        """\
+PASS sombor n=5: max bicyclic winner has base theta(1,2,2) or theta(2,2,2)
+PASS sombor n=6: max bicyclic winner has base theta(1,2,2) or theta(2,2,2)
+PASS zagreb2 n=5: max bicyclic winner has base theta(1,2,2) or theta(2,2,2)
+PASS zagreb2 n=6: max bicyclic winner has base theta(1,2,2) or theta(2,2,2)
+""",
+    ),
+    (
+        "max-bicyclic-base",
+        "randic",
+        ("--n", "5"),
+        False,
+        """\
+PASS randic n=5: max bicyclic winner has base theta(1,2,2) or theta(2,2,2)
+PASS randic n=5: max bicyclic winner has base theta(1,2,2) or theta(2,2,2)
+PASS randic n=5: max bicyclic winner has base theta(1,2,2) or theta(2,2,2)
+FAIL randic n=5: max bicyclic winner has base theta(1,2,2) or theta(2,2,2)
+FAIL randic n=5: max bicyclic winner has base theta(1,2,2) or theta(2,2,2)
+""",
+    ),
+    (
+        "conjecture-pstarstar",
+        "zagreb2",
+        ("--classes", "trees,unicyclic,bicyclic", "--n", "6"),
+        None,
+        """\
+OBS zagreb2 trees n=6: observed max differs from conjectured double-star:3,3 (rho=11.180340)
+OBS zagreb2 unicyclic n=6: observed max differs from conjectured c3:2,1,0 (rho=18.486833)
+OBS zagreb2 bicyclic n=6: observed max matches conjectured theta122:1,1 (rho=26.330303)
+""",
+    ),
+]
+
+_KWARGS = {"--s": "s_values", "--t": "t_values", "--n": "n_values", "--m": "m_values"}
+
+
+def _kwargs(flags):
+    out = {}
+    for flag, value in zip(flags[::2], flags[1::2]):
+        if flag == "--classes":
+            out["class_names"] = value.split(",")
+        else:
+            out[_KWARGS[flag]] = _parse_range(value)
+    return out
+
+
+def test_cases_cover_every_theorem():
+    assert {case[0] for case in CASES} == set(THEOREMS)
+
+
+@pytest.mark.parametrize("theorem, weights, flags, passed, text", CASES)
+def test_verify_text_pinned(theorem, weights, flags, passed, text):
+    report = verify_theorem(theorem, [parse_weight(w) for w in weights.split(",")], **_kwargs(flags))
+    assert report.passed is passed
+    assert "".join(f"{c.status} {c.text}\n" for c in report.checks) == text
+
+
+@pytest.mark.parametrize("theorem, weights, flags, passed, text", CASES)
+def test_verify_cli_pinned(capsys, theorem, weights, flags, passed, text):
+    code = main(["verify", "--theorem", theorem, "--weights", weights, *flags])
+    lines = text.splitlines()
+    fails = sum(1 for line in lines if line.startswith("FAIL "))
+    summary = f"# theorem={theorem} checks={len(lines)} failures={fails}\n"
+    assert capsys.readouterr().out == text + summary
+    assert code == (1 if passed is False else 0)
+
+
+@pytest.mark.parametrize(
+    "theorem, kwargs",
+    [
+        ("infty-star-domination", {"m_values": (8,)}),
+        ("main-bicyclic", {"n_values": (7,)}),
+        ("conjecture-pstarstar", {"class_names": ("pendant_free_bicyclic",), "n_values": (6,)}),
+    ],
+)
+def test_verify_out_of_range_raises(theorem, kwargs):
+    with pytest.raises(BadParams):
+        verify_theorem(theorem, [parse_weight("sombor")], **kwargs)
