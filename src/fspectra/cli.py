@@ -21,7 +21,7 @@ from .graph_core import (
 from .luman import certify
 from .spectral import DEFAULT_TOL, f_adjacency, f_spectral_radius, full_spectrum
 from .transforms import kelmans as kelmans_op
-from .weights import parse_weight
+from .weights import NAMED_WEIGHTS, parse_weight
 
 
 def _add_graph_source(p):
@@ -50,6 +50,24 @@ def _parse_range(text):
         lo, hi = text.split("..")
         return list(range(int(lo), int(hi) + 1))
     return [int(text)]
+
+
+def _split_weights(text):
+    """Split a comma-separated weight list without breaking table entries.
+
+    A piece starts a new weight only when it is a named weight or begins
+    with ``const:`` or ``table:``; any other piece is the rest of a table
+    entry ``x,y=v`` and is joined back onto the weight before it.
+    """
+    specs = []
+    for piece in text.split(","):
+        head = piece.strip()
+        named = head.replace("-", "_") in NAMED_WEIGHTS
+        if not specs or named or head.startswith(("const:", "table:")):
+            specs.append(piece)
+        else:
+            specs[-1] += "," + piece
+    return specs
 
 
 def _encoding(G):
@@ -115,7 +133,11 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a named verification; exit 1 on failure")
     p.add_argument("--theorem", required=True, choices=list(search.THEOREMS))
-    p.add_argument("--weights", required=True, help="comma-separated weight specs")
+    p.add_argument(
+        "--weights",
+        required=True,
+        help="comma-separated weight specs, e.g. sombor,table:2,2=1;3,2=2",
+    )
     p.add_argument("--s", help="range a..b for s parameters")
     p.add_argument("--t", help="range a..b for t parameters")
     p.add_argument("--n", help="range a..b of graph orders")
@@ -215,7 +237,7 @@ def _cmd_extremal(args):
 
 
 def _cmd_verify(args):
-    weights = [parse_weight(w) for w in args.weights.split(",")]
+    weights = [parse_weight(w) for w in _split_weights(args.weights)]
     kwargs = {}
     if args.s:
         kwargs["s_values"] = _parse_range(args.s)

@@ -4,7 +4,10 @@ Connected graphs are enumerated one per isomorphism class by growing: all
 trees by leaf addition, then one edge at a time, deduplicating through
 canonical forms at every level. Every connected graph with m >= n edges
 has a non-bridge edge, so removing it reaches m - 1 keeping connectivity;
-the level-by-level growth is therefore exhaustive.
+the level-by-level growth is therefore exhaustive. Growth adds one leaf or
+edge per twin orbit: a leaf goes on one vertex per twin class, and a new
+edge joins one pair per unordered pair of twin classes, because permuting
+twins is an automorphism and maps the skipped graphs onto kept ones.
 
 Every search scores its candidates once, keeps the extremal value and the
 candidates tied with it, and reports winners in canonical order. Each named
@@ -27,6 +30,7 @@ from .graph_core import (
     contains_induced,
     degrees,
     is_isomorphic,
+    twins,
 )
 from .spectral import f_spectral_radius
 
@@ -81,7 +85,7 @@ def _trees(n):
         return (Graph(1, []),)
     grown = []
     for T in _trees(n - 1):
-        for v in range(T.n):
+        for v in sorted(set(twins(T))):
             grown.append(Graph(T.n + 1, list(T.edges) + [(v, T.n)]))
     return _dedup(grown)
 
@@ -104,9 +108,13 @@ def enumerate_connected(n, m):
     grown = []
     for G in enumerate_connected(n, m - 1):
         present = G.edges
+        rep = twins(G)
+        tried = set()
         for u in range(n):
             for v in range(u + 1, n):
-                if (u, v) not in present:
+                key = frozenset((rep[u], rep[v]))
+                if (u, v) not in present and key not in tried:
+                    tried.add(key)
                     grown.append(Graph(n, list(present) + [(u, v)]))
     return _dedup(grown)
 
@@ -161,8 +169,13 @@ def _scored(items, f, graph_of=lambda G: G):
     return out
 
 
-def _best(scored, objective, tie_tol):
-    """The extremal rho of (rho, item) pairs and the pairs within tie_tol of it."""
+def _best(scored, objective, tie_tol, where):
+    """The extremal rho of (rho, item) pairs and the pairs within tie_tol of it.
+
+    Raises BadParams naming ``where`` when f could evaluate none of them.
+    """
+    if not scored:
+        raise BadParams(f"no evaluable graphs in {where}")
     best = (min if objective == "min" else max)(v for v, _ in scored)
     return best, [(v, item) for v, item in scored if abs(v - best) <= tie_tol]
 
@@ -174,9 +187,7 @@ def extremal(class_name, n, f, objective="min", tie_tol=TIE_TOL):
     start = time.perf_counter()
     graphs = class_graphs(class_name, n)
     scored = _scored(graphs, f)
-    if not scored:
-        raise BadParams(f"no evaluable graphs in class {class_name} at n={n}")
-    best, ties = _best(scored, objective, tie_tol)
+    best, ties = _best(scored, objective, tie_tol, f"class {class_name} at n={n}")
     ties.sort(key=lambda t: canonical_form(t[1]))
     return SearchReport(
         class_name=class_name,
@@ -315,7 +326,8 @@ def _check_base_graph_reduction(rep, f, r):
 def _check_type_minimal(kind, rep, f, r):
     for m in r.m_values:
         expect = _balanced(kind, m)
-        _, ties = _best(_scored(_pendant_free_of_kind(kind, m), f, make), "min", r.tie_tol)
+        scored = _scored(_pendant_free_of_kind(kind, m), f, make)
+        _, ties = _best(scored, "min", r.tie_tol, f"the {kind}-type class at m={m}")
         winners = {str(sp) for _, sp in ties}
         rep.add(
             winners == {expect},
@@ -327,7 +339,8 @@ def _check_infty_star_domination(rep, f, r):
     for m in r.m_values:
         if m < 9:
             raise BadParams("infty-star domination needs size >= 9")
-        theta_best = min(v for v, _ in _scored(_pendant_free_of_kind("theta", m), f, make))
+        thetas = _scored(_pendant_free_of_kind("theta", m), f, make)
+        theta_best, _ = _best(thetas, "min", r.tie_tol, f"the theta-type class at m={m}")
         stars = [FamilySpec("infty_star", (l1, m - l1)) for l1 in range(3, m // 2 + 1)]
         for rho, sp in _scored(stars, f, make):
             l1, l2 = sp.params

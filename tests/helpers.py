@@ -5,9 +5,9 @@ full subset scans) so they stay independent of the library's optimized
 implementations.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
-from fspectra.graph_core import Graph
+from fspectra.graph_core import Graph, _refined_colors
 
 
 def random_connected_graph(rng, n, extra_edges=0):
@@ -41,6 +41,51 @@ def brute_canonical(G):
         if best is None or enc < best:
             best = enc
     return (G.n, best)
+
+
+def bits_in_order(G, order):
+    """Column-major upper-triangle adjacency bits of G listed in ``order``."""
+    return tuple(
+        int(G.has_edge(order[i], order[j])) for j in range(1, G.n) for i in range(j)
+    )
+
+
+def brute_canonical_bits(G):
+    """The library's canonical encoding (n, bits) by exhaustive search.
+
+    bits is the lexicographically largest column-major upper-triangle
+    bitstring over every vertex ordering whose colour sequence equals the
+    sorted refined colours, i.e. every product of per-colour-class
+    permutations. No pruning of any kind. Oracle only; fine for n <= 7.
+    """
+    colors = _refined_colors(G)
+    classes = [
+        [v for v in range(G.n) if colors[v] == c] for c in sorted(set(colors))
+    ]
+    best = ()
+    for parts in product(*(permutations(cls) for cls in classes)):
+        best = max(best, bits_in_order(G, [v for part in parts for v in part]))
+    return (G.n, best)
+
+
+def brute_twins(G):
+    """Smallest vertex with the same open or closed neighbourhood, by scan."""
+    def nbhd(v, closed):
+        return frozenset(G.adj[v]) | ({v} if closed else set())
+    return [
+        next(
+            u for u in range(G.n)
+            if nbhd(u, False) == nbhd(v, False) or nbhd(u, True) == nbhd(v, True)
+        )
+        for v in range(G.n)
+    ]
+
+
+def complete_multipartite(*parts):
+    """K_{parts[0], parts[1], ...}: vertices in different parts are adjacent."""
+    side = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(side)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]])
 
 
 def brute_is_isomorphic(G, H):

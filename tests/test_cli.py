@@ -150,6 +150,37 @@ def test_verify_failure_exit_code(capsys):
     assert "FAIL" in out
 
 
+def test_verify_weight_list_keeps_table_commas(capsys):
+    code, out, err = run(
+        capsys,
+        "verify",
+        "--theorem",
+        "theta-minimal",
+        "--m",
+        "6",
+        "--weights",
+        "sombor,table:2,2=1;3,2=2;3,3=3,zagreb1",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "PASS sombor m=6: min theta-type winners ['theta:2,2,2'] expected [theta:2,2,2]",
+        "PASS table:2,2=1;2,3=2;3,3=3 m=6: min theta-type winners ['theta:2,2,2']"
+        " expected [theta:2,2,2]",
+        "PASS zagreb1 m=6: min theta-type winners ['theta:2,2,2'] expected [theta:2,2,2]",
+        "# theorem=theta-minimal checks=3 failures=0",
+    ]
+
+
+@pytest.mark.parametrize("theorem, m", [("theta-minimal", "6"), ("infty-star-domination", "9")])
+def test_verify_unevaluable_weight_is_a_domain_error(capsys, theorem, m):
+    code, out, err = run(
+        capsys, "verify", "--theorem", theorem, "--m", m, "--weights", "table:2,2=1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: no evaluable graphs in the theta-type class at m={m}\n"
+
+
 def test_usage_errors(capsys):
     code, _, _ = run(capsys, "rho", "--family", "cycle:5")  # missing --weight
     assert code == 2

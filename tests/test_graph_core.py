@@ -21,10 +21,15 @@ from fspectra.graph_core import (
     is_connected,
     is_isomorphic,
     parse_graph_text,
+    twins,
 )
 from helpers import (
+    bits_in_order,
+    brute_canonical_bits,
     brute_contains_induced,
     brute_is_isomorphic,
+    brute_twins,
+    complete_multipartite,
     random_connected_graph,
     relabeled,
 )
@@ -201,6 +206,71 @@ def test_canonical_form_agrees_with_oracle():
         G = random_connected_graph(rng, n, rng.randint(0, 3))
         H = random_connected_graph(rng, n, rng.randint(0, 3))
         assert (canonical_form(G) == canonical_form(H)) == brute_is_isomorphic(G, H)
+
+
+def _twin_heavy_corpus():
+    """Graphs on n <= 7 vertices with many twins, plus random ones."""
+    out = [Graph(n, []) for n in range(1, 8)]
+    for n in range(2, 8):
+        out.append(complete_multipartite(*[1] * n))
+        out.append(make(FamilySpec("star", (n,))))
+    for a in range(1, 4):
+        for b in range(a, 7 - a):
+            out.append(complete_multipartite(a, b))
+            out.append(make(FamilySpec("double_star", (b + 1, a + 1))))
+    for parts in [(1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3), (1, 1, 1, 3)]:
+        out.append(complete_multipartite(*parts))
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        p = rng.random()
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        out.append(Graph(n, [e for e in pairs if rng.random() < p]))
+    return out
+
+
+def test_canonical_form_matches_brute_force_encoding():
+    for G in _twin_heavy_corpus():
+        assert canonical_form(G) == brute_canonical_bits(G), G
+
+
+def test_twins_examples():
+    assert twins(complete_multipartite(1, 1, 1, 1)) == [0, 0, 0, 0]  # K_4, closed twins
+    assert twins(Graph(3, [])) == [0, 0, 0]  # isolated vertices, open twins
+    assert twins(make(FamilySpec("star", (5,)))) == [0, 1, 1, 1, 1]
+    assert twins(make(FamilySpec("path", (4,)))) == [0, 1, 2, 3]
+    assert twins(make(FamilySpec("cycle", (4,)))) == [0, 1, 0, 1]
+    assert twins(complete_multipartite(2, 3)) == [0, 0, 2, 2, 2]
+    # vertices 0,1 are open twins and 2,3 closed twins in the same graph
+    assert twins(Graph(5, [(0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])) == [0, 0, 2, 2, 4]
+
+
+def test_twins_match_scan_and_give_automorphisms():
+    for G in _twin_heavy_corpus():
+        rep = twins(G)
+        assert rep == brute_twins(G), G
+        for v in range(G.n):
+            swap = list(range(G.n))
+            swap[v], swap[rep[v]] = rep[v], v
+            assert relabeled(G, swap) == G
+
+
+def test_canonical_form_symmetric_graphs_at_size_limit():
+    # Twin pruning keeps these at a few DFS nodes; a search over every
+    # ordering of interchangeable vertices grows factorially (K_9 alone
+    # took about 2 s that way).
+    n = 12
+    pairs = n * (n - 1) // 2
+    assert canonical_form(complete_multipartite(*[1] * n)) == (n, (1,) * pairs)
+    assert canonical_form(Graph(n, [])) == (n, (0,) * pairs)
+    # star: the leaves (lower degree, so first colour) then the centre
+    star = make(FamilySpec("star", (n,)))
+    assert canonical_form(star) == (n, (0,) * (pairs - (n - 1)) + (1,) * (n - 1))
+    # K_{6,6}: one vertex of side A, then all of side B, then the rest of A
+    k66 = complete_multipartite(6, 6)
+    best = [0] + list(range(6, 12)) + list(range(1, 6))
+    assert canonical_form(k66) == (n, bits_in_order(k66, best))
+    assert canonical_form(relabeled(k66, [(7 * v) % n for v in range(n)])) == canonical_form(k66)
 
 
 def test_canonical_relabel_is_isomorphic_fixed_point():

@@ -1,5 +1,7 @@
 """Tests for enumeration and extremal search."""
 
+import hashlib
+
 import pytest
 
 from fspectra.errors import BadParams, SizeLimit
@@ -69,6 +71,56 @@ def test_enumerate_connected_edge_cases():
         enumerate_connected(10, 11)
     with pytest.raises(BadParams):
         enumerate_connected(4, 7)
+
+
+# OEIS A000055 (trees), A001429 (connected unicyclic), A001435 (connected
+# bicyclic), n = 4..9.
+OEIS_COUNTS = {
+    "trees": (2, 3, 6, 11, 23, 47),
+    "unicyclic": (2, 5, 13, 33, 89, 240),
+    "bicyclic": (1, 5, 19, 67, 236, 797),
+}
+
+
+@pytest.mark.parametrize("class_name", sorted(OEIS_COUNTS))
+@pytest.mark.parametrize("n", range(4, 10))
+def test_class_counts_match_oeis(class_name, n):
+    graphs = class_graphs(class_name, n)
+    assert len(graphs) == OEIS_COUNTS[class_name][n - 4]
+    assert len({canonical_form(G) for G in graphs}) == len(graphs)
+
+
+def _tsv_without_elapsed(report):
+    return report_tsv(report).split("\telapsed=")[0]
+
+
+def test_extremal_tsv_pinned_at_order_9():
+    # Winners and their canonical encodings, fixed before twin pruning was
+    # added to growth and canonical forms; they must not move.
+    trees = extremal("trees", 9, SOMBOR, "max")
+    assert _tsv_without_elapsed(trees) == (
+        "# class=trees\torder=9\tweight=sombor\tobjective=max\n"
+        "22.803509\t-\t9:000000000000000000000000000011111111\n"
+        "# value=22.803509\texamined=47\tskipped=0"
+    )
+    unicyclic = extremal("unicyclic", 9, SOMBOR, "max")
+    assert _tsv_without_elapsed(unicyclic) == (
+        "# class=unicyclic\torder=9\tweight=sombor\tobjective=max\n"
+        "23.339958\t-\t9:000000000000000000000000000111111111\n"
+        "# value=23.339958\texamined=240\tskipped=0"
+    )
+    bicyclic = extremal("bicyclic", 9, SOMBOR, "min")
+    assert _tsv_without_elapsed(bicyclic) == (
+        "# class=bicyclic\torder=9\tweight=sombor\tobjective=min\n"
+        "7.680721\ttheta:3,3,4\t9:110000000100000000001010101000101010\n"
+        "7.680721\tinfty:3,3,4\t9:110000000100000000001010110000100110\n"
+        "# value=7.680721\texamined=797\tskipped=0"
+    )
+    # randic ties every connected graph at rho = 1, so this report lists the
+    # canonical encoding of all 797 bicyclic graphs of order 9, in order.
+    everyone = extremal("bicyclic", 9, parse_weight("randic"), "min")
+    digest = hashlib.sha256(_tsv_without_elapsed(everyone).encode()).hexdigest()
+    assert digest == "7d83116b1d663adacef6b1cca584b78a81077b5e87f877ec55fe2026053fb4d4"
 
 
 def test_class_graphs_sizes():
@@ -170,6 +222,13 @@ def test_full_enumeration_agrees_with_pendant_free():
             assert sorted(canonical_form(G) for G in full.winners) == sorted(
                 canonical_form(G) for G in pf.winners
             )
+
+
+@pytest.mark.parametrize("theorem, m", [("theta-minimal", 6), ("infty-star-domination", 9)])
+def test_verify_type_checks_reject_unevaluable_weight(theorem, m):
+    # the table has no (2,3) or (3,3) entry, so no theta-type graph scores
+    with pytest.raises(BadParams, match=f"no evaluable graphs in the theta-type class at m={m}"):
+        verify_theorem(theorem, [parse_weight("table:2,2=1")], m_values=(m,))
 
 
 def test_verify_unknown_theorem():
