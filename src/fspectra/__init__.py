@@ -65,6 +65,7 @@ from .spectral import (
     f_spectral_radius,
     full_spectrum,
     interlacing_check,
+    perron_values,
     spectral_radius,
 )
 from .transforms import KelmansResult, best_cycle_subdivision, kelmans

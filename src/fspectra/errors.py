@@ -42,7 +42,8 @@ class BadSplit(FspectraError, ValueError):
 
 
 class NoConvergence(FspectraError):
-    """Iterative eigencomputation hit its iteration cap."""
+    """No Perron pair met the residual tolerance: power iteration hit its
+    iteration cap, or a direct solve (one iteration) missed the tolerance."""
 
     def __init__(self, iterations, residual):
         super().__init__(

@@ -14,8 +14,8 @@ Family spec grammar (parsed by :func:`parse_family`):
 
 from dataclasses import dataclass
 
-from .errors import BadParams
-from .graph_core import Graph, degrees, internal_paths, is_connected
+from .errors import BadParams, SizeLimit
+from .graph_core import GRAPH_MAX_ORDER, Graph, degrees, internal_paths, is_connected
 
 FAMILY_KINDS = (
     "path",
@@ -49,6 +49,18 @@ _KIND_TO_TOKEN = {
     "k5_minus_p4": "k5-minus-p4",
 }
 _TOKEN_TO_KIND = {v: k for k, v in _KIND_TO_TOKEN.items()}
+
+# A family's order is the sum of its parameters plus this offset (0 if absent).
+_ORDER_OFFSET = {
+    "theta": -1,
+    "infty": -1,
+    "infty_star": -1,
+    "c3_pendants": 3,
+    "c4_pendants": 4,
+    "theta122_pendants": 4,
+    "c3_dot_p3": 5,
+    "k5_minus_p4": 5,
+}
 
 
 @dataclass(frozen=True)
@@ -119,9 +131,13 @@ def make(spec):
     Guaranteed orders/sizes: theta(l1,l2,l3) and infty(l1,l2,l3) have
     n = l1+l2+l3-1 and m = l1+l2+l3; infty_star(l1,l2) has n = l1+l2-1 and
     m = l1+l2; c3_pendants(s,t,r) has n = 3+s+t+r. All outputs are simple
-    and connected.
+    and connected. Raises SizeLimit, before building anything, for an order
+    above GRAPH_MAX_ORDER.
     """
     kind = spec.kind
+    order = sum(spec.params) + _ORDER_OFFSET.get(kind, 0)
+    if order > GRAPH_MAX_ORDER:
+        raise SizeLimit(f"families support order <= {GRAPH_MAX_ORDER}, got {order}")
 
     if kind == "path":
         (k,) = _need(spec, 1)

@@ -17,6 +17,9 @@ from .errors import BadParams, Disconnected, EdgeNotFound, NoCycle, SizeLimit
 
 CANONICAL_MAX_VERTICES = 12
 INDUCED_MAX_VERTICES = 16
+# Largest order read from a file or built from a family spec: a dense
+# matrix of this order takes 32 MB.
+GRAPH_MAX_ORDER = 2000
 
 
 class Graph:
@@ -463,6 +466,8 @@ def parse_graph_text(text):
         n, m = int(tokens[0]), int(tokens[1])
     except ValueError:
         raise BadParams("graph header must be two integers") from None
+    if n > GRAPH_MAX_ORDER:
+        raise SizeLimit(f"graphs support order <= {GRAPH_MAX_ORDER}, got {n}")
     body = tokens[2:]
     if len(body) != 2 * m:
         raise BadParams(f"expected {2 * m} edge endpoints, found {len(body)}")

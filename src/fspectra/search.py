@@ -9,8 +9,9 @@ edge per twin orbit: a leaf goes on one vertex per twin class, and a new
 edge joins one pair per unordered pair of twin classes, because permuting
 twins is an automorphism and maps the skipped graphs onto kept ones.
 
-Every search scores its candidates once, keeps the extremal value and the
-candidates tied with it, and reports winners in canonical order. Each named
+Every search scores its candidates once, solving all candidates of one order
+in a single batched eigensolve, keeps the extremal value and the candidates
+tied with it, and reports winners in canonical order. Each named
 verification is one small function in the ``_CHECKS`` table.
 """
 
@@ -19,6 +20,8 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import BadParams, MissingTableEntry, SizeLimit
 from .families import FamilySpec, forbidden_fixtures, identify_pendant_free_bicyclic, make
@@ -32,7 +35,7 @@ from .graph_core import (
     is_isomorphic,
     twins,
 )
-from .spectral import f_spectral_radius
+from .spectral import f_adjacency, f_spectral_radius, perron_values
 
 ENUMERATION_MAX_ORDER = 9
 TIE_TOL = 1e-7
@@ -159,14 +162,28 @@ class SearchReport:
 
 
 def _scored(items, f, graph_of=lambda G: G):
-    """(rho, item) for every item whose graph f can evaluate, in input order."""
-    out = []
-    for item in items:
-        try:
-            out.append((f_spectral_radius(graph_of(item), f).rho, item))
-        except MissingTableEntry:
-            pass
-    return out
+    """(rho, item) for every item whose graph f can evaluate, in input order.
+
+    The f-adjacency matrices of each order fill one stack, solved by one
+    ``perron_values`` call.
+    """
+    by_order = {}
+    for i, item in enumerate(items):
+        G = graph_of(item)
+        by_order.setdefault(G.n, []).append((i, G))
+    rho = {}
+    for n, members in by_order.items():
+        stack = np.empty((len(members), n, n))
+        kept = []
+        for i, G in members:
+            try:
+                stack[len(kept)] = f_adjacency(G, f)
+            except MissingTableEntry:
+                continue
+            kept.append(i)
+        if kept:
+            rho.update(zip(kept, perron_values(stack[: len(kept)])[0].tolist()))
+    return [(rho[i], item) for i, item in enumerate(items) if i in rho]
 
 
 def _best(scored, objective, tie_tol, where):

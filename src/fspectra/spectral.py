@@ -1,10 +1,12 @@
 """Weighted adjacency matrices, Perron values, and full spectra.
 
-The Perron value is computed by shifted power iteration on A + cI with
-c = max row sum: the shift makes the spectrum nonnegative, so the largest
+Class searches score a whole stack of same-order matrices with one call of
+LAPACK's symmetric eigensolver (``perron_values``). A single graph's Perron
+value is still computed by shifted power iteration on A + cI with c = max
+row sum: the shift makes the spectrum nonnegative, so the largest
 eigenvalue of A dominates in modulus even for bipartite-like spectra with
-a matching -rho eigenvalue. Full spectra go through LAPACK's symmetric
-eigensolver.
+a matching -rho eigenvalue. Both accept a Perron pair by the same relative
+residual test. Full spectra go through LAPACK's symmetric eigensolver.
 """
 
 from dataclasses import dataclass, field
@@ -69,6 +71,32 @@ def spectral_radius(M, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
             return SpectralResult(rho, x, residual, iteration, tol)
         x = y + shift * x
     raise NoConvergence(max_iterations, residual)
+
+
+def perron_values(stack, tol=DEFAULT_TOL):
+    """Perron data of every matrix in a (k, n, n) stack, from one LAPACK call.
+
+    Each matrix must be symmetric and nonnegative. Returns (rho, vectors,
+    residuals): rho[i] is the largest eigenvalue of stack[i], vectors[i] the
+    absolute value of its eigenvector scaled to unit maximum entry, and
+    residuals[i] = max|Mx - rho*x|. Raises NoConvergence (counting the
+    direct solve as one iteration) if any residual exceeds
+    tol * max(1, rho), the acceptance test of ``spectral_radius``.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise BadParams("stack must have shape (k, n, n)")
+    if stack.shape[1] == 0:
+        raise BadParams("matrices must be nonempty")
+    values, vectors = np.linalg.eigh(stack)
+    rho = values[:, -1]
+    x = np.abs(vectors[:, :, -1])
+    x /= x.max(axis=1, keepdims=True)
+    residuals = np.abs((stack @ x[:, :, None])[:, :, 0] - rho[:, None] * x).max(axis=1)
+    missed = residuals > tol * np.maximum(1.0, np.abs(rho))
+    if missed.any():
+        raise NoConvergence(1, float(residuals[missed].max()))
+    return rho, x, residuals
 
 
 def f_spectral_radius(G, f, tol=DEFAULT_TOL):

@@ -191,3 +191,14 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "rho", "--graph", "/nonexistent/g", "--weight", "sombor")
     assert code == 2
+
+
+def test_huge_order_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.graph"
+    path.write_text("1000000000 0\n", encoding="utf-8")
+    code, _, err = run(capsys, "rho", "--graph", str(path), "--weight", "sombor")
+    assert code == 2
+    assert "order <= 2000" in err
+    code, _, err = run(capsys, "rho", "--family", "path:1000000000", "--weight", "sombor")
+    assert code == 2
+    assert "order <= 2000" in err

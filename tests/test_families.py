@@ -2,7 +2,7 @@
 
 import pytest
 
-from fspectra.errors import BadParams
+from fspectra.errors import BadParams, SizeLimit
 from fspectra.families import (
     FamilySpec,
     forbidden_fixtures,
@@ -11,6 +11,7 @@ from fspectra.families import (
     parse_family,
 )
 from fspectra.graph_core import (
+    GRAPH_MAX_ORDER,
     base_graph,
     cyclomatic_number,
     degrees,
@@ -155,3 +156,20 @@ def test_identify_rejects_other_graphs():
     assert identify_pendant_free_bicyclic(make(parse_family("cycle:6"))) is None
     assert identify_pendant_free_bicyclic(make(parse_family("c3:1,0,0"))) is None
     assert identify_pendant_free_bicyclic(make(parse_family("theta122:1,0"))) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["path:1000000000", "star:1000000000", "theta:1000,1000,2", "infty-star:1000,1002",
+     "c4:500,500,500,497", "double-star:1000,1001", "c3:-1,1000000000,0"],
+)
+def test_order_bounded_before_building(text):
+    with pytest.raises(SizeLimit):
+        make(parse_family(text))
+
+
+@pytest.mark.parametrize(
+    "text", ["path:2000", "theta:1000,1000,1", "infty-star:1000,1001", "c4:500,500,500,496"]
+)
+def test_order_at_the_bound_builds(text):
+    assert make(parse_family(text)).n == GRAPH_MAX_ORDER

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fspectra.errors import BadParams, Disconnected, NoCycle, SizeLimit
 from fspectra.families import FamilySpec, make, parse_family
 from fspectra.graph_core import (
+    GRAPH_MAX_ORDER,
     Graph,
     base_graph,
     canonical_form,
@@ -321,6 +322,14 @@ def test_text_format_rejections():
         parse_graph_text("3\n")  # missing size
     with pytest.raises(BadParams):
         parse_graph_text("3 2\n0 1\n")  # wrong edge count
+
+
+def test_text_format_bounds_order_before_building():
+    with pytest.raises(SizeLimit):
+        parse_graph_text("1000000000 0\n")
+    with pytest.raises(SizeLimit):
+        parse_graph_text(f"{GRAPH_MAX_ORDER + 1} 0\n")
+    assert parse_graph_text(f"{GRAPH_MAX_ORDER} 0\n").n == GRAPH_MAX_ORDER
 
 
 def test_is_connected():

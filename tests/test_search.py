@@ -7,7 +7,9 @@ import pytest
 from fspectra.errors import BadParams, SizeLimit
 from fspectra.families import FamilySpec, identify_pendant_free_bicyclic, make, parse_family
 from fspectra.graph_core import canonical_form, is_isomorphic
+from fspectra.spectral import f_spectral_radius
 from fspectra.search import (
+    _scored,
     class_graphs,
     enumerate_connected,
     enumerate_pendant_free_bicyclic,
@@ -239,3 +241,41 @@ def test_verify_unknown_theorem():
 def test_pendant_free_needs_order_four():
     with pytest.raises(BadParams):
         enumerate_pendant_free_bicyclic(3)
+
+
+# Taken from the per-graph power-iteration scoring that preceded the batched
+# solve; the elapsed field is left out.
+PARTIAL_TABLE_TSV = {
+    ("bicyclic", "min", "table:2,2=1;3,2=2;4,2=2"): (
+        "# class=bicyclic\torder=8\tweight=table:2,2=1;2,3=2;2,4=2\tobjective=min\n"
+        "4.000000\ttheta:3,3,3\t8:1000010000000011010100101010\n"
+        "4.000000\tinfty:3,3,3\t8:1000010000000011110000001110\n"
+        "# value=4.000000\texamined=7\tskipped=229\t"
+    ),
+    ("unicyclic", "max", "table:1,2=1;2,2=1;1,3=1.5;2,3=2;3,3=2.5;1,4=1.2"): (
+        "# class=unicyclic\torder=8"
+        "\tweight=table:1,2=1;1,3=1.5;1,4=1.2;2,2=1;2,3=2;3,3=2.5\tobjective=max\n"
+        "5.709605\t-\t8:0000001100001000001010000111\n"
+        "# value=5.709605\texamined=38\tskipped=51\t"
+    ),
+}
+
+
+@pytest.mark.parametrize("class_name, objective, weight", sorted(PARTIAL_TABLE_TSV))
+def test_extremal_partial_table_pinned(class_name, objective, weight):
+    report = extremal(class_name, 8, parse_weight(weight), objective)
+    text = report_tsv(report)
+    assert text[: text.index("elapsed=")] == PARTIAL_TABLE_TSV[class_name, objective, weight]
+    assert report.examined + report.skipped == len(class_graphs(class_name, 8))
+
+
+def test_scored_keeps_input_order_across_orders():
+    f = parse_weight("table:2,2=1;2,3=2;1,2=1.5;1,3=0.5")
+    specs = ["theta:3,3,3", "cycle:5", "star:5", "path:4", "infty:3,3,2", "cycle:8",
+             "theta:2,2,3", "path:9"]  # star:5 has a (1,4) edge the table lacks
+    items = [parse_family(s) for s in specs]
+    scored = _scored(items, f, make)
+    assert [str(sp) for _, sp in scored] == [s for s in specs if s != "star:5"]
+    for rho, sp in scored:
+        assert type(rho) is float
+        assert rho == pytest.approx(f_spectral_radius(make(sp), f).rho, rel=1e-12)

@@ -1,13 +1,15 @@
 """Each graph is solved once per query: reports and certificates reuse the
 Perron data they already have instead of solving again.
 
-Every Perron solve goes through ``spectral.spectral_radius``, so counting
-its calls counts eigensolves whichever module asks for them.
+Every Perron solve goes through ``spectral.spectral_radius`` (one matrix)
+or ``spectral.perron_values`` (a stack, as class searches use it), so
+counting the matrices they receive counts eigensolves whichever module asks
+for them.
 """
 
 import pytest
 
-from fspectra import spectral
+from fspectra import search, spectral
 from fspectra.cli import main
 from fspectra.families import make, parse_family
 from fspectra.luman import certify
@@ -24,7 +26,15 @@ def solves(monkeypatch):
         calls.append(M.shape[0])
         return real(M, *args, **kwargs)
 
+    real_batch = spectral.perron_values
+
+    def counted_batch(stack, *args, **kwargs):
+        calls.extend([stack.shape[1]] * stack.shape[0])
+        return real_batch(stack, *args, **kwargs)
+
     monkeypatch.setattr(spectral, "spectral_radius", counted)
+    for module in (spectral, search):
+        monkeypatch.setattr(module, "perron_values", counted_batch)
     return calls
 
 

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from fspectra.errors import NoConvergence, SizeLimit
+from fspectra.errors import BadParams, NoConvergence, SizeLimit
 from fspectra.families import FamilySpec, make, parse_family
 from fspectra.graph_core import Graph, induced_subgraph, is_connected
 from fspectra.spectral import (
@@ -14,8 +14,10 @@ from fspectra.spectral import (
     f_spectral_radius,
     full_spectrum,
     interlacing_check,
+    perron_values,
     spectral_radius,
 )
+from fspectra.search import class_graphs
 from fspectra.weights import eval_weight, parse_weight
 from helpers import random_connected_graph
 
@@ -159,3 +161,57 @@ def test_interlacing_random_sample():
         e = rng.choice(sorted(G.edges))
         rep = interlacing_check(G, e, parse_weight(rng.choice(names)))
         assert rep.holds, (G, e)
+
+
+def _total_table(max_degree):
+    """A table weight with a seeded value for every degree pair up to max_degree."""
+    rng = random.Random(11)
+    entries = [
+        f"{x},{y}={rng.uniform(0.5, 3.0):.6f}"
+        for x in range(1, max_degree + 1)
+        for y in range(x, max_degree + 1)
+    ]
+    return parse_weight("table:" + ";".join(entries))
+
+
+@pytest.mark.parametrize("weight", ["sombor", "zagreb2", "table"])
+@pytest.mark.parametrize("class_name", ["trees", "unicyclic", "bicyclic"])
+def test_perron_values_agree_with_power_iteration(class_name, weight):
+    f = _total_table(7) if weight == "table" else parse_weight(weight)
+    graphs = class_graphs(class_name, 8)
+    stack = np.stack([f_adjacency(G, f) for G in graphs])
+    rho, vectors, residuals = perron_values(stack)
+    assert rho.shape == residuals.shape == (len(graphs),)
+    assert vectors.shape == (len(graphs), 8)
+    for i, M in enumerate(stack):
+        ref = spectral_radius(M)
+        assert abs(rho[i] - ref.rho) <= 1e-12 * max(1.0, ref.rho), graphs[i]
+        assert residuals[i] <= 1e-12 * max(1.0, rho[i])
+        assert vectors[i].max() == 1.0
+        assert vectors[i].min() > 0.0
+
+
+def test_perron_values_matches_single_matrix_contract():
+    M = f_adjacency(make(parse_family("theta:3,3,2")), parse_weight("sombor"))
+    rho, vectors, residuals = perron_values(M[None])
+    ref = spectral_radius(M)
+    assert rho[0] == pytest.approx(ref.rho, rel=1e-12)
+    assert np.allclose(vectors[0], ref.vector, atol=1e-9)
+    assert np.abs(M @ vectors[0] - rho[0] * vectors[0]).max() == pytest.approx(residuals[0], abs=1e-15)
+
+
+def test_perron_values_no_convergence():
+    M = f_adjacency(make(parse_family("infty:3,4,2")), parse_weight("zagreb2"))
+    with pytest.raises(NoConvergence) as exc:
+        perron_values(np.stack([M, M]), tol=1e-300)
+    assert exc.value.iterations == 1
+    assert exc.value.residual > 0.0
+
+
+def test_perron_values_rejects_bad_shapes():
+    with pytest.raises(BadParams):
+        perron_values(np.zeros((3, 3)))
+    with pytest.raises(BadParams):
+        perron_values(np.zeros((2, 3, 4)))
+    with pytest.raises(BadParams):
+        perron_values(np.zeros((2, 0, 0)))
