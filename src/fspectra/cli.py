@@ -12,12 +12,7 @@ import sys
 from . import search
 from .errors import FspectraError
 from .families import identify_pendant_free_bicyclic, make, parse_family
-from .graph_core import (
-    canonical_form,
-    format_graph_text,
-    read_graph_file,
-    subdivided,
-)
+from .graph_core import format_graph_text, read_graph_file, subdivided
 from .luman import certify
 from .spectral import DEFAULT_TOL, f_adjacency, f_spectral_radius, full_spectrum
 from .transforms import kelmans as kelmans_op
@@ -45,11 +40,16 @@ def _parse_edge(text):
 
 
 def _parse_range(text):
-    """'3..5' -> [3, 4, 5]; '4' -> [4]."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """'3..5' -> [3, 4, 5]; '4' -> [4]. Rejects an empty range such as '5..3'."""
+    lo, dots, hi = text.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if dots else lo
+    except ValueError:
+        raise FspectraError(f"bad range {text!r}; expected 'a..b' or 'a'") from None
+    if lo > hi:
+        raise FspectraError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _split_weights(text):
@@ -70,9 +70,7 @@ def _split_weights(text):
     return specs
 
 
-def _encoding(G):
-    n, bits = canonical_form(G)
-    return f"{n}:" + "".join(str(b) for b in bits)
+_CLASS_CHOICES = [c.replace("_", "-") for c in search.SEARCH_CLASSES]
 
 
 def build_parser():
@@ -111,21 +109,13 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="isomorph-free graph lists at small order")
     p.add_argument(
-        "--class",
-        dest="class_name",
-        required=True,
-        choices=["trees", "unicyclic", "bicyclic", "pendant-free-bicyclic", "connected"],
+        "--class", dest="class_name", required=True, choices=[*_CLASS_CHOICES, "connected"]
     )
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--size", type=int, help="edge count (for --class connected)")
 
     p = sub.add_parser("extremal", help="extremal rho_f over an enumerated class")
-    p.add_argument(
-        "--class",
-        dest="class_name",
-        required=True,
-        choices=["trees", "unicyclic", "bicyclic", "pendant-free-bicyclic"],
-    )
+    p.add_argument("--class", dest="class_name", required=True, choices=_CLASS_CHOICES)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--weight", required=True)
     p.add_argument("--objective", choices=["min", "max"], default="min")

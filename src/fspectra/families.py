@@ -1,5 +1,10 @@
 """Constructors for the named graph families used throughout the library.
 
+Each family is one row of the ``_FAMILIES`` table: its spec token, its
+parameter count, the offset that gives its order from the parameter sum,
+and a builder. Builders join hub vertices by paths and cycles
+(``_attach_paths``) and hang pendant vertices on hubs (``_pendants``).
+
 Labeling convention: hub vertices (degree >= 3 in the base shape) come
 first, then path/cycle interior vertices in construction order, then
 pendant vertices. This makes file output reproducible; isomorphism
@@ -13,54 +18,121 @@ Family spec grammar (parsed by :func:`parse_family`):
 """
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import BadParams, SizeLimit
 from .graph_core import GRAPH_MAX_ORDER, Graph, degrees, internal_paths, is_connected
 
-FAMILY_KINDS = (
-    "path",
-    "cycle",
-    "star",
-    "double_star",
-    "theta",
-    "infty",
-    "infty_star",
-    "c3_pendants",
-    "c4_pendants",
-    "theta122_pendants",
-    "sn_plus_e",
-    "c3_dot_p3",
-    "k5_minus_p4",
-)
 
-_KIND_TO_TOKEN = {
-    "path": "path",
-    "cycle": "cycle",
-    "star": "star",
-    "double_star": "double-star",
-    "theta": "theta",
-    "infty": "infty",
-    "infty_star": "infty-star",
-    "c3_pendants": "c3",
-    "c4_pendants": "c4",
-    "theta122_pendants": "theta122",
-    "sn_plus_e": "sn-plus-e",
-    "c3_dot_p3": "c3-dot-p3",
-    "k5_minus_p4": "k5-minus-p4",
-}
-_TOKEN_TO_KIND = {v: k for k, v in _KIND_TO_TOKEN.items()}
+def _check(ok, message):
+    if not ok:
+        raise BadParams(message)
 
-# A family's order is the sum of its parameters plus this offset (0 if absent).
-_ORDER_OFFSET = {
-    "theta": -1,
-    "infty": -1,
-    "infty_star": -1,
-    "c3_pendants": 3,
-    "c4_pendants": 4,
-    "theta122_pendants": 4,
-    "c3_dot_p3": 5,
-    "k5_minus_p4": 5,
+
+def _attach_paths(hubs, *paths):
+    """Hubs 0..hubs-1 joined by (a, b, length) paths, in order, with interior
+    vertices numbered from hubs on; a == b closes a cycle at a."""
+    edges, n = [], hubs
+    for a, b, length in paths:
+        chain = [a, *range(n, n + length - 1), b]
+        edges.extend(zip(chain, chain[1:]))
+        n += length - 1
+    return Graph(n, edges)
+
+
+def _pendants(n, edges, counts):
+    """Base graph on 0..n-1 plus counts[h] pendants on h, numbered from n."""
+    edges = list(edges)
+    for hub, count in enumerate(counts):
+        edges.extend((hub, v) for v in range(n, n + count))
+        n += count
+    return Graph(n, edges)
+
+
+_C3 = ((0, 1), (1, 2), (0, 2))
+
+
+def _path(k):
+    _check(k >= 1, "path needs order >= 1")
+    return Graph(k, [(i, i + 1) for i in range(k - 1)])
+
+
+def _cycle(k):
+    _check(k >= 3, "cycle needs order >= 3")
+    return _attach_paths(1, (0, 0, k))
+
+
+def _star(k):
+    _check(k >= 1, "star needs order >= 1")
+    return _pendants(1, (), (k - 1,))
+
+
+def _double_star(a, b):
+    _check(a >= 1 and b >= 1, "double star needs center degrees >= 1")
+    return _pendants(2, [(0, 1)], (a - 1, b - 1))
+
+
+def _theta(*ls):
+    _check(min(ls) >= 1, "theta path lengths must be >= 1")
+    _check(ls.count(1) <= 1, "theta admits at most one path of length 1")
+    return _attach_paths(2, *((0, 1, l) for l in ls))
+
+
+def _infty(l1, l2, l3):
+    _check(l1 >= 3 and l2 >= 3, "infty cycle lengths must be >= 3")
+    _check(l3 >= 1, "infty connecting path length must be >= 1")
+    return _attach_paths(2, (0, 0, l1), (1, 1, l2), (0, 1, l3))
+
+
+def _infty_star(l1, l2):
+    _check(l1 >= 3 and l2 >= 3, "infty-star cycle lengths must be >= 3")
+    return _attach_paths(1, (0, 0, l1), (0, 0, l2))
+
+
+def _pendants_on(n, edges):
+    """Builder for a fixed base graph with a pendant count per hub."""
+    def build(*counts):
+        _check(min(counts) >= 0, "pendant counts must be >= 0")
+        return _pendants(n, edges, counts)
+    return build
+
+
+def _sn_plus_e(k):
+    _check(k >= 3, "star-plus-edge needs order >= 3")
+    return _pendants(3, _C3, (k - 3,))
+
+
+class _Family(NamedTuple):
+    token: str  # spelling in spec strings
+    arity: int  # number of parameters
+    offset: int  # order = sum(params) + offset
+    build: Callable  # params -> Graph; BadParams on values outside the domain
+
+
+_FAMILIES = {
+    "path": _Family("path", 1, 0, _path),
+    "cycle": _Family("cycle", 1, 0, _cycle),
+    "star": _Family("star", 1, 0, _star),
+    "double_star": _Family("double-star", 2, 0, _double_star),
+    "theta": _Family("theta", 3, -1, _theta),
+    "infty": _Family("infty", 3, -1, _infty),
+    "infty_star": _Family("infty-star", 2, -1, _infty_star),
+    "c3_pendants": _Family("c3", 3, 3, _pendants_on(3, _C3)),
+    "c4_pendants": _Family("c4", 4, 4, _pendants_on(4, [(0, 1), (1, 2), (2, 3), (0, 3)])),
+    # theta(1,2,2) with hubs 0 and 1.
+    "theta122_pendants": _Family(
+        "theta122", 2, 4, _pendants_on(4, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 1)])
+    ),
+    "sn_plus_e": _Family("sn-plus-e", 1, 0, _sn_plus_e),
+    "c3_dot_p3": _Family("c3-dot-p3", 0, 5, lambda: Graph(5, [*_C3, (0, 3), (3, 4)])),
+    "k5_minus_p4": _Family(
+        "k5-minus-p4", 0, 5,
+        lambda: Graph(5, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4), (3, 4)]),
+    ),
 }
+
+FAMILY_KINDS = tuple(_FAMILIES)
+_TOKEN_TO_KIND = {row.token: kind for kind, row in _FAMILIES.items()}
 
 
 @dataclass(frozen=True)
@@ -69,12 +141,12 @@ class FamilySpec:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in _FAMILIES:
             raise BadParams(f"unknown family kind {self.kind!r}")
         object.__setattr__(self, "params", tuple(int(p) for p in self.params))
 
     def __str__(self):
-        token = _KIND_TO_TOKEN[self.kind]
+        token = _FAMILIES[self.kind].token
         if not self.params:
             return token
         return token + ":" + ",".join(str(p) for p in self.params)
@@ -96,35 +168,6 @@ def parse_family(text):
     return FamilySpec(kind, params)
 
 
-def _need(spec, count):
-    if len(spec.params) != count:
-        raise BadParams(f"{spec.kind} needs {count} parameter(s), got {len(spec.params)}")
-    return spec.params
-
-
-def _attach_cycle(edges, hub, length, next_id):
-    prev = hub
-    for _ in range(length - 1):
-        edges.append((prev, next_id))
-        prev = next_id
-        next_id += 1
-    edges.append((prev, hub))
-    return next_id
-
-
-def _attach_path(edges, a, b, length, next_id):
-    if length == 1:
-        edges.append((a, b))
-        return next_id
-    prev = a
-    for _ in range(length - 1):
-        edges.append((prev, next_id))
-        prev = next_id
-        next_id += 1
-    edges.append((prev, b))
-    return next_id
-
-
 def make(spec):
     """Construct the graph described by a FamilySpec.
 
@@ -132,142 +175,17 @@ def make(spec):
     n = l1+l2+l3-1 and m = l1+l2+l3; infty_star(l1,l2) has n = l1+l2-1 and
     m = l1+l2; c3_pendants(s,t,r) has n = 3+s+t+r. All outputs are simple
     and connected. Raises SizeLimit, before building anything, for an order
-    above GRAPH_MAX_ORDER.
+    above GRAPH_MAX_ORDER, then BadParams for a wrong parameter count.
     """
-    kind = spec.kind
-    order = sum(spec.params) + _ORDER_OFFSET.get(kind, 0)
+    family = _FAMILIES[spec.kind]
+    order = sum(spec.params) + family.offset
     if order > GRAPH_MAX_ORDER:
         raise SizeLimit(f"families support order <= {GRAPH_MAX_ORDER}, got {order}")
-
-    if kind == "path":
-        (k,) = _need(spec, 1)
-        if k < 1:
-            raise BadParams("path needs order >= 1")
-        return Graph(k, [(i, i + 1) for i in range(k - 1)])
-
-    if kind == "cycle":
-        (k,) = _need(spec, 1)
-        if k < 3:
-            raise BadParams("cycle needs order >= 3")
-        return Graph(k, [(i, (i + 1) % k) for i in range(k)])
-
-    if kind == "star":
-        (k,) = _need(spec, 1)
-        if k < 1:
-            raise BadParams("star needs order >= 1")
-        return Graph(k, [(0, i) for i in range(1, k)])
-
-    if kind == "double_star":
-        a, b = _need(spec, 2)
-        if a < 1 or b < 1:
-            raise BadParams("double star needs center degrees >= 1")
-        edges = [(0, 1)]
-        nid = 2
-        for _ in range(a - 1):
-            edges.append((0, nid))
-            nid += 1
-        for _ in range(b - 1):
-            edges.append((1, nid))
-            nid += 1
-        return Graph(nid, edges)
-
-    if kind == "theta":
-        l1, l2, l3 = _need(spec, 3)
-        ls = (l1, l2, l3)
-        if min(ls) < 1:
-            raise BadParams("theta path lengths must be >= 1")
-        if sum(1 for l in ls if l == 1) > 1:
-            raise BadParams("theta admits at most one path of length 1")
-        edges = []
-        nid = 2
-        for l in ls:
-            nid = _attach_path(edges, 0, 1, l, nid)
-        return Graph(nid, edges)
-
-    if kind == "infty":
-        l1, l2, l3 = _need(spec, 3)
-        if l1 < 3 or l2 < 3:
-            raise BadParams("infty cycle lengths must be >= 3")
-        if l3 < 1:
-            raise BadParams("infty connecting path length must be >= 1")
-        edges = []
-        nid = 2
-        nid = _attach_cycle(edges, 0, l1, nid)
-        nid = _attach_cycle(edges, 1, l2, nid)
-        nid = _attach_path(edges, 0, 1, l3, nid)
-        return Graph(nid, edges)
-
-    if kind == "infty_star":
-        l1, l2 = _need(spec, 2)
-        if l1 < 3 or l2 < 3:
-            raise BadParams("infty-star cycle lengths must be >= 3")
-        edges = []
-        nid = 1
-        nid = _attach_cycle(edges, 0, l1, nid)
-        nid = _attach_cycle(edges, 0, l2, nid)
-        return Graph(nid, edges)
-
-    if kind == "c3_pendants":
-        s, t, r = _need(spec, 3)
-        if min(s, t, r) < 0:
-            raise BadParams("pendant counts must be >= 0")
-        edges = [(0, 1), (1, 2), (0, 2)]
-        nid = 3
-        for hub, count in ((0, s), (1, t), (2, r)):
-            for _ in range(count):
-                edges.append((hub, nid))
-                nid += 1
-        return Graph(nid, edges)
-
-    if kind == "c4_pendants":
-        s, t, r, q = _need(spec, 4)
-        if min(s, t, r, q) < 0:
-            raise BadParams("pendant counts must be >= 0")
-        edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
-        nid = 4
-        for hub, count in ((0, s), (1, t), (2, r), (3, q)):
-            for _ in range(count):
-                edges.append((hub, nid))
-                nid += 1
-        return Graph(nid, edges)
-
-    if kind == "theta122_pendants":
-        a, b = _need(spec, 2)
-        if a < 0 or b < 0:
-            raise BadParams("pendant counts must be >= 0")
-        # theta(1,2,2) with hubs 0, 1; pendants attach to the hubs.
-        edges = [(0, 1), (0, 2), (2, 1), (0, 3), (3, 1)]
-        nid = 4
-        for hub, count in ((0, a), (1, b)):
-            for _ in range(count):
-                edges.append((hub, nid))
-                nid += 1
-        return Graph(nid, edges)
-
-    if kind == "sn_plus_e":
-        (k,) = _need(spec, 1)
-        if k < 3:
-            raise BadParams("star-plus-edge needs order >= 3")
-        edges = [(0, i) for i in range(1, k)]
-        edges.append((1, 2))
-        return Graph(k, edges)
-
-    if kind == "c3_dot_p3":
-        _need(spec, 0)
-        return Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
-
-    if kind == "k5_minus_p4":
-        _need(spec, 0)
-        removed = {(0, 1), (1, 2), (2, 3)}
-        edges = [
-            (i, j)
-            for i in range(5)
-            for j in range(i + 1, 5)
-            if (i, j) not in removed
-        ]
-        return Graph(5, edges)
-
-    raise BadParams(f"unknown family kind {kind!r}")
+    if len(spec.params) != family.arity:
+        raise BadParams(
+            f"{spec.kind} needs {family.arity} parameter(s), got {len(spec.params)}"
+        )
+    return family.build(*spec.params)
 
 
 def forbidden_fixtures():

@@ -286,31 +286,31 @@ def is_isomorphic(G, H):
         placed.add(pick)
         remaining.remove(pick)
 
+    # Depth-first search with an explicit stack of candidate iterators, one
+    # per mapped position, so deep graphs cannot exhaust the call stack.
     mapping = [-1] * n
     used = [False] * n
-
-    def extend(k):
-        if k == n:
-            return True
+    stack = [iter(range(n))]
+    while stack:
+        k = len(stack) - 1
         g = order[k]
-        for h in range(n):
-            if used[h] or deg_h[h] != deg_g[g]:
-                continue
-            ok = True
-            for gprev in order[:k]:
-                if G.has_edge(g, gprev) != H.has_edge(h, mapping[gprev]):
-                    ok = False
-                    break
-            if ok:
-                mapping[g] = h
-                used[h] = True
-                if extend(k + 1):
-                    return True
-                used[h] = False
-                mapping[g] = -1
-        return False
-
-    return extend(0)
+        if mapping[g] >= 0:  # back at this position: release its last image
+            used[mapping[g]] = False
+            mapping[g] = -1
+        for h in stack[-1]:
+            if not used[h] and deg_h[h] == deg_g[g] and all(
+                G.has_edge(g, gprev) == H.has_edge(h, mapping[gprev]) for gprev in order[:k]
+            ):
+                break
+        else:
+            stack.pop()
+            continue
+        mapping[g] = h
+        used[h] = True
+        if k + 1 == n:
+            return True
+        stack.append(iter(range(n)))
+    return False
 
 
 def contains_induced(G, H):

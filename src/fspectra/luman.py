@@ -231,10 +231,6 @@ class FThetaContext:
         alpha_prime = (0.5 / math.cosh(theta)) ** 2
         return cls(alpha_prime, float(theta), eval_weight(f, 2, 2), f)
 
-    @classmethod
-    def from_graph(cls, G, f, tol=DEFAULT_TOL):
-        return cls.from_alpha(alpha_of(G, f, tol=tol), f)
-
     @property
     def alpha(self):
         return self.alpha_prime / (self.f22 * self.f22)

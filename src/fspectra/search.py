@@ -40,8 +40,6 @@ from .spectral import f_adjacency, f_spectral_radius, perron_values
 ENUMERATION_MAX_ORDER = 9
 TIE_TOL = 1e-7
 
-SEARCH_CLASSES = ("trees", "unicyclic", "bicyclic", "pendant_free_bicyclic")
-
 
 def enumerate_pendant_free_bicyclic(n):
     """Family specs of all pendant-free bicyclic graphs of order n.
@@ -122,19 +120,23 @@ def enumerate_connected(n, m):
     return _dedup(grown)
 
 
+# The search classes: name -> the isomorph-free list of its graphs at order n.
+_CLASSES = {
+    "trees": lambda n: list(enumerate_connected(n, n - 1)),
+    "unicyclic": lambda n: list(enumerate_connected(n, n)),
+    "bicyclic": lambda n: list(enumerate_connected(n, n + 1)),
+    "pendant_free_bicyclic": lambda n: [make(s) for s in enumerate_pendant_free_bicyclic(n)],
+}
+
+SEARCH_CLASSES = tuple(_CLASSES)
+
+
 def class_graphs(class_name, n):
     """The isomorph-free list of graphs making up a search class at order n."""
-    if class_name == "trees":
-        return list(enumerate_connected(n, n - 1))
-    if class_name == "unicyclic":
-        return list(enumerate_connected(n, n))
-    if class_name == "bicyclic":
-        return list(enumerate_connected(n, n + 1))
-    if class_name == "pendant_free_bicyclic":
-        return [make(s) for s in enumerate_pendant_free_bicyclic(n)]
-    raise BadParams(f"unknown search class {class_name!r}")
-
-
+    build = _CLASSES.get(class_name)
+    if build is None:
+        raise BadParams(f"unknown search class {class_name!r}")
+    return build(n)
 
 
 @dataclass
@@ -201,6 +203,8 @@ def extremal(class_name, n, f, objective="min", tie_tol=TIE_TOL):
     """Exact extremal set of rho_f over an enumerated class."""
     if objective not in ("min", "max"):
         raise BadParams("objective must be 'min' or 'max'")
+    if not 0 <= tie_tol < math.inf:
+        raise BadParams(f"tie_tol must be finite and >= 0, got {tie_tol}")
     start = time.perf_counter()
     graphs = class_graphs(class_name, n)
     scored = _scored(graphs, f)

@@ -5,10 +5,13 @@ LAPACK's symmetric eigensolver (``perron_values``). A single graph's Perron
 value is still computed by shifted power iteration on A + cI with c = max
 row sum: the shift makes the spectrum nonnegative, so the largest
 eigenvalue of A dominates in modulus even for bipartite-like spectra with
-a matching -rho eigenvalue. Both accept a Perron pair by the same relative
-residual test. Full spectra go through LAPACK's symmetric eigensolver.
+a matching -rho eigenvalue. Both accept rho by the same relative residual
+bound, the power iteration on its positive vector and the batched solve on
+each signed unit eigenvector. Full spectra go through LAPACK's symmetric
+eigensolver.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +24,11 @@ DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 10 ** 6
 FULL_SPECTRUM_MAX_ORDER = 64
 INTERLACING_TOL = 1e-8
+
+
+def _check_tol(tol):
+    if not 0 <= tol < math.inf:
+        raise BadParams(f"tol must be finite and >= 0, got {tol}")
 
 
 def f_adjacency(G, f):
@@ -52,6 +60,7 @@ def spectral_radius(M, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
     with x normalized to unit maximum entry. Deterministic for fixed input.
     For a connected underlying graph the returned vector is strictly positive.
     """
+    _check_tol(tol)
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise BadParams("matrix must be square")
@@ -79,10 +88,15 @@ def perron_values(stack, tol=DEFAULT_TOL):
     Each matrix must be symmetric and nonnegative. Returns (rho, vectors,
     residuals): rho[i] is the largest eigenvalue of stack[i], vectors[i] the
     absolute value of its eigenvector scaled to unit maximum entry, and
-    residuals[i] = max|Mx - rho*x|. Raises NoConvergence (counting the
-    direct solve as one iteration) if any residual exceeds
-    tol * max(1, rho), the acceptance test of ``spectral_radius``.
+    residuals[i] = max|Mx - rho*x| for that vector. rho[i] is accepted on
+    the signed unit eigenvector v: by Weyl's inequality some eigenvalue lies
+    within ||Mv - rho*v||_2 of rho, so NoConvergence (counting the direct
+    solve as one iteration) is raised if any such residual exceeds
+    tol * max(1, rho). The returned vectors themselves are not checked:
+    when the top two eigenvalues nearly coincide, |v| can be far from an
+    eigenvector while rho is accurate.
     """
+    _check_tol(tol)
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise BadParams("stack must have shape (k, n, n)")
@@ -90,12 +104,14 @@ def perron_values(stack, tol=DEFAULT_TOL):
         raise BadParams("matrices must be nonempty")
     values, vectors = np.linalg.eigh(stack)
     rho = values[:, -1]
-    x = np.abs(vectors[:, :, -1])
+    v = vectors[:, :, -1]
+    signed = np.linalg.norm((stack @ v[:, :, None])[:, :, 0] - rho[:, None] * v, axis=1)
+    missed = signed > tol * np.maximum(1.0, np.abs(rho))
+    if missed.any():
+        raise NoConvergence(1, float(signed[missed].max()))
+    x = np.abs(v)
     x /= x.max(axis=1, keepdims=True)
     residuals = np.abs((stack @ x[:, :, None])[:, :, 0] - rho[:, None] * x).max(axis=1)
-    missed = residuals > tol * np.maximum(1.0, np.abs(rho))
-    if missed.any():
-        raise NoConvergence(1, float(residuals[missed].max()))
     return rho, x, residuals
 
 

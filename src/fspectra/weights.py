@@ -10,8 +10,9 @@ positive real. The built-in named functions are
     zagreb2       x * y
     recip_randic  sqrt(x * y)
 
-Weights may also be a positive constant or an explicit table on unordered
-degree pairs. The string grammar accepted by :func:`parse_weight` is
+Weights may also be a finite positive constant or an explicit table of
+finite positive values on unordered degree pairs. The string grammar
+accepted by :func:`parse_weight` is
 
     abc | randic | sombor | zagreb1 | zagreb2 | recip-randic
     | const:<float>
@@ -22,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadParams, MissingTableEntry, NonPositiveValue
-
-NAMED_WEIGHTS = ("abc", "randic", "sombor", "zagreb1", "zagreb2", "recip_randic")
 
 PROPERTIES = ("symmetric", "increasing_in_x", "convex_in_x", "Pstar", "Pstarstar")
 
@@ -41,6 +40,8 @@ _FORMULAS = {
     "zagreb2": lambda x, y: float(x * y),
     "recip_randic": lambda x, y: math.sqrt(x * y),
 }
+
+NAMED_WEIGHTS = tuple(_FORMULAS)
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ class WeightSpec:
             if self.name not in NAMED_WEIGHTS:
                 raise BadParams(f"unknown named weight {self.name!r}")
         elif self.kind == "constant":
-            if self.c is None or not (self.c > 0):
-                raise BadParams("constant weight must be > 0")
+            if self.c is None or not 0 < self.c < math.inf:
+                raise BadParams(f"constant weight must be finite and > 0, got {self.c}")
         elif self.kind == "table":
             if not self.table:
                 raise BadParams("table weight needs at least one entry")
@@ -75,6 +76,8 @@ class WeightSpec:
                     raise NonPositiveValue(
                         f"table value for ({x}, {y}) must be > 0, got {v}"
                     )
+                if v == math.inf:
+                    raise BadParams(f"table value for ({x}, {y}) must be finite, got {v}")
                 lookup[(x, y)] = float(v)
             object.__setattr__(self, "_lookup", lookup)
         else:
@@ -160,13 +163,6 @@ def eval_weight(f, x, y):
         return f._lookup[key]
     except KeyError:
         raise MissingTableEntry(x, y) from None
-
-
-def supports_degrees(f, degree_pairs):
-    """True when f is evaluable on every (x, y) pair in the iterable."""
-    if f.kind != "table":
-        return True
-    return all((min(x, y), max(x, y)) in f._lookup for x, y in degree_pairs)
 
 
 @dataclass(frozen=True)

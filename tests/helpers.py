@@ -115,33 +115,45 @@ def brute_contains_induced(G, H):
 
 
 def brute_connected_classes(n, m):
-    """All connected n-vertex m-edge graphs up to isomorphism, by full scan.
+    """One graph per isomorphism class of connected n-vertex m-edge graphs.
 
-    Enumerates every m-subset of the n*(n-1)/2 possible edges; dedups with
-    the permutation-group canonical oracle. Usable for n <= 6.
+    Scans every m-subset of the n*(n-1)/2 possible edges in order. The first
+    connected subset of each class not yet seen is its representative, and
+    all n! relabelings of it are then marked seen, so the rest of its orbit
+    is skipped. Usable for n <= 7.
     """
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    classes = set()
+    perms = list(permutations(range(n)))
+    seen = set()
+    classes = []
     for chosen in combinations(all_pairs, m):
-        G = Graph(n, chosen)
-        if not _connected(G):
+        if chosen in seen or not _connected(n, chosen):
             continue
-        classes.add(brute_canonical(G))
+        classes.append(Graph(n, chosen))
+        for perm in perms:
+            seen.add(tuple(sorted(
+                (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
+                for u, v in chosen
+            )))
     return classes
 
 
-def _connected(G):
-    if G.n <= 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in G.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == G.n
+def _connected(n, edges):
+    """Whether the edges span vertices 0..n-1 as one component (union-find)."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    parts = n
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[ru] = rv
+            parts -= 1
+    return parts == 1
 
 
 def family_corpus(max_n=10):

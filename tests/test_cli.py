@@ -202,3 +202,44 @@ def test_huge_order_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "rho", "--family", "path:1000000000", "--weight", "sombor")
     assert code == 2
     assert "order <= 2000" in err
+
+
+def test_kelmans_long_path(capsys):
+    code, out, _ = run(capsys, "kelmans", "--family", "path:1500", "--u", "0", "--v", "2")
+    assert code == 0
+    assert "# isomorphic_to_input true" in out
+
+
+def test_verify_near_tied_eigenvalues(capsys):
+    # infty:3,3,43 is in the class; its top two eigenvalues are 1.8e-15 apart.
+    code, out, _ = run(
+        capsys, "verify", "--theorem", "infty-minimal", "--m", "49", "--weights", "sombor"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS sombor m=49: min infty-type winners ['infty:16,16,17'] expected [infty:16,16,17]",
+        "# theorem=infty-minimal checks=1 failures=0",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("rho", "--family", "cycle:5", "--weight", "const:inf"), "finite"),
+        (("rho", "--family", "cycle:5", "--weight", "table:2,2=inf"), "finite"),
+        (("rho", "--family", "cycle:5", "--weight", "sombor", "--tol", "nan"), "tol"),
+        (("extremal", "--class", "trees", "--order", "6", "--weight", "sombor",
+          "--tie-tol", "nan"), "tie_tol"),
+        (("extremal", "--class", "trees", "--order", "6", "--weight", "sombor",
+          "--tie-tol", "-1"), "tie_tol"),
+        (("verify", "--theorem", "main-bicyclic", "--weights", "sombor", "--n", "12..8"),
+         "empty range"),
+        (("verify", "--theorem", "main-bicyclic", "--weights", "sombor", "--n", "8..x"),
+         "bad range"),
+    ],
+)
+def test_bad_numeric_arguments_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err

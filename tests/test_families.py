@@ -4,6 +4,7 @@ import pytest
 
 from fspectra.errors import BadParams, SizeLimit
 from fspectra.families import (
+    FAMILY_KINDS,
     FamilySpec,
     forbidden_fixtures,
     identify_pendant_free_bicyclic,
@@ -161,7 +162,7 @@ def test_identify_rejects_other_graphs():
 @pytest.mark.parametrize(
     "text",
     ["path:1000000000", "star:1000000000", "theta:1000,1000,2", "infty-star:1000,1002",
-     "c4:500,500,500,497", "double-star:1000,1001", "c3:-1,1000000000,0"],
+     "c4:500,500,500,497", "double-star:1000,1001", "c3:-1,1000000000,0", "path:1000,1001"],
 )
 def test_order_bounded_before_building(text):
     with pytest.raises(SizeLimit):
@@ -173,3 +174,37 @@ def test_order_bounded_before_building(text):
 )
 def test_order_at_the_bound_builds(text):
     assert make(parse_family(text)).n == GRAPH_MAX_ORDER
+
+
+# One spec per family kind and the labelled graph it builds: hubs first, then
+# path and cycle interiors in construction order, then pendants.
+PINNED_EDGES = [
+    ("path:4", 4, [(0, 1), (1, 2), (2, 3)]),
+    ("cycle:5", 5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]),
+    ("star:4", 4, [(0, 1), (0, 2), (0, 3)]),
+    ("double-star:3,2", 5, [(0, 1), (0, 2), (0, 3), (1, 4)]),
+    ("theta:1,2,3", 5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4)]),
+    ("infty:3,4,2", 8, [(0, 2), (0, 3), (0, 7), (1, 4), (1, 6), (1, 7), (2, 3), (4, 5), (5, 6)]),
+    ("infty-star:3,4", 6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (3, 4), (4, 5)]),
+    ("c3:1,2,1", 7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (1, 5), (2, 6)]),
+    ("c4:1,0,2,1", 8, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (2, 5), (2, 6), (3, 7)]),
+    ("theta122:2,1", 7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 6)]),
+    ("sn-plus-e:5", 5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]),
+    ("c3-dot-p3", 5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)]),
+    ("k5-minus-p4", 5, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4), (3, 4)]),
+]
+
+
+def test_every_kind_builds_its_pinned_labelled_graph():
+    assert sorted(parse_family(text).kind for text, _, _ in PINNED_EDGES) == sorted(FAMILY_KINDS)
+    for text, n, edges in PINNED_EDGES:
+        G = make(parse_family(text))
+        assert (G.n, G.sorted_edges()) == (n, edges), text
+        assert str(parse_family(text)) == text
+
+
+def test_wrong_parameter_count_names_the_kind():
+    with pytest.raises(BadParams, match=r"^path needs 1 parameter\(s\), got 2$"):
+        make(FamilySpec("path", (3, 4)))
+    with pytest.raises(BadParams, match=r"^k5_minus_p4 needs 0 parameter\(s\), got 1$"):
+        make(FamilySpec("k5_minus_p4", (1,)))

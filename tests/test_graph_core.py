@@ -336,3 +336,9 @@ def test_is_connected():
     assert is_connected(make(FamilySpec("path", (6,))))
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
     assert is_connected(Graph(1, []))
+
+
+def test_is_isomorphic_deep_path_is_iterative():
+    # 1500 mapped positions: deeper than Python's default recursion limit.
+    G = make(FamilySpec("path", (1500,)))
+    assert is_isomorphic(G, relabeled(G, list(range(1499, -1, -1))))

@@ -62,7 +62,7 @@ def test_enumerate_connected_examples():
 
 
 def test_enumerate_connected_counts_against_oracle():
-    for n, m in [(4, 4), (5, 5), (5, 6), (6, 5), (6, 6), (6, 7)]:
+    for n, m in [(4, 4), (5, 5), (5, 6), (6, 5), (6, 6), (6, 7), (7, 6), (7, 7), (7, 8)]:
         got = enumerate_connected(n, m)
         assert len(got) == len(brute_connected_classes(n, m)), (n, m)
 

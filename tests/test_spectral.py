@@ -215,3 +215,24 @@ def test_perron_values_rejects_bad_shapes():
         perron_values(np.zeros((2, 3, 4)))
     with pytest.raises(BadParams):
         perron_values(np.zeros((2, 0, 0)))
+
+
+def test_perron_values_accepts_a_near_tied_top_pair():
+    # The top two eigenvalues of infty:3,3,43 under sombor are 1.8e-15 apart,
+    # so |v| of the computed eigenvector can be far from an eigenvector while
+    # the signed pair, and so rho, is accurate.
+    f = parse_weight("sombor")
+    G = make(parse_family("infty:3,3,43"))
+    rho, vectors, _ = perron_values(f_adjacency(G, f)[None])
+    ref = f_spectral_radius(G, f).rho
+    assert abs(rho[0] - ref) <= 1e-12 * ref
+    assert vectors[0].max() == 1.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+def test_solvers_reject_bad_tol(tol):
+    M = f_adjacency(make(parse_family("cycle:5")), parse_weight("sombor"))
+    with pytest.raises(BadParams):
+        spectral_radius(M, tol=tol)
+    with pytest.raises(BadParams):
+        perron_values(M[None], tol=tol)

@@ -168,3 +168,9 @@ def test_property_unknown():
 def test_table_grid_exceeds_support():
     with pytest.raises(MissingTableEntry):
         check_property(TABLE, "increasing_in_x", max_degree=4)
+
+
+@pytest.mark.parametrize("text", ["const:inf", "table:2,2=inf", "table:2,2=1;3,2=inf"])
+def test_non_finite_weights_rejected(text):
+    with pytest.raises(BadParams, match="finite"):
+        parse_weight(text)
