@@ -32,7 +32,7 @@ from .errors import (
     IncompleteIncidence,
 )
 from .graph_core import degrees, fundamental_cycles, internal_paths, is_connected
-from .spectral import DEFAULT_TOL, f_spectral_radius
+from .spectral import DEFAULT_TOL, check_tol, f_spectral_radius
 from .weights import WeightSpec, eval_weight
 
 NORMALITY_TOL = 1e-8
@@ -140,8 +140,9 @@ def classify_normality(G, f, B, alpha, tol=NORMALITY_TOL, weight_overrides=None)
     exists for the length-1 internal-path construction, where the produced
     certificate applies to a reweighted matrix (see incidence_from_splits).
     Consistency is verified on a fundamental cycle basis, which spans all
-    cycle products.
+    cycle products. ``tol`` must be finite and >= 0.
     """
+    check_tol(tol)
     degs = degrees(G)
     overrides = {}
     if weight_overrides:

@@ -2,12 +2,25 @@
 
 Connected graphs are enumerated one per isomorphism class by growing: all
 trees by leaf addition, then one edge at a time, deduplicating through
-canonical forms at every level. Every connected graph with m >= n edges
-has a non-bridge edge, so removing it reaches m - 1 keeping connectivity;
-the level-by-level growth is therefore exhaustive. Growth adds one leaf or
-edge per twin orbit: a leaf goes on one vertex per twin class, and a new
-edge joins one pair per unordered pair of twin classes, because permuting
-twins is an automorphism and maps the skipped graphs onto kept ones.
+canonical forms at every level. Growth adds one leaf or edge per twin orbit:
+a leaf goes on one vertex per twin class, and a new edge joins one pair per
+unordered pair of twin classes, because permuting twins is an automorphism
+and maps the skipped graphs onto kept ones.
+
+A grown candidate H = G + e is kept only if e is a canonical last addition
+(canonical deletion, after McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998). Let D(H) be the removable leaves (trees) or non-bridge
+edges (m >= n) of H with the largest key: the sorted endpoint degrees, then
+the sorted neighbour-degree lists of the endpoints. H is kept iff e is in
+D(H). The key is an isomorphism invariant, so every isomorphism H -> H'
+maps D(H) onto D(H'), and growth stays complete. Every connected H with
+m >= n has a cycle, so D(H) is non-empty. Take e in D(H): H - e is
+connected with m - 1 edges, so an isomorphism s maps it onto a listed
+parent G, and s(H) = G + s(e) with s(e) in D(s(H)). Twin pruning tried a
+pair p = t(s(e)) for some automorphism t of G, so the candidate
+G + p = t(s(H)) has p in its D and is kept. Trees run the same argument with
+leaves. The key does not separate every orbit of D(H), so a class can still
+keep several candidates, and the canonical-form dedup stays.
 
 Every search scores its candidates once, solving all candidates of one order
 in a single batched eigensolve, keeps the extremal value and the candidates
@@ -35,7 +48,7 @@ from .graph_core import (
     is_isomorphic,
     twins,
 )
-from .spectral import f_adjacency, f_spectral_radius, perron_values
+from .spectral import check_tol, f_adjacency, f_spectral_radius, perron_values
 
 ENUMERATION_MAX_ORDER = 9
 TIE_TOL = 1e-7
@@ -80,6 +93,71 @@ def _dedup(graphs):
     return tuple(out[k] for k in sorted(out))
 
 
+def _plus_edge(adj, u, v):
+    """Adjacency lists of the graph with lists ``adj`` and edge uv added."""
+    adj = list(adj)
+    adj[u] += (v,)
+    adj[v] += (u,)
+    return adj
+
+
+def _degree_key(adj, a, b):
+    da, db = len(adj[a]), len(adj[b])
+    return (da, db) if da <= db else (db, da)
+
+
+def _neighbour_key(adj, a, b):
+    return tuple(sorted(tuple(sorted(len(adj[y]) for y in adj[x])) for x in (a, b)))
+
+
+def _bridge_sides(G):
+    """Map each bridge (a, b) of G to the vertex mask of a's side of G - ab."""
+    sides = {}
+    for a, b in G.edges:
+        masks = list(G.masks)
+        masks[a] &= ~(1 << b)
+        masks[b] &= ~(1 << a)
+        seen = frontier = 1 << a
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+        if not (seen >> b) & 1:
+            sides[(a, b)] = seen
+    return sides
+
+
+def _keeps(adj, e, rivals, sides):
+    """Whether e is a canonical last addition to the graph with lists ``adj``.
+
+    ``rivals`` are the other leaf or edge deletions of that graph, each
+    given as an edge; a rival beats e when its key is larger and it is
+    removable. ``sides`` maps the rivals that are bridges of the graph
+    minus e to one side's vertex mask, so such a rival is removable only
+    if e crosses it; leaf deletions are always removable.
+    """
+    u, v = e
+    key = _degree_key(adj, u, v)
+    neighbours = None
+    for a, b in rivals:
+        rival = _degree_key(adj, a, b)
+        if rival < key:
+            continue
+        if rival == key:
+            if neighbours is None:
+                neighbours = _neighbour_key(adj, u, v)
+            if _neighbour_key(adj, a, b) <= neighbours:
+                continue
+        side = sides.get((a, b))
+        if side is None or ((side >> u) ^ (side >> v)) & 1:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _trees(n):
     if n == 1:
@@ -87,7 +165,10 @@ def _trees(n):
     grown = []
     for T in _trees(n - 1):
         for v in sorted(set(twins(T))):
-            grown.append(Graph(T.n + 1, list(T.edges) + [(v, T.n)]))
+            adj = _plus_edge(T.adj + ((),), v, T.n)
+            leaves = [(x, a[0]) for x, a in enumerate(adj[: T.n]) if len(a) == 1]
+            if _keeps(adj, (T.n, v), leaves, {}):
+                grown.append(Graph(T.n + 1, list(T.edges) + [(v, T.n)]))
     return _dedup(grown)
 
 
@@ -110,12 +191,15 @@ def enumerate_connected(n, m):
     for G in enumerate_connected(n, m - 1):
         present = G.edges
         rep = twins(G)
+        sides = _bridge_sides(G)
         tried = set()
         for u in range(n):
             for v in range(u + 1, n):
                 key = frozenset((rep[u], rep[v]))
-                if (u, v) not in present and key not in tried:
-                    tried.add(key)
+                if (u, v) in present or key in tried:
+                    continue
+                tried.add(key)
+                if _keeps(_plus_edge(G.adj, u, v), (u, v), present, sides):
                     grown.append(Graph(n, list(present) + [(u, v)]))
     return _dedup(grown)
 
@@ -203,8 +287,7 @@ def extremal(class_name, n, f, objective="min", tie_tol=TIE_TOL):
     """Exact extremal set of rho_f over an enumerated class."""
     if objective not in ("min", "max"):
         raise BadParams("objective must be 'min' or 'max'")
-    if not 0 <= tie_tol < math.inf:
-        raise BadParams(f"tie_tol must be finite and >= 0, got {tie_tol}")
+    check_tol(tie_tol, "tie_tol")
     start = time.perf_counter()
     graphs = class_graphs(class_name, n)
     scored = _scored(graphs, f)

@@ -26,9 +26,10 @@ FULL_SPECTRUM_MAX_ORDER = 64
 INTERLACING_TOL = 1e-8
 
 
-def _check_tol(tol):
+def check_tol(tol, name="tol"):
+    """Raise BadParams unless the tolerance ``name`` is finite and >= 0."""
     if not 0 <= tol < math.inf:
-        raise BadParams(f"tol must be finite and >= 0, got {tol}")
+        raise BadParams(f"{name} must be finite and >= 0, got {tol}")
 
 
 def f_adjacency(G, f):
@@ -59,26 +60,34 @@ def spectral_radius(M, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
     ``tol`` is relative: iteration stops once max|Mx - rho*x| <= tol * max(1, rho)
     with x normalized to unit maximum entry. Deterministic for fixed input.
     For a connected underlying graph the returned vector is strictly positive.
+    A matrix with a non-finite entry or row sum is rejected with BadParams,
+    and an iteration that overflows (a non-finite rho or residual) raises
+    NoConvergence at once.
     """
-    _check_tol(tol)
+    check_tol(tol)
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise BadParams("matrix must be square")
     n = M.shape[0]
     if n == 0:
         raise BadParams("matrix must be nonempty")
-    shift = float(M.sum(axis=1).max())
-    x = np.ones(n)
-    rho = 0.0
-    residual = 0.0
-    for iteration in range(1, max_iterations + 1):
-        x = x / x.max()
-        y = M @ x
-        rho = float(x @ y) / float(x @ x)
-        residual = float(np.max(np.abs(y - rho * x)))
-        if residual <= tol * max(1.0, abs(rho)):
-            return SpectralResult(rho, x, residual, iteration, tol)
-        x = y + shift * x
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = float(M.sum(axis=1).max())
+        if not (math.isfinite(shift) and np.isfinite(M).all()):
+            raise BadParams(f"matrix entries and row sums must be finite, got row sum {shift}")
+        x = np.ones(n)
+        rho = 0.0
+        residual = 0.0
+        for iteration in range(1, max_iterations + 1):
+            x = x / x.max()
+            y = M @ x
+            rho = float(x @ y) / float(x @ x)
+            residual = float(np.max(np.abs(y - rho * x)))
+            if not math.isfinite(residual):
+                raise NoConvergence(iteration, residual)
+            if residual <= tol * max(1.0, abs(rho)):
+                return SpectralResult(rho, x, residual, iteration, tol)
+            x = y + shift * x
     raise NoConvergence(max_iterations, residual)
 
 
@@ -96,7 +105,7 @@ def perron_values(stack, tol=DEFAULT_TOL):
     when the top two eigenvalues nearly coincide, |v| can be far from an
     eigenvector while rho is accurate.
     """
-    _check_tol(tol)
+    check_tol(tol)
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise BadParams("stack must have shape (k, n, n)")

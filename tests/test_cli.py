@@ -236,6 +236,9 @@ def test_verify_near_tied_eigenvalues(capsys):
          "empty range"),
         (("verify", "--theorem", "main-bicyclic", "--weights", "sombor", "--n", "8..x"),
          "bad range"),
+        (("rho", "--family", "cycle:5", "--weight", "const:1e308"), "finite"),
+        (("certify", "--family", "cycle:5", "--weight", "sombor", "--tol", "nan"), "tol"),
+        (("certify", "--family", "cycle:5", "--weight", "sombor", "--tol", "-1"), "tol"),
     ],
 )
 def test_bad_numeric_arguments_exit_2(capsys, argv, message):

@@ -91,6 +91,16 @@ def test_certify_normal_consistent():
             assert report.consistent
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_normality_rejects_bad_tol(tol):
+    G = make(parse_family("cycle:5"))
+    with pytest.raises(BadParams):
+        certify(G, SOMBOR, tol=tol)
+    _, report = certify(G, SOMBOR)
+    with pytest.raises(BadParams):
+        classify_normality(G, SOMBOR, report.incidence, report.alpha, tol=tol)
+
+
 def test_classify_degenerate_is_none():
     # All-half incidence on theta(3,3,3): hub sums are 3/2 (kills the
     # subnormal side) while interior edge products overshoot alpha (kills

@@ -1,12 +1,14 @@
 """Tests for enumeration and extremal search."""
 
 import hashlib
+import random
 
 import pytest
 
+from fspectra import search
 from fspectra.errors import BadParams, SizeLimit
 from fspectra.families import FamilySpec, identify_pendant_free_bicyclic, make, parse_family
-from fspectra.graph_core import canonical_form, is_isomorphic
+from fspectra.graph_core import Graph, canonical_form, is_connected, is_isomorphic
 from fspectra.spectral import f_spectral_radius
 from fspectra.search import (
     _scored,
@@ -19,7 +21,7 @@ from fspectra.search import (
     verify_theorem,
 )
 from fspectra.weights import parse_weight
-from helpers import brute_connected_classes
+from helpers import brute_connected_classes, relabeled
 
 TABLE = parse_weight("table:2,2=1;3,2=2;4,2=2")
 SOMBOR = parse_weight("sombor")
@@ -74,6 +76,100 @@ def test_enumerate_connected_edge_cases():
     with pytest.raises(BadParams):
         enumerate_connected(4, 7)
 
+
+
+def _edge_kept(H, e):
+    """The growth loop's keep decision for H grown from H - e by edge e."""
+    G = Graph(H.n, H.edges - {e})
+    return search._keeps(H.adj, e, G.edges, search._bridge_sides(G))
+
+
+def _leaf_kept(T, leaf):
+    """The growth loop's keep decision for tree T grown by leaf ``leaf``."""
+    rivals = [(x, a[0]) for x, a in enumerate(T.adj) if len(a) == 1 and x != leaf]
+    return search._keeps(T.adj, (leaf, T.adj[leaf][0]), rivals, {})
+
+
+def _relabelings(n, count=3, seed=7):
+    rng = random.Random(seed)
+    perms = []
+    for _ in range(count):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        perms.append(perm)
+    return perms
+
+
+def test_canonical_deletion_is_invariant_and_nonempty():
+    # The keep rule must depend on (H, e) only up to isomorphism, and keep
+    # at least one deletion of every graph, or growth would lose classes.
+    perms = _relabelings(8)
+    for H in enumerate_connected(8, 9):
+        removable = [e for e in sorted(H.edges) if is_connected(Graph(H.n, H.edges - {e}))]
+        kept = [_edge_kept(H, e) for e in removable]
+        assert any(kept)
+        for perm in perms:
+            image = relabeled(H, perm)
+            for e, keep in zip(removable, kept):
+                pe = tuple(sorted((perm[e[0]], perm[e[1]])))
+                assert _edge_kept(image, pe) == keep, (H, e, perm)
+
+
+def test_canonical_leaf_deletion_is_invariant_and_nonempty():
+    perms = _relabelings(8)
+    for T in enumerate_connected(8, 7):
+        leaves = [v for v in range(T.n) if len(T.adj[v]) == 1]
+        kept = [_leaf_kept(T, v) for v in leaves]
+        assert any(kept)
+        for perm in perms:
+            image = relabeled(T, perm)
+            assert [_leaf_kept(image, perm[v]) for v in leaves] == kept, (T, perm)
+
+
+def test_cold_enumeration_computes_few_canonical_forms():
+    # Twin pruning alone computed 5739 canonical forms here; canonical
+    # deletion leaves about one candidate per class and level.
+    search._trees.cache_clear()
+    enumerate_connected.cache_clear()
+    canonical_form.cache_clear()
+    graphs = enumerate_connected(9, 10)
+    assert len(graphs) == 797
+    assert canonical_form.cache_info().misses <= 2000
+
+
+# sha256 of the class list of each (n, m), one repr(sorted(G.edges)) per line,
+# taken from the growth before canonical deletion was added.
+LIST_DIGESTS = {
+    (4, 3): "f363d4d53112e7e44222dbed6619724706abaed9feedd0b59ea6f2ab221f4483",
+    (4, 4): "15de2edd2f51d97fe87359df5999ad402b1839a103b0b4a39e34d4fcb13b3795",
+    (4, 5): "ddf875dfdf38489f603eee271e37e2c2996064f1c44151d85ea928c2b5600eb7",
+    (4, 6): "8cf7c838487fa83befc874746e035d5439fdf57ea2738bdd1c8d35cd0b813741",
+    (5, 4): "a01c33afcf0e26e8efd5c5ea8abf935feca6ef3a30e55db76249d86565514574",
+    (5, 5): "d51c0f40247d95ac5fca8a2b037cf466df1aa4c50c356e8c4d809baebdc0e6fb",
+    (5, 6): "83b403b9b5c4336627a4cbff7ef6539dbecdc5b069b071afc35db99658fdc256",
+    (5, 7): "9b8eaea3725858b6dc409e4d594321e0ace4c999913811a6519720a0fe03e6e0",
+    (6, 5): "0a87d84bdb85a2d7beec3fd8bfcae563db7b6e00fb6de8379e3492850c209e32",
+    (6, 6): "026b2920080874d2148002e4acc4bb431843fe73b48f32114f3c369bbc53fdc5",
+    (6, 7): "b952e3df5d0a49de73898ac567f986b3a591da3cf99a2c6724143ed48c81c377",
+    (6, 8): "295d989339fa5a272a1e1ad90884e8293b9802a9f6ac742842aabf6c2fb87c56",
+    (7, 6): "429dd82764dd73bb619487a5bc7eb12d183a37adc7b29e50445a4975a0b90dda",
+    (7, 7): "9825deaaecbe4162c13fff230277abdf662a7b9191ab974a605ed0d58e5bc20f",
+    (7, 8): "a17f378ff5ee6c9b67ef141faedb4304c2798a8d6028fee435759cb00d482bc6",
+    (7, 9): "e7dac92f845c4af0f0b33b90f476b3a410112ded2ffe2cca6eb4bbf61d1e6ad0",
+    (8, 7): "9985ca9cb544b7fe328210fcfc6a38a56cb44398b5a92ef3491432e91ba6d69f",
+    (8, 8): "650a20549c1c57b9c6cd015e57db3430979b3efdf39cb4a975483e5ac317927a",
+    (8, 9): "111c7017fd7296f11b7758387262fb3f22c4a0a6f07ac9363e72d4e73826f60f",
+    (8, 10): "032935c5cec4bbcdc5813b6dca43c15102594b1afa91c8f38574d607128c473b",
+    (9, 8): "1d60059170ea6f1b3c9ed4575643a6f0ea6434962e18a1588700e81c75c155fd",
+    (9, 9): "da61530454b0f5a1e82774257e09ba90ee906c9d19ccba2e909e2ff8f6735538",
+    (9, 10): "805b54f3071e916b255a392b5f8b0247fd4013c92f64812c8775fb8f30d741ef",
+}
+
+
+@pytest.mark.parametrize("n, m", sorted(LIST_DIGESTS))
+def test_enumeration_lists_pinned(n, m):
+    text = "\n".join(repr(sorted(G.edges)) for G in enumerate_connected(n, m))
+    assert hashlib.sha256(text.encode()).hexdigest() == LIST_DIGESTS[(n, m)]
 
 # OEIS A000055 (trees), A001429 (connected unicyclic), A001435 (connected
 # bicyclic), n = 4..9.

@@ -90,6 +90,26 @@ def test_spectral_radius_no_convergence():
     assert exc.value.iterations == 1
 
 
+def test_spectral_radius_rejects_overflow_before_iterating():
+    # Row sums of 2e308 overflow the shift; max_iterations keeps a
+    # regression from running the full iteration budget.
+    M = f_adjacency(make(parse_family("cycle:5")), parse_weight("const:1e308"))
+    with pytest.raises(BadParams, match="finite"):
+        spectral_radius(M, max_iterations=10)
+    M = np.array([[0.0, math.nan], [math.nan, 0.0]])
+    with pytest.raises(BadParams, match="finite"):
+        spectral_radius(M, max_iterations=10)
+
+
+def test_spectral_radius_stops_when_an_iterate_overflows():
+    # The shift 2e307 is finite, but x.(Mx) = 1e309 is not: rho must not
+    # come back as inf, and the loop must stop at the first such iterate.
+    M = f_adjacency(make(parse_family("cycle:50")), parse_weight("const:1e307"))
+    with pytest.raises(NoConvergence) as exc:
+        spectral_radius(M, max_iterations=10)
+    assert exc.value.iterations == 1
+
+
 def test_full_spectrum_known_values():
     p3 = full_spectrum(f_adjacency(make(FamilySpec("path", (3,))), CONST1))
     assert p3 == pytest.approx([math.sqrt(2), 0.0, -math.sqrt(2)], abs=1e-10)
