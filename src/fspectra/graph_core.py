@@ -335,22 +335,48 @@ def contains_induced(G, H):
     return False
 
 
+def _refine(n, adj):
+    """Iteratively refined vertex colours of the graph with lists ``adj``.
+
+    Colours start as degree ranks; each round ranks the pairs (colour,
+    sorted neighbour colours). A round that splits no cell would give every
+    vertex its old id again, so refinement stops there. Colour ids are
+    iso-invariant.
+    """
+    palette = {d: i for i, d in enumerate(sorted({len(a) for a in adj}))}
+    colors = [palette[len(a)] for a in adj]
+    cells = len(palette)
+    while cells < n:
+        get = colors.__getitem__
+        sigs = [(c, tuple(sorted(map(get, a)))) for c, a in zip(colors, adj)]
+        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        if len(palette) == cells:
+            break
+        colors = [palette[s] for s in sigs]
+        cells = len(palette)
+    return colors
+
+
 def _refined_colors(G):
     """Iteratively refined vertex colors; color ids are iso-invariant."""
-    n = G.n
-    sigs = [G.degree(v) for v in range(n)]
-    palette = sorted(set(sigs))
-    colors = [palette.index(s) for s in sigs]
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in G.adj[v])))
-            for v in range(n)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+    return _refine(G.n, G.adj)
+
+
+def _twin_reps(masks):
+    """Map each vertex to the smallest vertex with the same open or closed
+    neighbourhood mask. An open mask never equals another vertex's closed
+    one, so both kinds share one dict."""
+    rep = list(range(len(masks)))
+    first = {}
+    for v, mask in enumerate(masks):
+        closed = mask | 1 << v
+        if mask in first:
+            rep[v] = first[mask]
+        elif closed in first:
+            rep[v] = first[closed]
+        else:
+            first[mask] = first[closed] = v
+    return rep
 
 
 def twins(G):
@@ -361,100 +387,97 @@ def twins(G):
     partition the vertices, and every permutation inside a class is an
     automorphism of G.
     """
-    masks = G.masks
-    rep = list(range(G.n))
-    first = {}
-    for v in range(G.n):
-        for key in (("open", masks[v]), ("closed", masks[v] | 1 << v)):
-            if key in first:
-                rep[v] = first[key]
+    return _twin_reps(G.masks)
+
+
+def canonical_code(n, adj, masks):
+    """Canonical code of the graph with adjacency lists ``adj`` and masks.
+
+    The code is the lexicographically largest column-major upper-triangle
+    adjacency bitstring, read as an int with its first bit most significant,
+    over all vertex orderings compatible with the refined colour classes.
+    Equal codes of equal order mean isomorphic graphs. Found by branch and
+    bound over those orderings; at each position the search tries one
+    unused vertex per twin class, since swapping two unused twins fixes the
+    prefix and so leaves the subtree's bitstrings unchanged. Each vertex's
+    column against the assigned prefix is kept as an int, shifted in when a
+    position is assigned and out on backtrack. Supports n <= 12.
+    """
+    if n > CANONICAL_MAX_VERTICES:
+        raise SizeLimit(f"canonical form supports at most {CANONICAL_MAX_VERTICES} vertices")
+    colors = _refine(n, adj)
+    by_color = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    cells = [by_color[c] for c in sorted(by_color) for _ in by_color[c]]
+    rep = _twin_reps(masks)
+    total = n * (n - 1) // 2
+    cols = [0] * n
+    used = [False] * n
+    best = -1
+
+    def dfs(p, code):
+        nonlocal best
+        if p == n:
+            best = max(best, code)
+            return
+        rest = total - p * (p + 1) // 2  # bits after this position's column
+        cands = []
+        tried = set()
+        for v in cells[p]:
+            if used[v] or rep[v] in tried:
+                continue
+            tried.add(rep[v])
+            cands.append((cols[v], v))
+        cands.sort(reverse=True)
+        for col, v in cands:
+            # Recompare against best on every child: a sibling's subtree may
+            # have raised it. Candidates are sorted descending, so the first
+            # prefix below best's ends the loop.
+            prefix = code << p | col
+            if prefix < best >> rest:
                 break
-        else:
-            first[("open", masks[v])] = first[("closed", masks[v] | 1 << v)] = v
-    return rep
+            used[v] = True
+            cols[:] = [c << 1 | (mask >> v) & 1 for c, mask in zip(cols, masks)]
+            dfs(p + 1, prefix)
+            cols[:] = [c >> 1 for c in cols]
+            used[v] = False
+
+    dfs(0, 0)
+    return best
+
+
+def _code_bits(n, code):
+    """The bits of a canonical code of order n, first bit first."""
+    total = n * (n - 1) // 2
+    return tuple((code >> (total - 1 - i)) & 1 for i in range(total))
+
+
+def graph_of_code(n, code):
+    """The canonically labeled graph of order n with the given code."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return Graph(n, [e for e, bit in zip(pairs, _code_bits(n, code)) if bit])
 
 
 @lru_cache(maxsize=1 << 16)
 def canonical_form(G):
     """Canonical encoding; equal encodings iff the graphs are isomorphic.
 
-    The encoding is (n, bits) where bits is the lexicographically largest
-    column-major upper-triangle adjacency bitstring over all vertex
-    orderings compatible with the refined color classes. Found by branch
-    and bound over those orderings; at each position the search tries one
-    unused vertex per twin class, since swapping two unused twins fixes
-    the prefix and so leaves the subtree's bitstrings unchanged. Symmetric
-    graphs such as K_n, K_{a,b} and stars therefore cost a handful of
-    nodes. Supports n <= 12.
+    The encoding is (n, bits) with bits the tuple form of
+    ``canonical_code(G.n, G.adj, G.masks)``: the lexicographically largest
+    column-major upper-triangle adjacency bitstring over the vertex
+    orderings compatible with the refined colour classes, found with twin
+    pruning, so symmetric graphs such as K_n, K_{a,b} and stars cost a
+    handful of search nodes. Cached per graph; enumeration calls the kernel
+    on its candidates directly and does not fill this cache. Supports
+    n <= 12.
     """
-    n = G.n
-    if n > CANONICAL_MAX_VERTICES:
-        raise SizeLimit(f"canonical form supports at most {CANONICAL_MAX_VERTICES} vertices")
-    if n == 0:
-        return (0, ())
-    colors = _refined_colors(G)
-    by_color = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    pos_color = []
-    for c in sorted(by_color):
-        pos_color.extend([c] * len(by_color[c]))
-    masks = G.masks
-    rep = twins(G)
-
-    best = None
-    assigned = []
-    bits = []
-    used = [False] * n
-
-    def dfs(p):
-        nonlocal best
-        if p == n:
-            b = tuple(bits)
-            if best is None or b > best:
-                best = b
-            return
-        base = len(bits)
-        cands = []
-        tried = set()
-        for v in by_color[pos_color[p]]:
-            if used[v] or rep[v] in tried:
-                continue
-            tried.add(rep[v])
-            col = [(masks[v] >> assigned[q]) & 1 for q in range(p)]
-            cands.append((col, v))
-        cands.sort(reverse=True)
-        for col, v in cands:
-            # Recompare against best on every child: a sibling's subtree may
-            # have raised it. Candidates are sorted descending, so the first
-            # unbeatable prefix ends the loop.
-            if best is not None:
-                head = list(best[:base])
-                if bits < head or (bits == head and col < list(best[base:base + p])):
-                    break
-            used[v] = True
-            assigned.append(v)
-            bits.extend(col)
-            dfs(p + 1)
-            del bits[base:]
-            assigned.pop()
-            used[v] = False
-
-    dfs(0)
-    return (n, best)
+    return (G.n, _code_bits(G.n, canonical_code(G.n, G.adj, G.masks)))
 
 
 def canonical_relabel(G):
     """A canonically labeled copy of G (the decoded canonical form)."""
-    n, bits = canonical_form(G)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+    return graph_of_code(G.n, canonical_code(G.n, G.adj, G.masks))
 
 
 def parse_graph_text(text):

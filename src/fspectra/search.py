@@ -1,11 +1,14 @@
 """Exhaustive small-order enumeration and extremal verification.
 
 Connected graphs are enumerated one per isomorphism class by growing: all
-trees by leaf addition, then one edge at a time, deduplicating through
-canonical forms at every level. Growth adds one leaf or edge per twin orbit:
-a leaf goes on one vertex per twin class, and a new edge joins one pair per
-unordered pair of twin classes, because permuting twins is an automorphism
-and maps the skipped graphs onto kept ones.
+trees by leaf addition, then one edge at a time. Growth works on adjacency
+lists and bitmasks: each kept candidate's canonical code (an int from
+``graph_core.canonical_code``) goes into a set per level, and a ``Graph`` is
+built only once per class, when the level's sorted codes are decoded into
+canonically labeled representatives. Growth adds one leaf or edge per
+twin orbit: a leaf goes on one vertex per twin class, and a new edge joins
+one pair per unordered pair of twin classes, because permuting twins is an
+automorphism and maps the skipped graphs onto kept ones.
 
 A grown candidate H = G + e is kept only if e is a canonical last addition
 (canonical deletion, after McKay, "Isomorph-free exhaustive generation",
@@ -20,7 +23,7 @@ parent G, and s(H) = G + s(e) with s(e) in D(s(H)). Twin pruning tried a
 pair p = t(s(e)) for some automorphism t of G, so the candidate
 G + p = t(s(H)) has p in its D and is kept. Trees run the same argument with
 leaves. The key does not separate every orbit of D(H), so a class can still
-keep several candidates, and the canonical-form dedup stays.
+keep several candidates, and the dedup by canonical code stays.
 
 Every search scores its candidates once, solving all candidates of one order
 in a single batched eigensolve, keeps the extremal value and the candidates
@@ -41,10 +44,11 @@ from .families import FamilySpec, forbidden_fixtures, identify_pendant_free_bicy
 from .graph_core import (
     Graph,
     base_graph,
+    canonical_code,
     canonical_form,
-    canonical_relabel,
     contains_induced,
     degrees,
+    graph_of_code,
     is_isomorphic,
     twins,
 )
@@ -84,21 +88,20 @@ def enumerate_pendant_free_bicyclic(n):
     return specs
 
 
-def _dedup(graphs):
-    out = {}
-    for G in graphs:
-        key = canonical_form(G)
-        if key not in out:
-            out[key] = canonical_relabel(G)
-    return tuple(out[k] for k in sorted(out))
-
-
-def _plus_edge(adj, u, v):
-    """Adjacency lists of the graph with lists ``adj`` and edge uv added."""
-    adj = list(adj)
+def _plus_edge(adj, masks, u, v):
+    """Adjacency lists and masks of the graph given by ``adj`` and ``masks``
+    with edge uv added."""
+    adj, masks = list(adj), list(masks)
     adj[u] += (v,)
     adj[v] += (u,)
-    return adj
+    masks[u] |= 1 << v
+    masks[v] |= 1 << u
+    return adj, masks
+
+
+def _classes(n, codes):
+    """One canonically labeled graph per code, in code order."""
+    return tuple(graph_of_code(n, code) for code in sorted(codes))
 
 
 def _degree_key(adj, a, b):
@@ -162,14 +165,14 @@ def _keeps(adj, e, rivals, sides):
 def _trees(n):
     if n == 1:
         return (Graph(1, []),)
-    grown = []
+    codes = set()
     for T in _trees(n - 1):
         for v in sorted(set(twins(T))):
-            adj = _plus_edge(T.adj + ((),), v, T.n)
+            adj, masks = _plus_edge(T.adj + ((),), T.masks + (0,), v, T.n)
             leaves = [(x, a[0]) for x, a in enumerate(adj[: T.n]) if len(a) == 1]
             if _keeps(adj, (T.n, v), leaves, {}):
-                grown.append(Graph(T.n + 1, list(T.edges) + [(v, T.n)]))
-    return _dedup(grown)
+                codes.add(canonical_code(n, adj, masks))
+    return _classes(n, codes)
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +190,7 @@ def enumerate_connected(n, m):
         return ()
     if m == n - 1:
         return _trees(n)
-    grown = []
+    codes = set()
     for G in enumerate_connected(n, m - 1):
         present = G.edges
         rep = twins(G)
@@ -199,9 +202,10 @@ def enumerate_connected(n, m):
                 if (u, v) in present or key in tried:
                     continue
                 tried.add(key)
-                if _keeps(_plus_edge(G.adj, u, v), (u, v), present, sides):
-                    grown.append(Graph(n, list(present) + [(u, v)]))
-    return _dedup(grown)
+                adj, masks = _plus_edge(G.adj, G.masks, u, v)
+                if _keeps(adj, (u, v), present, sides):
+                    codes.add(canonical_code(n, adj, masks))
+    return _classes(n, codes)
 
 
 # The search classes: name -> the isomorph-free list of its graphs at order n.

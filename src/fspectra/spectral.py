@@ -43,6 +43,19 @@ def f_adjacency(G, f):
     return M
 
 
+def _finite_row_sums(M):
+    """Row sums of a matrix or of each matrix in a stack.
+
+    Raises BadParams unless they and every entry are finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = M.sum(axis=-1)
+    if not (np.isfinite(sums).all() and np.isfinite(M).all()):
+        top = float(sums.max())
+        raise BadParams(f"matrix entries and row sums must be finite, got row sum {top}")
+    return sums
+
+
 @dataclass
 class SpectralResult:
     """Perron value, eigenvector (unit maximum entry), and solve metadata."""
@@ -71,10 +84,8 @@ def spectral_radius(M, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
     n = M.shape[0]
     if n == 0:
         raise BadParams("matrix must be nonempty")
+    shift = float(_finite_row_sums(M).max())
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = float(M.sum(axis=1).max())
-        if not (math.isfinite(shift) and np.isfinite(M).all()):
-            raise BadParams(f"matrix entries and row sums must be finite, got row sum {shift}")
         x = np.ones(n)
         rho = 0.0
         residual = 0.0
@@ -103,7 +114,8 @@ def perron_values(stack, tol=DEFAULT_TOL):
     solve as one iteration) is raised if any such residual exceeds
     tol * max(1, rho). The returned vectors themselves are not checked:
     when the top two eigenvalues nearly coincide, |v| can be far from an
-    eigenvector while rho is accurate.
+    eigenvector while rho is accurate. A stack with a non-finite entry or
+    row sum is rejected with BadParams, as in ``spectral_radius``.
     """
     check_tol(tol)
     stack = np.asarray(stack, dtype=float)
@@ -111,13 +123,18 @@ def perron_values(stack, tol=DEFAULT_TOL):
         raise BadParams("stack must have shape (k, n, n)")
     if stack.shape[1] == 0:
         raise BadParams("matrices must be nonempty")
+    _finite_row_sums(stack)
     values, vectors = np.linalg.eigh(stack)
     rho = values[:, -1]
     v = vectors[:, :, -1]
-    signed = np.linalg.norm((stack @ v[:, :, None])[:, :, 0] - rho[:, None] * v, axis=1)
-    missed = signed > tol * np.maximum(1.0, np.abs(rho))
+    # Divide by max(1, |rho|) before the 2-norm squares the residual, so a
+    # huge but finite weight cannot overflow it.
+    scale = np.maximum(1.0, np.abs(rho))
+    resid = (stack @ v[:, :, None])[:, :, 0] - rho[:, None] * v
+    signed = np.linalg.norm(resid / scale[:, None], axis=1)
+    missed = signed > tol
     if missed.any():
-        raise NoConvergence(1, float(signed[missed].max()))
+        raise NoConvergence(1, float((signed * scale)[missed].max()))
     x = np.abs(v)
     x /= x.max(axis=1, keepdims=True)
     residuals = np.abs((stack @ x[:, :, None])[:, :, 0] - rho[:, None] * x).max(axis=1)

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import warnings
+
 import pytest
 
 from fspectra.cli import main
@@ -246,3 +248,16 @@ def test_bad_numeric_arguments_exit_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_class_search_rejects_overflowing_row_sums(capsys):
+    # Row sums of 5e308 overflow: the batched solve must say so up front,
+    # before numpy can warn about the overflow.
+    argv = ("extremal", "--class", "trees", "--order", "6", "--weight", "const:1e308")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: matrix entries and row sums must be finite, got row sum inf\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -11,6 +11,7 @@ from fspectra.graph_core import (
     GRAPH_MAX_ORDER,
     Graph,
     base_graph,
+    canonical_code,
     canonical_form,
     canonical_relabel,
     contains_induced,
@@ -18,6 +19,7 @@ from fspectra.graph_core import (
     degrees,
     format_graph_text,
     fundamental_cycles,
+    graph_of_code,
     internal_paths,
     is_connected,
     is_isomorphic,
@@ -281,6 +283,20 @@ def test_canonical_relabel_is_isomorphic_fixed_point():
         R = canonical_relabel(G)
         assert is_isomorphic(G, R)
         assert canonical_form(R) == canonical_form(G)
+
+
+def test_canonical_code_is_the_form_as_an_int():
+    # Growth hands the kernel adjacency lists in insertion order, not
+    # sorted; the code must not depend on that order.
+    rng = random.Random(12)
+    for _ in range(40):
+        G = random_connected_graph(rng, rng.randint(1, 9), rng.randint(0, 6))
+        adj = [tuple(rng.sample(a, len(a))) for a in G.adj]
+        code = canonical_code(G.n, adj, G.masks)
+        n, bits = canonical_form(G)
+        assert code == int("".join(map(str, bits)) or "0", 2)
+        assert graph_of_code(n, code) == canonical_relabel(G)
+    assert canonical_code(0, [], []) == 0
 
 
 def test_canonical_form_size_limit():

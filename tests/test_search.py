@@ -1,5 +1,6 @@
 """Tests for enumeration and extremal search."""
 
+import gc
 import hashlib
 import random
 
@@ -126,15 +127,43 @@ def test_canonical_leaf_deletion_is_invariant_and_nonempty():
             assert [_leaf_kept(image, perm[v]) for v in leaves] == kept, (T, perm)
 
 
-def test_cold_enumeration_computes_few_canonical_forms():
-    # Twin pruning alone computed 5739 canonical forms here; canonical
-    # deletion leaves about one candidate per class and level.
+def _clear_enumeration_caches():
     search._trees.cache_clear()
     enumerate_connected.cache_clear()
     canonical_form.cache_clear()
+
+
+def test_cold_enumeration_computes_few_canonical_forms(monkeypatch):
+    # Twin pruning alone computed 5739 canonical forms here; canonical
+    # deletion leaves about one candidate per class and level.
+    calls = []
+    kernel = search.canonical_code
+
+    def counted(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    _clear_enumeration_caches()
+    monkeypatch.setattr(search, "canonical_code", counted)
     graphs = enumerate_connected(9, 10)
     assert len(graphs) == 797
-    assert canonical_form.cache_info().misses <= 2000
+    assert 797 <= len(calls) <= 2000
+
+
+def test_no_candidate_outlives_its_class():
+    # Growth keeps candidates as canonical codes and builds one Graph per
+    # class, so after a cold run the only new live graphs are the cached
+    # class representatives (1132 here; keeping every candidate left 2578).
+    _clear_enumeration_caches()
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if isinstance(o, Graph)}
+    enumerate_connected(9, 10)
+    gc.collect()
+    new = {id(o) for o in gc.get_objects() if isinstance(o, Graph)} - before
+    reps = {id(G) for n in range(1, 10) for G in search._trees(n)}
+    reps |= {id(G) for m in (9, 10) for G in enumerate_connected(9, m)}
+    assert len(reps) == 1132
+    assert new == reps
 
 
 # sha256 of the class list of each (n, m), one repr(sorted(G.edges)) per line,
@@ -250,6 +279,15 @@ def test_extremal_deterministic_order():
     a = extremal("pendant_free_bicyclic", 8, SOMBOR, "min")
     b = extremal("pendant_free_bicyclic", 8, SOMBOR, "min")
     assert [canonical_form(G) for G in a.winners] == [canonical_form(G) for G in b.winners]
+
+
+@pytest.mark.parametrize("objective", ["min", "max"])
+def test_extremal_scales_with_a_huge_constant_weight(objective):
+    # 1e200 squared overflows; the batched solve must still accept rho.
+    one = extremal("trees", 6, parse_weight("const:1"), objective)
+    huge = extremal("trees", 6, parse_weight("const:1e200"), objective)
+    assert huge.value == pytest.approx(1e200 * one.value, rel=1e-12)
+    assert [canonical_form(G) for G in huge.winners] == [canonical_form(G) for G in one.winners]
 
 
 def test_extremal_objective_validation():
