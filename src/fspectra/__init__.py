@@ -44,12 +44,10 @@ from .luman import (
     certify,
     check_recurrence,
     classify_normality,
-    f_theta,
     incidence_from_splits,
     inequality_oracles,
     path_endpoint_values,
     principal_incidence,
-    symmetric_endpoint_value,
 )
 from .search import (
     SearchReport,

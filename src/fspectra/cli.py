@@ -13,7 +13,7 @@ from . import search
 from .errors import FspectraError
 from .families import identify_pendant_free_bicyclic, make, parse_family
 from .graph_core import format_graph_text, read_graph_file, subdivided
-from .luman import certify
+from .luman import NORMALITY_TOL, certify
 from .spectral import DEFAULT_TOL, f_adjacency, f_spectral_radius, full_spectrum
 from .transforms import kelmans as kelmans_op
 from .weights import NAMED_WEIGHTS, parse_weight
@@ -94,7 +94,7 @@ def build_parser():
     p = sub.add_parser("certify", help="principal incidence matrix and its classification")
     _add_graph_source(p)
     p.add_argument("--weight", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=NORMALITY_TOL)
 
     p = sub.add_parser("subdivide", help="subdivide one edge; emits the new graph")
     _add_graph_source(p)

@@ -57,9 +57,6 @@ class Graph:
     def degree(self, v):
         return len(self.adj[v])
 
-    def neighbors(self, v):
-        return self.adj[v]
-
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
 
@@ -242,19 +239,11 @@ def fundamental_cycles(G):
     return cycles
 
 
-def _induced(G, vertices):
-    pos = {v: i for i, v in enumerate(vertices)}
-    edges = [
-        (pos[u], pos[v])
-        for u, v in G.edges
-        if u in pos and v in pos
-    ]
-    return Graph(len(vertices), edges)
-
-
 def induced_subgraph(G, vertices):
     """Induced subgraph on the given vertices, relabeled by position."""
-    return _induced(G, tuple(vertices))
+    vertices = tuple(vertices)
+    pos = {v: i for i, v in enumerate(vertices)}
+    return Graph(len(vertices), [(pos[u], pos[v]) for u, v in G.edges if u in pos and v in pos])
 
 
 def is_isomorphic(G, H):
@@ -325,7 +314,7 @@ def contains_induced(G, H):
         return True
     target_deg = sorted(degrees(H))
     for subset in combinations(range(G.n), H.n):
-        sub = _induced(G, subset)
+        sub = induced_subgraph(G, subset)
         if sub.m != H.m:
             continue
         if sorted(degrees(sub)) != target_deg:
@@ -355,11 +344,6 @@ def _refine(n, adj):
         colors = [palette[s] for s in sigs]
         cells = len(palette)
     return colors
-
-
-def _refined_colors(G):
-    """Iteratively refined vertex colors; color ids are iso-invariant."""
-    return _refine(G.n, G.adj)
 
 
 def _twin_reps(masks):

@@ -32,7 +32,7 @@ from .errors import (
     IncompleteIncidence,
 )
 from .graph_core import degrees, fundamental_cycles, internal_paths, is_connected
-from .spectral import DEFAULT_TOL, check_tol, f_spectral_radius
+from .spectral import check_tol, f_spectral_radius
 from .weights import WeightSpec, eval_weight
 
 NORMALITY_TOL = 1e-8
@@ -45,9 +45,9 @@ _ALPHA_PRIME_SLACK = 1e-9
 _UNIT_WEIGHT = WeightSpec.constant(1.0)
 
 
-def alpha_of(G, f, tol=DEFAULT_TOL):
+def alpha_of(G, f):
     """alpha(G) = rho_f(G)^(-2), the certification level of G itself."""
-    return _alpha(f_spectral_radius(G, f, tol=tol).rho)
+    return _alpha(f_spectral_radius(G, f).rho)
 
 
 def _alpha(rho):
@@ -91,19 +91,26 @@ class IncidenceWeights:
         return len(self._values)
 
 
-def principal_incidence(G, f, tol=DEFAULT_TOL):
+def principal_incidence(G, f):
     """The incidence matrix B(v, uv) = w(uv) * x_u / (rho * x_v) from the
     Perron eigenvector x.
 
     For connected G every vertex sum equals 1 and every edge product equals
     alpha(G) up to eigensolver error.
     """
+    return _principal(G, f)[1]
+
+
+def _principal(G, f):
+    """(alpha(G), principal incidence of G), from one solve.
+
+    Connectivity is checked before solving: on a disconnected graph the
+    Perron vector is not positive and the solve need not converge.
+    """
     if not is_connected(G):
         raise BadParams("principal incidence needs a connected graph")
-    return _principal(G, f, f_spectral_radius(G, f, tol=tol))
-
-
-def _principal(G, f, res):
+    res = f_spectral_radius(G, f)
+    alpha = _alpha(res.rho)
     x = res.vector
     degs = degrees(G)
     values = {}
@@ -111,7 +118,7 @@ def _principal(G, f, res):
         w = eval_weight(f, degs[u], degs[v])
         values[(u, (u, v))] = w * x[v] / (res.rho * x[u])
         values[(v, (u, v))] = w * x[u] / (res.rho * x[v])
-    return IncidenceWeights(G, values)
+    return alpha, IncidenceWeights(G, values)
 
 
 @dataclass
@@ -245,10 +252,6 @@ class FThetaContext:
         return 0.5 * (1.0 - math.tanh(self.theta) * math.tanh(0.5 * x * self.theta))
 
 
-def f_theta(x, ctx):
-    return ctx.f_theta(x)
-
-
 def check_recurrence(ctx, p, q, window, tol=1e-10):
     """Verify x_n = F_theta(p+q-2n) solves x_n = 1 - alpha'/x_{n-1}.
 
@@ -276,11 +279,6 @@ def path_endpoint_values(l, l1, l2, d0, dl, ctx):
     if l1 + l2 != 2 * l:
         raise BadSplit(f"split ({l1}, {l2}) must sum to 2*{l}")
     return ctx.beta(d0) * ctx.f_theta(l1), ctx.beta(dl) * ctx.f_theta(l2)
-
-
-def symmetric_endpoint_value(l, d, ctx):
-    """Endpoint value beta(d) F(l) for the similar-endpoints split."""
-    return ctx.beta(d) * ctx.f_theta(l)
 
 
 @dataclass
@@ -354,7 +352,6 @@ class SplitCertificate:
 
     incidence: IncidenceWeights
     weight_overrides: dict
-    modified_edges: tuple
 
 
 def incidence_from_splits(G, f, alpha, splits=None, modify_short_edges=False):
@@ -382,7 +379,6 @@ def incidence_from_splits(G, f, alpha, splits=None, modify_short_edges=False):
     splits = dict(splits or {})
     values = {}
     overrides = {}
-    modified = []
 
     for idx, path in enumerate(paths):
         verts = path.vertices
@@ -403,7 +399,6 @@ def incidence_from_splits(G, f, alpha, splits=None, modify_short_edges=False):
                 )
             e = edge_seq[0]
             overrides[e] = eval_weight(f, d0, 2)
-            modified.append(e)
             # With weight f(d0, 2), the alpha-exact endpoint pair is
             # (beta(d0) F(l1), F(l2)): their product is alpha' * beta(d0).
             values[(verts[0], e)] = ctx.beta(d0) * ctx.f_theta(l1)
@@ -418,19 +413,16 @@ def incidence_from_splits(G, f, alpha, splits=None, modify_short_edges=False):
             values[(verts[i], edge_seq[i])] = x_i
             values[(verts[i], edge_seq[i - 1])] = 1.0 - x_i
 
-    return SplitCertificate(IncidenceWeights(G, values), overrides, tuple(modified))
+    return SplitCertificate(IncidenceWeights(G, values), overrides)
 
 
-def certify(G, f, tol=NORMALITY_TOL, eig_tol=DEFAULT_TOL):
+def certify(G, f, tol=NORMALITY_TOL):
     """Principal-incidence certification of G: returns (alpha, report).
 
     For any connected graph this classifies as normal and consistent, which
     is the exactness half of the method. G is solved once; the report's
-    ``incidence`` is the principal incidence matrix.
+    ``incidence`` is the principal incidence matrix. A disconnected G raises
+    BadParams before any solve.
     """
-    res = f_spectral_radius(G, f, tol=eig_tol)
-    alpha = _alpha(res.rho)
-    if not is_connected(G):
-        raise BadParams("principal incidence needs a connected graph")
-    B = _principal(G, f, res)
+    alpha, B = _principal(G, f)
     return alpha, classify_normality(G, f, B, alpha, tol=tol)

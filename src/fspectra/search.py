@@ -28,7 +28,9 @@ keep several candidates, and the dedup by canonical code stays.
 Every search scores its candidates once, solving all candidates of one order
 in a single batched eigensolve, keeps the extremal value and the candidates
 tied with it, and reports winners in canonical order. Each named
-verification is one small function in the ``_CHECKS`` table.
+verification is one small function in the ``_CHECKS`` table; the checks on
+pendant-free bicyclic graphs score family specs directly and compare spec
+strings, so they need no canonical form and run at any order.
 """
 
 import math
@@ -52,7 +54,7 @@ from .graph_core import (
     is_isomorphic,
     twins,
 )
-from .spectral import check_tol, f_adjacency, f_spectral_radius, perron_values
+from .spectral import check_tol, f_adjacency, perron_values
 
 ENUMERATION_MAX_ORDER = 9
 TIE_TOL = 1e-7
@@ -392,12 +394,10 @@ def _pendant_free_of_kind(kind, m):
     return [sp for sp in enumerate_pendant_free_bicyclic(m - 1) if sp.kind == kind]
 
 
-def _winner_specs(report):
-    out = set()
-    for G in report.winners:
-        spec = identify_pendant_free_bicyclic(G)
-        out.add(str(spec) if spec else repr(G))
-    return out
+def _min_specs(specs, f, tie_tol, where):
+    """The strings of the family specs tied for the smallest rho_f."""
+    _, ties = _best(_scored(specs, f, make), "min", tie_tol, where)
+    return {str(sp) for _, sp in ties}
 
 
 def _each_winner(rep, f, r, class_name, objective, ok, label):
@@ -415,8 +415,8 @@ def _each_winner(rep, f, r, class_name, objective, ok, label):
 def _check_theta_infty_equality(rep, f, r):
     for s in r.s_values:
         for t in r.t_values:
-            a = f_spectral_radius(make(FamilySpec("theta", (s, s, t))), f).rho
-            b = f_spectral_radius(make(FamilySpec("infty", (s, s, t))), f).rho
+            pair = [f_adjacency(make(FamilySpec(k, (s, s, t))), f) for k in ("theta", "infty")]
+            a, b = perron_values(np.stack(pair))[0].tolist()
             rep.add(
                 abs(a - b) <= r.tie_tol,
                 f"{f} theta({s},{s},{t})={a:.9f} infty({s},{s},{t})={b:.9f}",
@@ -434,9 +434,8 @@ def _check_base_graph_reduction(rep, f, r):
 def _check_type_minimal(kind, rep, f, r):
     for m in r.m_values:
         expect = _balanced(kind, m)
-        scored = _scored(_pendant_free_of_kind(kind, m), f, make)
-        _, ties = _best(scored, "min", r.tie_tol, f"the {kind}-type class at m={m}")
-        winners = {str(sp) for _, sp in ties}
+        where = f"the {kind}-type class at m={m}"
+        winners = _min_specs(_pendant_free_of_kind(kind, m), f, r.tie_tol, where)
         rep.add(
             winners == {expect},
             f"{f} m={m}: min {kind}-type winners {sorted(winners)} expected [{expect}]",
@@ -449,8 +448,7 @@ def _check_infty_star_domination(rep, f, r):
             raise BadParams("infty-star domination needs size >= 9")
         thetas = _scored(_pendant_free_of_kind("theta", m), f, make)
         theta_best, _ = _best(thetas, "min", r.tie_tol, f"the theta-type class at m={m}")
-        stars = [FamilySpec("infty_star", (l1, m - l1)) for l1 in range(3, m // 2 + 1)]
-        for rho, sp in _scored(stars, f, make):
+        for rho, sp in _scored(_pendant_free_of_kind("infty_star", m), f, make):
             l1, l2 = sp.params
             rep.add(
                 theta_best < rho - r.tie_tol,
@@ -463,7 +461,8 @@ def _check_main_bicyclic(rep, f, r):
         if n < 8:
             raise BadParams("main theorem instances need order >= 8")
         expect = {_balanced("theta", n + 1), _balanced("infty", n + 1)}
-        winners = _winner_specs(extremal("pendant_free_bicyclic", n, f, "min", r.tie_tol))
+        where = f"class pendant_free_bicyclic at n={n}"
+        winners = _min_specs(enumerate_pendant_free_bicyclic(n), f, r.tie_tol, where)
         rep.add(
             winners == expect,
             f"{f} n={n}: winners {sorted(winners)} expected {sorted(expect)}",
@@ -558,6 +557,7 @@ def verify_theorem(
     check = _CHECKS.get(theorem)
     if check is None:
         raise BadParams(f"unknown theorem id {theorem!r}")
+    check_tol(tie_tol, "tie_tol")
     rep = TheoremReport(theorem, None)
     ranges = _Ranges(s_values, t_values, n_values, m_values, class_names, tie_tol)
     for f in weights:

@@ -8,7 +8,6 @@ from .graph_core import (
     degrees,
     fundamental_cycles,
     is_connected,
-    is_isomorphic,
     subdivided,
 )
 from .spectral import f_spectral_radius
@@ -37,6 +36,11 @@ def kelmans(G, u, v):
     Private means w is adjacent to u but neither equal nor adjacent to v.
     The edge count is preserved; u keeps its edges to v and to common
     neighbors.
+
+    With p = |moved| and q the number of neighbors w != u of v not adjacent
+    to u, the move changes the degree-square sum by 2pq. So p, q > 0 means
+    the result is not isomorphic to G; p = 0 leaves G unchanged, and q = 0
+    makes the transposition (u v) an isomorphism from G onto the result.
     """
     if u == v:
         raise BadParams("kelmans needs two distinct vertices")
@@ -50,16 +54,17 @@ def kelmans(G, u, v):
         edges.discard((min(u, w), max(u, w)))
         edges.add((min(v, w), max(v, w)))
     G2 = Graph(G.n, edges)
+    q = sum(1 for w in G.adj[v] if w != u and not G.has_edge(u, w))
     return KelmansResult(
         graph=G2,
         moved=moved,
         connected=is_connected(G2),
-        isomorphic_to_input=is_isomorphic(G, G2),
+        isomorphic_to_input=not moved or q == 0,
         endpoints_nonadjacent=not G.has_edge(u, v),
     )
 
 
-def best_cycle_subdivision(G, f, tol=None):
+def best_cycle_subdivision(G, f):
     """Subdivide a cycle edge chosen so the Perron value does not increase.
 
     Works for weight functions increasing in x. On the chosen cycle
@@ -76,8 +81,7 @@ def best_cycle_subdivision(G, f, tol=None):
     cycle = min(cycles, key=lambda c: (len(c), sorted(set(c))))
     ring = cycle[:-1]  # vertex sequence without the closing repeat
 
-    result = f_spectral_radius(G, f) if tol is None else f_spectral_radius(G, f, tol=tol)
-    x = result.vector
+    x = f_spectral_radius(G, f).vector
     degs = degrees(G)
     scores = {w: eval_weight(f, degs[w], 2) * x[w] for w in ring}
     pivot = min(ring, key=lambda w: (scores[w], w))

@@ -7,7 +7,7 @@ implementations.
 
 from itertools import combinations, permutations, product
 
-from fspectra.graph_core import Graph, _refined_colors
+from fspectra.graph_core import Graph, _refine
 
 
 def random_connected_graph(rng, n, extra_edges=0):
@@ -58,7 +58,7 @@ def brute_canonical_bits(G):
     sorted refined colours, i.e. every product of per-colour-class
     permutations. No pruning of any kind. Oracle only; fine for n <= 7.
     """
-    colors = _refined_colors(G)
+    colors = _refine(G.n, G.adj)
     classes = [
         [v for v in range(G.n) if colors[v] == c] for c in sorted(set(colors))
     ]

@@ -16,12 +16,10 @@ from fspectra.luman import (
     certify,
     check_recurrence,
     classify_normality,
-    f_theta,
     incidence_from_splits,
     inequality_oracles,
     path_endpoint_values,
     principal_incidence,
-    symmetric_endpoint_value,
 )
 from fspectra.spectral import f_spectral_radius
 from fspectra.weights import eval_weight, parse_weight
@@ -99,6 +97,20 @@ def test_normality_rejects_bad_tol(tol):
     _, report = certify(G, SOMBOR)
     with pytest.raises(BadParams):
         classify_normality(G, SOMBOR, report.incidence, report.alpha, tol=tol)
+
+
+def test_principal_incidence_rejects_zero_rho():
+    # abc(1,1) = 0, so K2 has rho = 0 and B = w x_u / (rho x_v) is undefined.
+    with pytest.raises(BadParams, match="alpha is undefined"):
+        principal_incidence(Graph(2, [(0, 1)]), parse_weight("abc"))
+
+
+def test_certify_rejects_disconnected_before_solving():
+    # Two paths of nearly equal length have nearly equal top eigenvalues, on
+    # which a solve of the whole matrix can run to its iteration limit.
+    G = Graph(299, [(i, i + 1) for i in range(149)] + [(i, i + 1) for i in range(150, 298)])
+    with pytest.raises(BadParams, match="principal incidence needs a connected graph"):
+        certify(G, SOMBOR)
 
 
 def test_classify_degenerate_is_none():
@@ -180,11 +192,6 @@ def test_alpha_prime_domain():
     assert ctx.alpha_prime == 0.25
 
 
-def test_f_theta_module_level():
-    ctx = ctx_for(0.2)
-    assert f_theta(3.0, ctx) == ctx.f_theta(3.0)
-
-
 # ------------------------------------------------------------- recurrence
 
 
@@ -241,7 +248,7 @@ def test_path_endpoint_values_bad_split():
 def test_path_endpoint_symmetric_case():
     ctx = FThetaContext.from_alpha_prime(0.2, TABLE)
     a, b = path_endpoint_values(2, 2, 2, 3, 3, ctx)
-    assert a == b == pytest.approx(symmetric_endpoint_value(2, 3, ctx))
+    assert a == b
     assert a == pytest.approx(ctx.beta(3) * ctx.f_theta(2))
 
 
@@ -365,8 +372,9 @@ def test_split_certificate_short_edge_flag():
     with pytest.raises(BadSplit):
         incidence_from_splits(G, SOMBOR, alpha)
     cert = incidence_from_splits(G, SOMBOR, alpha, modify_short_edges=True)
-    assert len(cert.modified_edges) == 1
-    e = cert.modified_edges[0]
+    modified = tuple(cert.weight_overrides)
+    assert len(modified) == 1
+    e = modified[0]
     assert cert.weight_overrides[e] == pytest.approx(eval_weight(SOMBOR, 3, 2))
     # products against the override weight are exact on the modified edge
     report = classify_normality(

@@ -85,6 +85,30 @@ def test_kelmans_preserves_edge_count():
         assert res.endpoints_nonadjacent == (not G.has_edge(u, v))
 
 
+def test_kelmans_isomorphism_flag_matches_search():
+    # Every ordered pair of seeded random graphs, connected or not, n <= 8.
+    rng = random.Random(919)
+    kinds = set()
+    for n in range(2, 9):
+        for _ in range(100):
+            p = rng.random()
+            G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            for u in range(n):
+                for v in range(n):
+                    if u != v:
+                        res = kelmans(G, u, v)
+                        assert res.isomorphic_to_input == is_isomorphic(G, res.graph), (G, u, v)
+                        kinds.add((bool(res.moved), res.isomorphic_to_input))
+    # unchanged, moved onto an isomorphic copy, and moved onto a new class
+    assert kinds == {(False, True), (True, True), (True, False)}
+
+
+def test_kelmans_large_star_is_isomorphic_at_once():
+    res = kelmans(make(parse_family("star:2000")), 0, 1)
+    assert res.moved == tuple(range(2, 2000))
+    assert res.isomorphic_to_input
+
+
 def test_kelmans_monotone_sample():
     rng = random.Random(431)
     fws = [SOMBOR, ZAGREB1, parse_weight("zagreb2")]

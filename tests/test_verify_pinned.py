@@ -9,7 +9,15 @@ import pytest
 
 from fspectra.cli import _parse_range, main
 from fspectra.errors import BadParams
-from fspectra.search import THEOREMS, verify_theorem
+from fspectra.families import identify_pendant_free_bicyclic
+from fspectra.search import (
+    THEOREMS,
+    TIE_TOL,
+    _min_specs,
+    enumerate_pendant_free_bicyclic,
+    extremal,
+    verify_theorem,
+)
 from fspectra.weights import parse_weight
 
 CASES = [
@@ -233,3 +241,34 @@ def test_verify_cli_pinned(capsys, theorem, weights, flags, passed, text):
 def test_verify_out_of_range_raises(theorem, kwargs):
     with pytest.raises(BadParams):
         verify_theorem(theorem, [parse_weight("sombor")], **kwargs)
+
+
+def test_main_bicyclic_runs_past_the_canonical_order(capsys):
+    code = main(["verify", "--theorem", "main-bicyclic", "--n", "13..16", "--weights", "sombor"])
+    assert capsys.readouterr().out == """\
+PASS sombor n=13: winners ['infty:5,5,4', 'theta:4,5,5'] expected ['infty:5,5,4', 'theta:4,5,5']
+PASS sombor n=14: winners ['infty:5,5,5', 'theta:5,5,5'] expected ['infty:5,5,5', 'theta:5,5,5']
+PASS sombor n=15: winners ['infty:5,5,6', 'theta:5,5,6'] expected ['infty:5,5,6', 'theta:5,5,6']
+PASS sombor n=16: winners ['infty:6,6,5', 'theta:5,6,6'] expected ['infty:6,6,5', 'theta:5,6,6']
+# theorem=main-bicyclic checks=4 failures=0
+"""
+    assert code == 0
+
+
+@pytest.mark.parametrize("weight", ["sombor", "zagreb1", "table:2,2=1;2,3=2;3,3=2"])
+def test_main_bicyclic_spec_winners_match_the_class_search(weight):
+    # The table lacks (2,4), so the class search skips the infty-star members.
+    f = parse_weight(weight)
+    for n in range(8, 13):
+        specs = enumerate_pendant_free_bicyclic(n)
+        report = extremal("pendant_free_bicyclic", n, f)
+        stars = sum(sp.kind == "infty_star" for sp in specs)
+        assert report.skipped == (stars if weight.startswith("table") else 0)
+        expect = {str(identify_pendant_free_bicyclic(G)) for G in report.winners}
+        assert _min_specs(specs, f, TIE_TOL, "") == expect
+
+
+def test_theta_infty_equality_missing_table_pair(capsys):
+    argv = ["--theorem", "theta-infty-equality", "--s", "3", "--t", "2", "--weights", "table:2,2=1"]
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr().err == "error: no table entry for degree pair (3, 2)\n"
