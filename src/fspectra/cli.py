@@ -4,6 +4,9 @@ Subcommands: rho, spectrum, certify, subdivide, kelmans, enumerate,
 extremal, verify. Numeric output uses 6 decimal places (round-half-even,
 Python's default float formatting). Exit codes: 0 success, 1 verification
 failure, 2 usage or domain error.
+
+``certify`` and ``kelmans`` import their modules when they run, so the
+other subcommands never load ``luman`` or ``transforms``.
 """
 
 import argparse
@@ -13,9 +16,7 @@ from . import search
 from .errors import FspectraError
 from .families import identify_pendant_free_bicyclic, make, parse_family
 from .graph_core import format_graph_text, read_graph_file, subdivided
-from .luman import NORMALITY_TOL, certify
 from .spectral import DEFAULT_TOL, f_adjacency, f_spectral_radius, full_spectrum
-from .transforms import kelmans as kelmans_op
 from .weights import NAMED_WEIGHTS, parse_weight
 
 
@@ -94,7 +95,7 @@ def build_parser():
     p = sub.add_parser("certify", help="principal incidence matrix and its classification")
     _add_graph_source(p)
     p.add_argument("--weight", required=True)
-    p.add_argument("--tol", type=float, default=NORMALITY_TOL)
+    p.add_argument("--tol", type=float, help="normality tolerance (default: luman.NORMALITY_TOL)")
 
     p = sub.add_parser("subdivide", help="subdivide one edge; emits the new graph")
     _add_graph_source(p)
@@ -158,9 +159,12 @@ def _cmd_spectrum(args):
 
 
 def _cmd_certify(args):
+    from .luman import NORMALITY_TOL, certify
+
     G = _load_graph(args)
     f = parse_weight(args.weight)
-    alpha, report = certify(G, f, tol=args.tol)
+    tol = NORMALITY_TOL if args.tol is None else args.tol
+    alpha, report = certify(G, f, tol=tol)
     print(f"alpha {alpha:.12g}")
     print(f"classification {report.classification}")
     print(f"consistent {str(report.consistent).lower()}")
@@ -187,8 +191,10 @@ def _cmd_subdivide(args):
 
 
 def _cmd_kelmans(args):
+    from .transforms import kelmans
+
     G = _load_graph(args)
-    res = kelmans_op(G, args.u, args.v)
+    res = kelmans(G, args.u, args.v)
     print(f"# moved {','.join(str(w) for w in res.moved) or '-'}")
     print(f"# connected {str(res.connected).lower()}")
     print(f"# isomorphic_to_input {str(res.isomorphic_to_input).lower()}")

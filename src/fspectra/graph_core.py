@@ -383,9 +383,12 @@ def canonical_code(n, adj, masks):
     Equal codes of equal order mean isomorphic graphs. Found by branch and
     bound over those orderings; at each position the search tries one
     unused vertex per twin class, since swapping two unused twins fixes the
-    prefix and so leaves the subtree's bitstrings unchanged. Each vertex's
-    column against the assigned prefix is kept as an int, shifted in when a
-    position is assigned and out on backtrack. Supports n <= 12.
+    prefix and so leaves the subtree's bitstrings unchanged. A candidate's
+    column is read from its own adjacency list: ``bit[u]`` is 1 << (n - 1 -
+    position of u) for an assigned u and 0 otherwise, so the sum over the
+    candidate's neighbours, shifted right by n - p, is its column against
+    the first p positions. Assigning or releasing a position touches one
+    entry. Supports n <= 12.
     """
     if n > CANONICAL_MAX_VERTICES:
         raise SizeLimit(f"canonical form supports at most {CANONICAL_MAX_VERTICES} vertices")
@@ -396,8 +399,8 @@ def canonical_code(n, adj, masks):
     cells = [by_color[c] for c in sorted(by_color) for _ in by_color[c]]
     rep = _twin_reps(masks)
     total = n * (n - 1) // 2
-    cols = [0] * n
-    used = [False] * n
+    bit = [0] * n  # also the used flags: an assigned vertex has a nonzero bit
+    get = bit.__getitem__
     best = -1
 
     def dfs(p, code):
@@ -406,13 +409,14 @@ def canonical_code(n, adj, masks):
             best = max(best, code)
             return
         rest = total - p * (p + 1) // 2  # bits after this position's column
+        shift = n - p
         cands = []
         tried = set()
         for v in cells[p]:
-            if used[v] or rep[v] in tried:
+            if bit[v] or rep[v] in tried:
                 continue
             tried.add(rep[v])
-            cands.append((cols[v], v))
+            cands.append((sum(map(get, adj[v])) >> shift, v))
         cands.sort(reverse=True)
         for col, v in cands:
             # Recompare against best on every child: a sibling's subtree may
@@ -421,11 +425,9 @@ def canonical_code(n, adj, masks):
             prefix = code << p | col
             if prefix < best >> rest:
                 break
-            used[v] = True
-            cols[:] = [c << 1 | (mask >> v) & 1 for c, mask in zip(cols, masks)]
+            bit[v] = 1 << shift - 1
             dfs(p + 1, prefix)
-            cols[:] = [c >> 1 for c in cols]
-            used[v] = False
+            bit[v] = 0
 
     dfs(0, 0)
     return best

@@ -56,7 +56,11 @@ from .graph_core import (
 )
 from .spectral import check_tol, f_adjacency, perron_values
 
+# Largest order enumerate_connected lists: 11 for the search classes (trees,
+# unicyclic and bicyclic, m <= n + 1), 9 for denser sizes, whose levels at
+# orders 10 and 11 run to millions of classes.
 ENUMERATION_MAX_ORDER = 9
+SPARSE_MAX_ORDER = 11
 TIE_TOL = 1e-7
 
 
@@ -106,13 +110,20 @@ def _classes(n, codes):
     return tuple(graph_of_code(n, code) for code in sorted(codes))
 
 
-def _degree_key(adj, a, b):
-    da, db = len(adj[a]), len(adj[b])
-    return (da, db) if da <= db else (db, da)
+def _neighbour_key(deg, adj, a, b, memo):
+    """The sorted pair of the sorted neighbour-degree tuples of a and b.
 
-
-def _neighbour_key(adj, a, b):
-    return tuple(sorted(tuple(sorted(len(adj[y]) for y in adj[x])) for x in (a, b)))
+    ``memo`` maps each vertex to its tuple, so a vertex's tuple is built
+    once however many keys share it.
+    """
+    pair = []
+    for x in (a, b):
+        t = memo.get(x)
+        if t is None:
+            t = memo[x] = tuple(sorted(map(deg.__getitem__, adj[x])))
+        pair.append(t)
+    ta, tb = pair
+    return (ta, tb) if ta <= tb else (tb, ta)
 
 
 def _bridge_sides(G):
@@ -145,17 +156,20 @@ def _keeps(adj, e, rivals, sides):
     minus e to one side's vertex mask, so such a rival is removable only
     if e crosses it; leaf deletions are always removable.
     """
+    deg = [len(a) for a in adj]
     u, v = e
-    key = _degree_key(adj, u, v)
+    key = (deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u])
+    memo = {}
     neighbours = None
     for a, b in rivals:
-        rival = _degree_key(adj, a, b)
+        da, db = deg[a], deg[b]
+        rival = (da, db) if da <= db else (db, da)
         if rival < key:
             continue
         if rival == key:
             if neighbours is None:
-                neighbours = _neighbour_key(adj, u, v)
-            if _neighbour_key(adj, a, b) <= neighbours:
+                neighbours = _neighbour_key(deg, adj, u, v, memo)
+            if _neighbour_key(deg, adj, a, b, memo) <= neighbours:
                 continue
         side = sides.get((a, b))
         if side is None or ((side >> u) ^ (side >> v)) & 1:
@@ -184,8 +198,11 @@ def enumerate_connected(n, m):
     Returns canonical representatives sorted by canonical form; cached, so
     treat the result as read-only.
     """
-    if n > ENUMERATION_MAX_ORDER:
-        raise SizeLimit(f"enumeration supports order <= {ENUMERATION_MAX_ORDER}")
+    if n > (SPARSE_MAX_ORDER if m <= n + 1 else ENUMERATION_MAX_ORDER):
+        raise SizeLimit(
+            f"enumeration supports order <= {SPARSE_MAX_ORDER} with at most n + 1 "
+            f"edges and order <= {ENUMERATION_MAX_ORDER} otherwise"
+        )
     if n < 1 or m < 0 or m > n * (n - 1) // 2:
         raise BadParams(f"no simple graphs with n={n}, m={m}")
     if m < n - 1:

@@ -51,21 +51,34 @@ def bits_in_order(G, order):
 
 
 def brute_canonical_bits(G):
-    """The library's canonical encoding (n, bits) by exhaustive search.
+    """The library's canonical encoding (n, bits) by exhaustive search:
+    ``brute_canonical_code`` of G as a tuple of bits, first bit first."""
+    total = G.n * (G.n - 1) // 2
+    code = brute_canonical_code(G.n, G.adj)
+    return (G.n, tuple(code >> (total - 1 - i) & 1 for i in range(total)))
 
-    bits is the lexicographically largest column-major upper-triangle
-    bitstring over every vertex ordering whose colour sequence equals the
-    sorted refined colours, i.e. every product of per-colour-class
-    permutations. No pruning of any kind. Oracle only; fine for n <= 7.
+
+def brute_canonical_code(n, adj):
+    """``canonical_code(n, adj, masks)`` by exhaustive search.
+
+    Takes adjacency lists in any order, of any graph, connected or not.
+    The code is the largest column-major upper-triangle bitstring, read as
+    an int with its first bit most significant, over every vertex ordering
+    compatible with the refined colour cells. No pruning of any kind.
+    Oracle only; fine for n <= 7.
     """
-    colors = _refine(G.n, G.adj)
-    classes = [
-        [v for v in range(G.n) if colors[v] == c] for c in sorted(set(colors))
-    ]
-    best = ()
+    colors = _refine(n, adj)
+    classes = [[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))]
+    neighbours = [set(a) for a in adj]
+    best = 0
     for parts in product(*(permutations(cls) for cls in classes)):
-        best = max(best, bits_in_order(G, [v for part in parts for v in part]))
-    return (G.n, best)
+        order = [v for part in parts for v in part]
+        code = 0
+        for j in range(1, n):
+            for i in range(j):
+                code = code << 1 | (order[i] in neighbours[order[j]])
+        best = max(best, code)
+    return best
 
 
 def brute_twins(G):

@@ -261,3 +261,24 @@ def test_class_search_rejects_overflowing_row_sums(capsys):
     assert out == ""
     assert err == "error: matrix entries and row sums must be finite, got row sum inf\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_abc_on_k2_is_exactly_zero_and_has_no_alpha(capsys):
+    # abc(1,1) = sqrt((1 + 1 - 2) / 1) = 0, so the matrix of K_2 is zero:
+    # rho = 0 is exact, and alpha = 1/rho does not exist.
+    code, out, err = run(capsys, "rho", "--family", "path:2", "--weight", "abc")
+    assert (code, out, err) == (0, "rho 0.000000\n", "")
+    code, out, err = run(capsys, "certify", "--family", "path:2", "--weight", "abc")
+    assert (code, out) == (2, "")
+    assert err == "error: alpha is undefined for a graph with rho = 0\n"
+
+
+def test_enumerate_order_ceiling(capsys):
+    code, out, _ = run(capsys, "enumerate", "--class", "trees", "--order", "11")
+    assert code == 0
+    assert out.endswith("# count 235\n")
+    for argv in (("--class", "trees", "--order", "12"),
+                 ("--class", "connected", "--order", "10", "--size", "12")):
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert (code, out) == (2, "")
+        assert "enumeration supports order <= 11" in err

@@ -29,6 +29,7 @@ from fspectra.graph_core import (
 from helpers import (
     bits_in_order,
     brute_canonical_bits,
+    brute_canonical_code,
     brute_contains_induced,
     brute_is_isomorphic,
     brute_twins,
@@ -235,6 +236,28 @@ def _twin_heavy_corpus():
 def test_canonical_form_matches_brute_force_encoding():
     for G in _twin_heavy_corpus():
         assert canonical_form(G) == brute_canonical_bits(G), G
+
+
+def test_canonical_code_matches_brute_force_on_any_graph():
+    # Enumeration hands the kernel only sparse connected graphs; this covers
+    # dense and disconnected ones too, with adjacency lists in shuffled order.
+    rng = random.Random(4711)
+    graphs = [
+        Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),  # 2 K_3
+        Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]),  # C_4 + K_2 + K_1
+        complete_multipartite(*[1] * 7),
+    ]
+    for _ in range(120):
+        n = rng.randint(1, 7)
+        p = rng.choice((0.2, 0.4, 0.7, 0.9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graphs.append(Graph(n, [e for e in pairs if rng.random() < p]))
+    assert sum(G.n >= 4 and not is_connected(G) for G in graphs) >= 20
+    # at least three quarters of all pairs joined, on five or more vertices
+    assert sum(G.n >= 5 and 4 * G.m >= 3 * G.n * (G.n - 1) // 2 for G in graphs) >= 10
+    for G in graphs:
+        adj = [tuple(rng.sample(a, len(a))) for a in G.adj]
+        assert canonical_code(G.n, adj, G.masks) == brute_canonical_code(G.n, adj), G
 
 
 def test_twins_examples():

@@ -73,7 +73,9 @@ def test_enumerate_connected_counts_against_oracle():
 def test_enumerate_connected_edge_cases():
     assert enumerate_connected(5, 3) == ()  # below tree threshold
     with pytest.raises(SizeLimit):
-        enumerate_connected(10, 11)
+        enumerate_connected(12, 13)
+    with pytest.raises(SizeLimit):
+        enumerate_connected(10, 12)  # denser than bicyclic: order 9 at most
     with pytest.raises(BadParams):
         enumerate_connected(4, 7)
 
@@ -135,7 +137,8 @@ def _clear_enumeration_caches():
 
 def test_cold_enumeration_computes_few_canonical_forms(monkeypatch):
     # Twin pruning alone computed 5739 canonical forms here; canonical
-    # deletion leaves about one candidate per class and level.
+    # deletion leaves about one candidate per class and level. The exact
+    # count pins the keep decisions of growth.
     calls = []
     kernel = search.canonical_code
 
@@ -147,7 +150,7 @@ def test_cold_enumeration_computes_few_canonical_forms(monkeypatch):
     monkeypatch.setattr(search, "canonical_code", counted)
     graphs = enumerate_connected(9, 10)
     assert len(graphs) == 797
-    assert 797 <= len(calls) <= 2000
+    assert len(calls) == 1446
 
 
 def test_no_candidate_outlives_its_class():
@@ -201,16 +204,16 @@ def test_enumeration_lists_pinned(n, m):
     assert hashlib.sha256(text.encode()).hexdigest() == LIST_DIGESTS[(n, m)]
 
 # OEIS A000055 (trees), A001429 (connected unicyclic), A001435 (connected
-# bicyclic), n = 4..9.
+# bicyclic), n = 4..11.
 OEIS_COUNTS = {
-    "trees": (2, 3, 6, 11, 23, 47),
-    "unicyclic": (2, 5, 13, 33, 89, 240),
-    "bicyclic": (1, 5, 19, 67, 236, 797),
+    "trees": (2, 3, 6, 11, 23, 47, 106, 235),
+    "unicyclic": (2, 5, 13, 33, 89, 240, 657, 1806),
+    "bicyclic": (1, 5, 19, 67, 236, 797, 2678, 8833),
 }
 
 
 @pytest.mark.parametrize("class_name", sorted(OEIS_COUNTS))
-@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("n", range(4, 12))
 def test_class_counts_match_oeis(class_name, n):
     graphs = class_graphs(class_name, n)
     assert len(graphs) == OEIS_COUNTS[class_name][n - 4]
