@@ -120,7 +120,6 @@ def build_parser():
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--weight", required=True)
     p.add_argument("--objective", choices=["min", "max"], default="min")
-    p.add_argument("--tie-tol", type=float, default=search.TIE_TOL)
 
     p = sub.add_parser("verify", help="run a named verification; exit 1 on failure")
     p.add_argument("--theorem", required=True, choices=list(search.THEOREMS))
@@ -204,9 +203,9 @@ def _cmd_kelmans(args):
 
 
 def _cmd_enumerate(args):
+    if (args.class_name == "connected") != (args.size is not None):
+        raise FspectraError("--class connected requires --size, and no other class takes it")
     if args.class_name == "connected":
-        if args.size is None:
-            raise FspectraError("--class connected requires --size")
         graphs = list(search.enumerate_connected(args.order, args.size))
     else:
         graphs = search.class_graphs(args.class_name.replace("-", "_"), args.order)
@@ -221,13 +220,7 @@ def _cmd_enumerate(args):
 
 def _cmd_extremal(args):
     f = parse_weight(args.weight)
-    report = search.extremal(
-        args.class_name.replace("-", "_"),
-        args.order,
-        f,
-        args.objective,
-        tie_tol=args.tie_tol,
-    )
+    report = search.extremal(args.class_name.replace("-", "_"), args.order, f, args.objective)
     sys.stdout.write(search.report_tsv(report))
     return 0
 

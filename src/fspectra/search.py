@@ -27,7 +27,8 @@ keep several candidates, and the dedup by canonical code stays.
 
 Every search scores its candidates once, solving all candidates of one order
 in a single batched eigensolve, keeps the extremal value and the candidates
-tied with it, and reports winners in canonical order. Each named
+tied with it (values at most the sum of their ``perron_values`` error
+half-widths apart), and reports winners in canonical order. Each named
 verification is one small function in the ``_CHECKS`` table; the checks on
 pendant-free bicyclic graphs score family specs directly and compare spec
 strings, so they need no canonical form and run at any order.
@@ -54,14 +55,15 @@ from .graph_core import (
     is_isomorphic,
     twins,
 )
-from .spectral import check_tol, f_adjacency, perron_values
+from .spectral import f_adjacency, perron_values
 
 # Largest order enumerate_connected lists: 11 for the search classes (trees,
 # unicyclic and bicyclic, m <= n + 1), 9 for denser sizes, whose levels at
 # orders 10 and 11 run to millions of classes.
 ENUMERATION_MAX_ORDER = 9
 SPARSE_MAX_ORDER = 11
-TIE_TOL = 1e-7
+# Largest stack of dense matrices, in bytes, a pendant-free bicyclic search builds.
+STACK_MAX_BYTES = 2 ** 30
 
 
 def enumerate_pendant_free_bicyclic(n):
@@ -70,7 +72,8 @@ def enumerate_pendant_free_bicyclic(n):
     Theta(l1<=l2<=l3) with l1+l2+l3 = n+1 (at most one length 1),
     infty(l1<=l2, l3) with cycles >= 3 and path >= 1, and
     infty_star(l1<=l2) with cycles summing to n+1. No two specs are
-    isomorphic.
+    isomorphic. Raises SizeLimit if one matrix per spec would pass
+    STACK_MAX_BYTES.
     """
     if n < 4:
         raise BadParams("pendant-free bicyclic graphs need order >= 4")
@@ -91,6 +94,10 @@ def enumerate_pendant_free_bicyclic(n):
         l2 = total - l1
         if l2 >= l1:
             specs.append(FamilySpec("infty_star", (l1, l2)))
+    need = len(specs) * n * n * 8
+    if need > STACK_MAX_BYTES:
+        raise SizeLimit(f"pendant-free bicyclic searches at order {n} need {need / 1e9:.2f} GB "
+                        f"of matrices, over the {STACK_MAX_BYTES / 1e9:.2f} GB limit")
     return specs
 
 
@@ -250,11 +257,11 @@ def class_graphs(class_name, n):
 class SearchReport:
     """Extremal outcome over one enumerated class.
 
-    ``winners`` collects every graph within ``tie_tol`` of the extremal
-    value, sorted by canonical form; ``winner_values`` holds their Perron
-    values in the same order. ``skipped`` counts candidates a table weight
-    could not evaluate (missing degree pairs); they are excluded from the
-    optimum.
+    ``winners`` collects every graph tied with the extremal value (within
+    the sum of the two solve error half-widths), sorted by canonical form;
+    ``winner_values`` holds their Perron values in the same order.
+    ``skipped`` counts candidates a table weight could not evaluate (missing
+    degree pairs); they are excluded from the optimum.
     """
 
     class_name: str
@@ -266,12 +273,12 @@ class SearchReport:
     examined: int
     skipped: int
     elapsed: float
-    tie_tol: float = TIE_TOL
     winner_values: list = field(default_factory=list)
 
 
 def _scored(items, f, graph_of=lambda G: G):
-    """(rho, item) for every item whose graph f can evaluate, in input order.
+    """(rho, err, item), err the solve's error half-width, for every item
+    whose graph f can evaluate, in input order.
 
     The f-adjacency matrices of each order fill one stack, solved by one
     ``perron_values`` call.
@@ -280,7 +287,7 @@ def _scored(items, f, graph_of=lambda G: G):
     for i, item in enumerate(items):
         G = graph_of(item)
         by_order.setdefault(G.n, []).append((i, G))
-    rho = {}
+    scores = {}
     for n, members in by_order.items():
         stack = np.empty((len(members), n, n))
         kept = []
@@ -291,43 +298,43 @@ def _scored(items, f, graph_of=lambda G: G):
                 continue
             kept.append(i)
         if kept:
-            rho.update(zip(kept, perron_values(stack[: len(kept)])[0].tolist()))
-    return [(rho[i], item) for i, item in enumerate(items) if i in rho]
+            rho, _, err = perron_values(stack[: len(kept)])
+            scores.update(zip(kept, zip(rho.tolist(), err.tolist())))
+    return [(*scores[i], item) for i, item in enumerate(items) if i in scores]
 
 
-def _best(scored, objective, tie_tol, where):
-    """The extremal rho of (rho, item) pairs and the pairs within tie_tol of it.
+def _best(scored, objective, where):
+    """The extremal (rho, err, item) triple and every triple tied with it:
+    one whose rho differs from the extremal rho by at most the two errs' sum.
 
     Raises BadParams naming ``where`` when f could evaluate none of them.
     """
     if not scored:
         raise BadParams(f"no evaluable graphs in {where}")
-    best = (min if objective == "min" else max)(v for v, _ in scored)
-    return best, [(v, item) for v, item in scored if abs(v - best) <= tie_tol]
+    top = (min if objective == "min" else max)(scored, key=lambda t: t[0])
+    return top, [t for t in scored if abs(t[0] - top[0]) <= t[1] + top[1]]
 
 
-def extremal(class_name, n, f, objective="min", tie_tol=TIE_TOL):
+def extremal(class_name, n, f, objective="min"):
     """Exact extremal set of rho_f over an enumerated class."""
     if objective not in ("min", "max"):
         raise BadParams("objective must be 'min' or 'max'")
-    check_tol(tie_tol, "tie_tol")
     start = time.perf_counter()
     graphs = class_graphs(class_name, n)
     scored = _scored(graphs, f)
-    best, ties = _best(scored, objective, tie_tol, f"class {class_name} at n={n}")
-    ties.sort(key=lambda t: canonical_form(t[1]))
+    top, ties = _best(scored, objective, f"class {class_name} at n={n}")
+    ties.sort(key=lambda t: canonical_form(t[2]))
     return SearchReport(
         class_name=class_name,
         order=n,
         weight=f,
         objective=objective,
-        winners=[G for _, G in ties],
-        value=best,
+        winners=[G for *_, G in ties],
+        value=top[0],
         examined=len(scored),
         skipped=len(graphs) - len(scored),
         elapsed=time.perf_counter() - start,
-        tie_tol=tie_tol,
-        winner_values=[v for v, _ in ties],
+        winner_values=[v for v, *_ in ties],
     )
 
 
@@ -393,7 +400,6 @@ class _Ranges(NamedTuple):
     n_values: tuple
     m_values: tuple
     class_names: tuple
-    tie_tol: float
 
 
 def _balanced(kind, m):
@@ -411,10 +417,10 @@ def _pendant_free_of_kind(kind, m):
     return [sp for sp in enumerate_pendant_free_bicyclic(m - 1) if sp.kind == kind]
 
 
-def _min_specs(specs, f, tie_tol, where):
+def _min_specs(specs, f, where):
     """The strings of the family specs tied for the smallest rho_f."""
-    _, ties = _best(_scored(specs, f, make), "min", tie_tol, where)
-    return {str(sp) for _, sp in ties}
+    _, ties = _best(_scored(specs, f, make), "min", where)
+    return {str(sp) for *_, sp in ties}
 
 
 def _each_winner(rep, f, r, class_name, objective, ok, label):
@@ -423,7 +429,7 @@ def _each_winner(rep, f, r, class_name, objective, ok, label):
     ``label`` is formatted with f, class_name, n and rho (the extremal value).
     """
     for n in r.n_values:
-        report = extremal(class_name, n, f, objective, r.tie_tol)
+        report = extremal(class_name, n, f, objective)
         text = label.format(f=f, class_name=class_name, n=n, rho=report.value)
         for G in report.winners:
             rep.add(ok(G), text)
@@ -433,9 +439,10 @@ def _check_theta_infty_equality(rep, f, r):
     for s in r.s_values:
         for t in r.t_values:
             pair = [f_adjacency(make(FamilySpec(k, (s, s, t))), f) for k in ("theta", "infty")]
-            a, b = perron_values(np.stack(pair))[0].tolist()
+            rho, _, err = perron_values(np.stack(pair))
+            (a, b), (err_a, err_b) = rho.tolist(), err.tolist()
             rep.add(
-                abs(a - b) <= r.tie_tol,
+                abs(a - b) <= err_a + err_b,
                 f"{f} theta({s},{s},{t})={a:.9f} infty({s},{s},{t})={b:.9f}",
             )
 
@@ -452,7 +459,7 @@ def _check_type_minimal(kind, rep, f, r):
     for m in r.m_values:
         expect = _balanced(kind, m)
         where = f"the {kind}-type class at m={m}"
-        winners = _min_specs(_pendant_free_of_kind(kind, m), f, r.tie_tol, where)
+        winners = _min_specs(_pendant_free_of_kind(kind, m), f, where)
         rep.add(
             winners == {expect},
             f"{f} m={m}: min {kind}-type winners {sorted(winners)} expected [{expect}]",
@@ -464,11 +471,11 @@ def _check_infty_star_domination(rep, f, r):
         if m < 9:
             raise BadParams("infty-star domination needs size >= 9")
         thetas = _scored(_pendant_free_of_kind("theta", m), f, make)
-        theta_best, _ = _best(thetas, "min", r.tie_tol, f"the theta-type class at m={m}")
-        for rho, sp in _scored(_pendant_free_of_kind("infty_star", m), f, make):
+        (theta_best, theta_err, _), _ = _best(thetas, "min", f"the theta-type class at m={m}")
+        for rho, err, sp in _scored(_pendant_free_of_kind("infty_star", m), f, make):
             l1, l2 = sp.params
             rep.add(
-                theta_best < rho - r.tie_tol,
+                theta_best + theta_err < rho - err,
                 f"{f} m={m}: best theta {theta_best:.6f} < infty-star({l1},{l2}) {rho:.6f}",
             )
 
@@ -479,7 +486,7 @@ def _check_main_bicyclic(rep, f, r):
             raise BadParams("main theorem instances need order >= 8")
         expect = {_balanced("theta", n + 1), _balanced("infty", n + 1)}
         where = f"class pendant_free_bicyclic at n={n}"
-        winners = _min_specs(enumerate_pendant_free_bicyclic(n), f, r.tie_tol, where)
+        winners = _min_specs(enumerate_pendant_free_bicyclic(n), f, where)
         rep.add(
             winners == expect,
             f"{f} n={n}: winners {sorted(winners)} expected {sorted(expect)}",
@@ -529,7 +536,7 @@ def _check_conjecture_pstarstar(rep, f, r):
                 raise BadParams(f"conjecture check has no target for {class_name!r}")
             spec = _CONJECTURED[class_name](n)
             target = make(spec)
-            report = extremal(class_name, n, f, "max", r.tie_tol)
+            report = extremal(class_name, n, f, "max")
             match = any(is_isomorphic(G, target) for G in report.winners)
             rep.observe(
                 f"{f} {class_name} n={n}: observed max "
@@ -564,7 +571,6 @@ def verify_theorem(
     n_values=(8,),
     m_values=(9,),
     class_names=("trees", "unicyclic", "bicyclic"),
-    tie_tol=TIE_TOL,
 ):
     """Run one named verification and return a TheoremReport.
 
@@ -574,9 +580,8 @@ def verify_theorem(
     check = _CHECKS.get(theorem)
     if check is None:
         raise BadParams(f"unknown theorem id {theorem!r}")
-    check_tol(tie_tol, "tie_tol")
     rep = TheoremReport(theorem, None)
-    ranges = _Ranges(s_values, t_values, n_values, m_values, class_names, tie_tol)
+    ranges = _Ranges(s_values, t_values, n_values, m_values, class_names)
     for f in weights:
         check(rep, f, ranges)
     return rep.finalize()

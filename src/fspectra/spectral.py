@@ -7,7 +7,8 @@ row sum: the shift makes the spectrum nonnegative, so the largest
 eigenvalue of A dominates in modulus even for bipartite-like spectra with
 a matching -rho eigenvalue. Both accept rho by the same relative residual
 bound, the power iteration on its positive vector and the batched solve on
-each signed unit eigenvector. Full spectra go through LAPACK's symmetric
+each signed unit eigenvector, and the batched solve returns an error
+half-width with each rho. Full spectra go through LAPACK's symmetric
 eigensolver.
 """
 
@@ -26,10 +27,10 @@ FULL_SPECTRUM_MAX_ORDER = 64
 INTERLACING_TOL = 1e-8
 
 
-def check_tol(tol, name="tol"):
-    """Raise BadParams unless the tolerance ``name`` is finite and >= 0."""
+def check_tol(tol):
+    """Raise BadParams unless the tolerance is finite and >= 0."""
     if not 0 <= tol < math.inf:
-        raise BadParams(f"{name} must be finite and >= 0, got {tol}")
+        raise BadParams(f"tol must be finite and >= 0, got {tol}")
 
 
 def f_adjacency(G, f):
@@ -106,12 +107,13 @@ def perron_values(stack, tol=DEFAULT_TOL):
     """Perron data of every matrix in a (k, n, n) stack, from one LAPACK call.
 
     Each matrix must be symmetric and nonnegative. Returns (rho, vectors,
-    residuals): rho[i] is the largest eigenvalue of stack[i], vectors[i] the
+    errors): rho[i] is the largest eigenvalue of stack[i], vectors[i] the
     absolute value of its eigenvector scaled to unit maximum entry, and
-    residuals[i] = max|Mx - rho*x| for that vector. rho[i] is accepted on
-    the signed unit eigenvector v: by Weyl's inequality some eigenvalue lies
-    within ||Mv - rho*v||_2 of rho, so NoConvergence (counting the direct
-    solve as one iteration) is raised if any such residual exceeds
+    errors[i] = ||Mv - rho*v||_2 + n*eps*(max row sum) an error half-width
+    for rho[i], with v the signed unit eigenvector: by Weyl's inequality
+    some eigenvalue lies within ||Mv - rho*v||_2 of rho, and the second
+    term bounds the rounding in that residual. NoConvergence (counting the
+    direct solve as one iteration) is raised if any such residual exceeds
     tol * max(1, rho). The returned vectors themselves are not checked:
     when the top two eigenvalues nearly coincide, |v| can be far from an
     eigenvector while rho is accurate. A stack with a non-finite entry or
@@ -123,7 +125,7 @@ def perron_values(stack, tol=DEFAULT_TOL):
         raise BadParams("stack must have shape (k, n, n)")
     if stack.shape[1] == 0:
         raise BadParams("matrices must be nonempty")
-    _finite_row_sums(stack)
+    sums = _finite_row_sums(stack)
     values, vectors = np.linalg.eigh(stack)
     rho = values[:, -1]
     v = vectors[:, :, -1]
@@ -137,8 +139,7 @@ def perron_values(stack, tol=DEFAULT_TOL):
         raise NoConvergence(1, float((signed * scale)[missed].max()))
     x = np.abs(v)
     x /= x.max(axis=1, keepdims=True)
-    residuals = np.abs((stack @ x[:, :, None])[:, :, 0] - rho[:, None] * x).max(axis=1)
-    return rho, x, residuals
+    return rho, x, signed * scale + stack.shape[1] * np.finfo(float).eps * sums.max(axis=1)
 
 
 def f_spectral_radius(G, f, tol=DEFAULT_TOL):

@@ -230,10 +230,11 @@ def test_verify_near_tied_eigenvalues(capsys):
         (("rho", "--family", "cycle:5", "--weight", "const:inf"), "finite"),
         (("rho", "--family", "cycle:5", "--weight", "table:2,2=inf"), "finite"),
         (("rho", "--family", "cycle:5", "--weight", "sombor", "--tol", "nan"), "tol"),
-        (("extremal", "--class", "trees", "--order", "6", "--weight", "sombor",
-          "--tie-tol", "nan"), "tie_tol"),
-        (("extremal", "--class", "trees", "--order", "6", "--weight", "sombor",
-          "--tie-tol", "-1"), "tie_tol"),
+        (("enumerate", "--class", "trees", "--order", "5", "--size", "9"),
+         "no other class takes it"),
+        # 13068 dense order-200 matrices would take 4.2 GB; refused before any is built.
+        (("verify", "--theorem", "main-bicyclic", "--weights", "sombor", "--n", "200..200"),
+         "pendant-free bicyclic searches at order 200 need 4.18 GB"),
         (("verify", "--theorem", "main-bicyclic", "--weights", "sombor", "--n", "12..8"),
          "empty range"),
         (("verify", "--theorem", "main-bicyclic", "--weights", "sombor", "--n", "8..x"),

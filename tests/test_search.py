@@ -380,6 +380,14 @@ def test_pendant_free_needs_order_four():
         enumerate_pendant_free_bicyclic(3)
 
 
+def test_pendant_free_order_bounded_by_the_stack_budget():
+    # Order 142 lists 6613 specs, a 1.07e9-byte stack, just under the budget.
+    specs = enumerate_pendant_free_bicyclic(142)
+    assert len(specs) * 142 * 142 * 8 <= search.STACK_MAX_BYTES
+    with pytest.raises(SizeLimit, match="order 143"):
+        enumerate_pendant_free_bicyclic(143)
+
+
 # Taken from the per-graph power-iteration scoring that preceded the batched
 # solve; the elapsed field is left out.
 PARTIAL_TABLE_TSV = {
@@ -412,7 +420,8 @@ def test_scored_keeps_input_order_across_orders():
              "theta:2,2,3", "path:9"]  # star:5 has a (1,4) edge the table lacks
     items = [parse_family(s) for s in specs]
     scored = _scored(items, f, make)
-    assert [str(sp) for _, sp in scored] == [s for s in specs if s != "star:5"]
-    for rho, sp in scored:
-        assert type(rho) is float
+    assert [str(sp) for *_, sp in scored] == [s for s in specs if s != "star:5"]
+    for rho, err, sp in scored:
+        assert type(rho) is type(err) is float
         assert rho == pytest.approx(f_spectral_radius(make(sp), f).rho, rel=1e-12)
+        assert 0.0 < err <= 1e-12 * max(1.0, rho)

@@ -12,7 +12,6 @@ from fspectra.errors import BadParams
 from fspectra.families import identify_pendant_free_bicyclic
 from fspectra.search import (
     THEOREMS,
-    TIE_TOL,
     _min_specs,
     enumerate_pendant_free_bicyclic,
     extremal,
@@ -255,6 +254,29 @@ PASS sombor n=16: winners ['infty:6,6,5', 'theta:5,6,6'] expected ['infty:6,6,5'
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("main-bicyclic", "--n", "66..66"),
+         "PASS sombor n=66: winners ['infty:22,22,23', 'theta:22,22,23'] "
+         "expected ['infty:22,22,23', 'theta:22,22,23']"),
+        (("infty-minimal", "--m", "67..67"),
+         "PASS sombor m=67: min infty-type winners ['infty:22,22,23'] "
+         "expected [infty:22,22,23]"),
+    ],
+    ids=["main-bicyclic-n66", "infty-minimal-m67"],
+)
+def test_near_ties_below_1e7_stay_apart(capsys, argv, line):
+    # The runner-up trails the balanced winner by less than 1e-7 here; each
+    # solve's error half-width is near 1e-13, so the two do not tie.
+    theorem, *flags = argv
+    code = main(["verify", "--theorem", theorem, "--weights", "sombor", *flags])
+    assert capsys.readouterr().out.splitlines() == [
+        line, f"# theorem={theorem} checks=1 failures=0"
+    ]
+    assert code == 0
+
+
 @pytest.mark.parametrize("weight", ["sombor", "zagreb1", "table:2,2=1;2,3=2;3,3=2"])
 def test_main_bicyclic_spec_winners_match_the_class_search(weight):
     # The table lacks (2,4), so the class search skips the infty-star members.
@@ -265,7 +287,7 @@ def test_main_bicyclic_spec_winners_match_the_class_search(weight):
         stars = sum(sp.kind == "infty_star" for sp in specs)
         assert report.skipped == (stars if weight.startswith("table") else 0)
         expect = {str(identify_pendant_free_bicyclic(G)) for G in report.winners}
-        assert _min_specs(specs, f, TIE_TOL, "") == expect
+        assert _min_specs(specs, f, "") == expect
 
 
 def test_theta_infty_equality_missing_table_pair(capsys):
