@@ -36,14 +36,12 @@ _EXPORTS = {
         "InternalPath",
         "base_graph",
         "canonical_form",
-        "canonical_relabel",
         "contains_induced",
         "cyclomatic_number",
         "degrees",
         "format_graph_text",
         "internal_paths",
         "is_connected",
-        "is_isomorphic",
         "parse_graph_text",
         "read_graph_file",
         "write_graph_file",

@@ -1,7 +1,9 @@
 """Simple undirected graphs: representation, structural queries, isomorphism.
 
 Vertices are integers 0..n-1. Graphs are immutable values; every transform
-returns a new graph. The text exchange format is
+returns a new graph. Isomorphism has one mechanism, the integer code of
+``canonical_code``: graphs of equal order are isomorphic iff their codes
+are equal. The text exchange format is
 
     n m
     u v      (one line per edge, 0-based indices, any order)
@@ -246,80 +248,30 @@ def induced_subgraph(G, vertices):
     return Graph(len(vertices), [(pos[u], pos[v]) for u, v in G.edges if u in pos and v in pos])
 
 
-def is_isomorphic(G, H):
-    """Exact isomorphism test by backtracking over degree-compatible maps."""
-    if G.n != H.n or G.m != H.m:
-        return False
-    dg, dh = sorted(degrees(G)), sorted(degrees(H))
-    if dg != dh:
-        return False
-    n = G.n
-    if n == 0:
-        return True
-    deg_g = degrees(G)
-    deg_h = degrees(H)
-    # Map vertices of G in an order that keeps each new vertex attached to
-    # already-mapped ones when possible, shrinking the branch factor.
-    order = []
-    placed = set()
-    remaining = sorted(range(n), key=lambda v: -deg_g[v])
-    while remaining:
-        pick = None
-        for v in remaining:
-            if any(u in placed for u in G.adj[v]):
-                pick = v
-                break
-        if pick is None:
-            pick = remaining[0]
-        order.append(pick)
-        placed.add(pick)
-        remaining.remove(pick)
-
-    # Depth-first search with an explicit stack of candidate iterators, one
-    # per mapped position, so deep graphs cannot exhaust the call stack.
-    mapping = [-1] * n
-    used = [False] * n
-    stack = [iter(range(n))]
-    while stack:
-        k = len(stack) - 1
-        g = order[k]
-        if mapping[g] >= 0:  # back at this position: release its last image
-            used[mapping[g]] = False
-            mapping[g] = -1
-        for h in stack[-1]:
-            if not used[h] and deg_h[h] == deg_g[g] and all(
-                G.has_edge(g, gprev) == H.has_edge(h, mapping[gprev]) for gprev in order[:k]
-            ):
-                break
-        else:
-            stack.pop()
-            continue
-        mapping[g] = h
-        used[h] = True
-        if k + 1 == n:
-            return True
-        stack.append(iter(range(n)))
-    return False
-
-
 def contains_induced(G, H):
-    """True iff some vertex subset of G induces a graph isomorphic to H."""
+    """True iff some vertex subset of G induces a graph isomorphic to H.
+
+    Each |H|-subset's induced lists and masks are read off ``G.masks``, with
+    no ``Graph`` built; one whose sorted degrees match H's is compared with
+    H by canonical code, through the kernel so that subsets stay out of
+    ``canonical_form``'s cache. H may have at most CANONICAL_MAX_VERTICES
+    vertices.
+    """
     if G.n > INDUCED_MAX_VERTICES:
         raise SizeLimit(
             f"induced-subgraph search supports at most {INDUCED_MAX_VERTICES} vertices"
         )
     if H.n > G.n:
         return False
-    if H.n == 0:
-        return True
-    target_deg = sorted(degrees(H))
+    target = canonical_code(H.n, H.adj, H.masks)
+    target_deg = sorted(map(len, H.adj))
     for subset in combinations(range(G.n), H.n):
-        sub = induced_subgraph(G, subset)
-        if sub.m != H.m:
+        inside = sum(1 << v for v in subset)
+        rows = [G.masks[v] & inside for v in subset]
+        if sorted(r.bit_count() for r in rows) != target_deg:
             continue
-        if sorted(degrees(sub)) != target_deg:
-            continue
-        if is_isomorphic(sub, H):
+        adj = [[j for j, u in enumerate(subset) if r >> u & 1] for r in rows]
+        if canonical_code(H.n, adj, [sum(1 << j for j in a) for a in adj]) == target:
             return True
     return False
 
@@ -459,11 +411,6 @@ def canonical_form(G):
     n <= 12.
     """
     return (G.n, _code_bits(G.n, canonical_code(G.n, G.adj, G.masks)))
-
-
-def canonical_relabel(G):
-    """A canonically labeled copy of G (the decoded canonical form)."""
-    return graph_of_code(G.n, canonical_code(G.n, G.adj, G.masks))
 
 
 def parse_graph_text(text):

@@ -242,6 +242,15 @@ def test_verify_near_tied_eigenvalues(capsys):
         (("rho", "--family", "cycle:5", "--weight", "const:1e308"), "finite"),
         (("certify", "--family", "cycle:5", "--weight", "sombor", "--tol", "nan"), "tol"),
         (("certify", "--family", "cycle:5", "--weight", "sombor", "--tol", "-1"), "tol"),
+        # The class checks speak of trees, unicyclic and bicyclic graphs only:
+        # the pendant-free bicyclic max winner at n = 8 (infty-star:3,6)
+        # contains an induced P5, so checking it would print a false FAIL.
+        (("verify", "--theorem", "forbidden-subgraphs", "--weights", "sombor",
+          "--classes", "trees,pendant_free_bicyclic", "--n", "8"),
+         "verify classes are trees, unicyclic and bicyclic, not 'pendant_free_bicyclic'"),
+        (("verify", "--theorem", "conjecture-pstarstar", "--weights", "sombor",
+          "--classes", "pendant_free_bicyclic", "--n", "8"),
+         "not 'pendant_free_bicyclic'"),
     ],
 )
 def test_bad_numeric_arguments_exit_2(capsys, argv, message):

@@ -14,10 +14,10 @@ from fspectra.families import (
 from fspectra.graph_core import (
     GRAPH_MAX_ORDER,
     base_graph,
+    canonical_form,
     cyclomatic_number,
     degrees,
     is_connected,
-    is_isomorphic,
 )
 
 
@@ -79,7 +79,7 @@ def test_c3_pendants_base():
     c3 = make(FamilySpec("cycle", (3,)))
     for params in ((1, 0, 0), (2, 1, 0), (3, 3, 3)):
         G = make(FamilySpec("c3_pendants", params))
-        assert is_isomorphic(base_graph(G), c3)
+        assert canonical_form(base_graph(G)) == canonical_form(c3)
 
 
 def test_main_parameterization_orders():
@@ -122,7 +122,8 @@ def test_double_star_shape():
 def test_sn_plus_e_shape():
     G = make(parse_family("sn-plus-e:6"))
     assert sorted(degrees(G)) == [1, 1, 1, 2, 2, 5]
-    assert is_isomorphic(make(parse_family("sn-plus-e:3")), make(FamilySpec("cycle", (3,))))
+    sn3 = make(parse_family("sn-plus-e:3"))
+    assert canonical_form(sn3) == canonical_form(make(FamilySpec("cycle", (3,))))
 
 
 def test_forbidden_fixtures():

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fspectra.errors import BadParams, Disconnected, NoCycle, SizeLimit
-from fspectra.families import FamilySpec, make, parse_family
+from fspectra.families import FamilySpec, forbidden_fixtures, make, parse_family
 from fspectra.graph_core import (
     GRAPH_MAX_ORDER,
     Graph,
     base_graph,
     canonical_code,
     canonical_form,
-    canonical_relabel,
     contains_induced,
     cyclomatic_number,
     degrees,
@@ -22,7 +21,6 @@ from fspectra.graph_core import (
     graph_of_code,
     internal_paths,
     is_connected,
-    is_isomorphic,
     parse_graph_text,
     twins,
 )
@@ -74,12 +72,12 @@ def test_cyclomatic_disconnected():
 
 
 def test_base_graph_examples():
-    c3 = make(FamilySpec("cycle", (3,)))
-    assert is_isomorphic(base_graph(make(FamilySpec("c3_dot_p3"))), c3)
+    c3 = canonical_form(make(FamilySpec("cycle", (3,))))
+    assert canonical_form(base_graph(make(FamilySpec("c3_dot_p3")))) == c3
     # a pendant-free graph passes through unchanged
     t222 = make(parse_family("theta:2,2,2"))
     assert base_graph(t222) == t222
-    assert is_isomorphic(base_graph(make(parse_family("c3:2,1,0"))), c3)
+    assert canonical_form(base_graph(make(parse_family("c3:2,1,0")))) == c3
 
 
 def test_base_graph_idempotent():
@@ -164,10 +162,33 @@ def test_contains_induced_self_and_size():
 
 def test_contains_induced_matches_oracle():
     rng = random.Random(97)
+    cases = []
     for _ in range(30):
         G = random_connected_graph(rng, rng.randint(4, 7), rng.randint(0, 4))
         H = random_connected_graph(rng, rng.randint(2, 4), rng.randint(0, 2))
-        assert contains_induced(G, H) == brute_contains_induced(G, H)
+        cases.append((G, H))
+    # H of order 0, disconnected H, and the six 5-vertex fixtures, on
+    # connected hosts and on random hosts that may be disconnected.
+    patterns = [
+        Graph(0),
+        Graph(3),
+        Graph(4, [(0, 1), (2, 3)]),
+        Graph(5, [(0, 1), (1, 2), (3, 4)]),
+        *forbidden_fixtures(),
+    ]
+    for _ in range(20):
+        n = rng.randint(5, 7)
+        p = rng.random()
+        hosts = (
+            random_connected_graph(rng, n, rng.randint(0, 4)),
+            Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]),
+        )
+        cases.extend((G, H) for G in hosts for H in patterns)
+    cached = canonical_form.cache_info().currsize
+    for G, H in cases:
+        assert contains_induced(G, H) == brute_contains_induced(G, H), (G, H)
+    # the subsets go to the kernel, not through canonical_form's cache
+    assert canonical_form.cache_info().currsize == cached
 
 
 def test_contains_induced_size_limit():
@@ -303,9 +324,9 @@ def test_canonical_relabel_is_isomorphic_fixed_point():
     rng = random.Random(88)
     for _ in range(20):
         G = random_connected_graph(rng, rng.randint(3, 8), rng.randint(0, 4))
-        R = canonical_relabel(G)
-        assert is_isomorphic(G, R)
+        R = graph_of_code(G.n, canonical_code(G.n, G.adj, G.masks))
         assert canonical_form(R) == canonical_form(G)
+        assert graph_of_code(R.n, canonical_code(R.n, R.adj, R.masks)) == R
 
 
 def test_canonical_code_is_the_form_as_an_int():
@@ -318,22 +339,13 @@ def test_canonical_code_is_the_form_as_an_int():
         code = canonical_code(G.n, adj, G.masks)
         n, bits = canonical_form(G)
         assert code == int("".join(map(str, bits)) or "0", 2)
-        assert graph_of_code(n, code) == canonical_relabel(G)
+        assert canonical_form(graph_of_code(n, code)) == (n, bits)
     assert canonical_code(0, [], []) == 0
 
 
 def test_canonical_form_size_limit():
     with pytest.raises(SizeLimit):
         canonical_form(make(FamilySpec("path", (13,))))
-
-
-def test_is_isomorphic_matches_oracle():
-    rng = random.Random(31337)
-    for _ in range(40):
-        n = rng.randint(2, 6)
-        G = random_connected_graph(rng, n, rng.randint(0, 4))
-        H = random_connected_graph(rng, n, rng.randint(0, 4))
-        assert is_isomorphic(G, H) == brute_is_isomorphic(G, H)
 
 
 def test_regular_graph_canonical_forms():
@@ -375,9 +387,3 @@ def test_is_connected():
     assert is_connected(make(FamilySpec("path", (6,))))
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
     assert is_connected(Graph(1, []))
-
-
-def test_is_isomorphic_deep_path_is_iterative():
-    # 1500 mapped positions: deeper than Python's default recursion limit.
-    G = make(FamilySpec("path", (1500,)))
-    assert is_isomorphic(G, relabeled(G, list(range(1499, -1, -1))))

@@ -8,8 +8,14 @@ import pytest
 
 from fspectra import search
 from fspectra.errors import BadParams, SizeLimit
-from fspectra.families import FamilySpec, identify_pendant_free_bicyclic, make, parse_family
-from fspectra.graph_core import Graph, canonical_form, is_connected, is_isomorphic
+from fspectra.families import (
+    FamilySpec,
+    forbidden_fixtures,
+    identify_pendant_free_bicyclic,
+    make,
+    parse_family,
+)
+from fspectra.graph_core import Graph, canonical_form, contains_induced, is_connected
 from fspectra.spectral import f_spectral_radius
 from fspectra.search import (
     _scored,
@@ -57,10 +63,10 @@ def test_pendant_free_enumeration_no_duplicates():
 def test_enumerate_connected_examples():
     only = enumerate_connected(3, 3)
     assert len(only) == 1
-    assert is_isomorphic(only[0], make(FamilySpec("cycle", (3,))))
+    assert canonical_form(only[0]) == canonical_form(make(FamilySpec("cycle", (3,))))
     k4_minus = enumerate_connected(4, 5)
     assert len(k4_minus) == 1
-    assert is_isomorphic(k4_minus[0], make(parse_family("theta:1,2,2")))
+    assert canonical_form(k4_minus[0]) == canonical_form(make(parse_family("theta:1,2,2")))
     assert len(enumerate_connected(5, 4)) == 3  # trees on five vertices
 
 
@@ -220,6 +226,24 @@ def test_class_counts_match_oeis(class_name, n):
     assert len({canonical_form(G) for G in graphs}) == len(graphs)
 
 
+# Members of each whole class with no induced copy of any of the six
+# forbidden fixtures, out of the class size, at n = 8 and 9.
+FIXTURE_FREE = {
+    "trees": ((4, 23), (4, 47)),
+    "unicyclic": ((8, 89), (10, 240)),
+    "bicyclic": ((13, 236), (17, 797)),
+}
+
+
+@pytest.mark.parametrize("class_name", sorted(FIXTURE_FREE))
+def test_fixture_free_counts_of_whole_classes(class_name):
+    fixtures = forbidden_fixtures()
+    for n, pinned in zip((8, 9), FIXTURE_FREE[class_name]):
+        graphs = class_graphs(class_name, n)
+        free = sum(1 for G in graphs if not any(contains_induced(G, H) for H in fixtures))
+        assert (free, len(graphs)) == pinned
+
+
 def _tsv_without_elapsed(report):
     return report_tsv(report).split("\telapsed=")[0]
 
@@ -275,7 +299,7 @@ def test_extremal_table_n5():
 def test_extremal_unicyclic_min_is_cycle():
     report = extremal("unicyclic", 7, SOMBOR, "min")
     assert len(report.winners) == 1
-    assert is_isomorphic(report.winners[0], make(FamilySpec("cycle", (7,))))
+    assert canonical_form(report.winners[0]) == canonical_form(make(FamilySpec("cycle", (7,))))
 
 
 def test_extremal_deterministic_order():
