@@ -72,6 +72,9 @@ def _split_weights(text):
 
 
 _CLASS_CHOICES = [c.replace("_", "-") for c in search.SEARCH_CLASSES]
+# Edges minus vertices of the classes that enumerate prints as canonical
+# representatives, the labels class searches report winners in.
+_EXCESS = {"trees": -1, "unicyclic": 0, "bicyclic": 1}
 
 
 def build_parser():
@@ -205,10 +208,12 @@ def _cmd_kelmans(args):
 def _cmd_enumerate(args):
     if (args.class_name == "connected") != (args.size is not None):
         raise FspectraError("--class connected requires --size, and no other class takes it")
-    if args.class_name == "connected":
-        graphs = list(search.enumerate_connected(args.order, args.size))
+    name = args.class_name.replace("-", "_")
+    if name == "pendant_free_bicyclic":
+        graphs = search.class_graphs(name, args.order)
     else:
-        graphs = search.class_graphs(args.class_name.replace("-", "_"), args.order)
+        size = args.size if name == "connected" else args.order + _EXCESS[name]
+        graphs = search.enumerate_connected(args.order, size)
     for G in graphs:
         spec = identify_pendant_free_bicyclic(G)
         tag = str(spec) if spec else "-"

@@ -241,13 +241,6 @@ def fundamental_cycles(G):
     return cycles
 
 
-def induced_subgraph(G, vertices):
-    """Induced subgraph on the given vertices, relabeled by position."""
-    vertices = tuple(vertices)
-    pos = {v: i for i, v in enumerate(vertices)}
-    return Graph(len(vertices), [(pos[u], pos[v]) for u, v in G.edges if u in pos and v in pos])
-
-
 def contains_induced(G, H):
     """True iff some vertex subset of G induces a graph isomorphic to H.
 

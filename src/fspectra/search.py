@@ -1,13 +1,25 @@
 """Exhaustive small-order enumeration and extremal verification.
 
-Connected graphs are enumerated one per isomorphism class by growing: all
-trees by leaf addition, then one edge at a time. Growth works on adjacency
-lists and bitmasks: each kept candidate's canonical code (an int from
+Each size of connected graph has one generator. Unicyclic (m = n) and
+bicyclic (m = n + 1) graphs are built from their cores, the base graphs
+left once pendant vertices are stripped: the cycles C_k and the
+pendant-free bicyclic graphs, with a rooted tree hung on each core vertex.
+Rooted trees of each size are listed once, as sorted nested tuples. An
+assignment of (size, tree index) to the core vertices is built only if it
+is lexicographically smallest over the core's automorphisms, which a
+backtracking search over refined colour classes lists once per core. So
+each class is built once, as a ``Graph``, with no canonical code; its
+labels are the construction's, and ``enumerate_connected`` computes one
+canonical code per class to return canonically labeled representatives.
+
+Trees grow one leaf at a time, and denser sizes (m >= n + 2) one edge at a
+time from the level below. Growth works on adjacency lists and bitmasks:
+each kept candidate's canonical code (an int from
 ``graph_core.canonical_code``) goes into a set per level, and a ``Graph`` is
 built only once per class, when the level's sorted codes are decoded into
-canonically labeled representatives. Growth adds one leaf or edge per
-twin orbit: a leaf goes on one vertex per twin class, and a new edge joins
-one pair per unordered pair of twin classes, because permuting twins is an
+canonically labeled representatives. Growth adds one leaf or edge per twin
+orbit: a leaf goes on one vertex per twin class, and a new edge joins one
+pair per unordered pair of twin classes, because permuting twins is an
 automorphism and maps the skipped graphs onto kept ones.
 
 A grown candidate H = G + e is kept only if e is a canonical last addition
@@ -28,16 +40,18 @@ keep several candidates, and the dedup by canonical code stays.
 Every search scores its candidates once, solving all candidates of one order
 in a single batched eigensolve, keeps the extremal value and the candidates
 tied with it (values at most the sum of their ``perron_values`` error
-half-widths apart), and reports winners in canonical order. Each named
-verification is one small function in the ``_CHECKS`` table; the checks on
-pendant-free bicyclic graphs score family specs directly and compare spec
-strings, so they need no canonical form and run at any order.
+half-widths apart), and reports winners as canonically labeled
+representatives in canonical order. Each named verification is one small
+function in the ``_CHECKS`` table; the checks on pendant-free bicyclic
+graphs score family specs directly and compare spec strings, so they need
+no canonical form and run at any order.
 """
 
 import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import combinations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +60,7 @@ from .errors import BadParams, MissingTableEntry, SizeLimit
 from .families import FamilySpec, forbidden_fixtures, identify_pendant_free_bicyclic, make
 from .graph_core import (
     Graph,
+    _refine,
     base_graph,
     canonical_code,
     canonical_form,
@@ -198,12 +213,96 @@ def _trees(n):
 
 
 @lru_cache(maxsize=None)
-def enumerate_connected(n, m):
-    """All connected graphs with n vertices and m edges, one per iso class.
+def _rooted_trees(s):
+    """Every rooted tree on s vertices once, in sorted order. A tree is the
+    sorted tuple of its root's subtrees, each in the same form, so () is a
+    lone root and equal tuples mean isomorphic rooted trees."""
+    if s == 1:
+        return ((),)
+    out = []
 
-    Returns canonical representatives sorted by canonical form; cached, so
-    treat the result as read-only.
+    def extend(rest, top, children):
+        # Subtrees are picked in non-increasing (size, index) order, with
+        # ``top`` the last pick, so each multiset of subtrees comes once.
+        if not rest:
+            out.append(tuple(sorted(children)))
+            return
+        for size in range(min(rest, top[0]), 0, -1):
+            trees = _rooted_trees(size)
+            last = top[1] if size == top[0] else len(trees) - 1
+            for i in range(last, -1, -1):
+                extend(rest - size, (size, i), children + [trees[i]])
+
+    extend(s - 1, (s - 1, len(_rooted_trees(s - 1)) - 1), [])
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def _rooted_tree_edges(s):
+    """The edges (parent, child) of each tree of ``_rooted_trees(s)``, with
+    the root labeled 0 and the other vertices 1..s-1 in preorder."""
+    def edges(tree, root, out):
+        for child in tree:
+            v = len(out) + 1
+            out.append((root, v))
+            edges(child, v, out)
+        return out
+
+    return tuple(tuple(edges(t, 0, [])) for t in _rooted_trees(s))
+
+
+def _automorphisms(adj):
+    """Every automorphism of the connected graph with lists ``adj``, each as
+    the tuple of vertex images.
+
+    Backtracking maps the vertices in breadth-first order, each onto an
+    unused vertex of its refined colour whose adjacency to the images of
+    the vertices already mapped matches.
     """
+    n = len(adj)
+    colors = _refine(n, adj)
+    order = [0]
+    for v in order:
+        order.extend(u for u in adj[v] if u not in order)
+    near = [set(a) for a in adj]
+    image = [0] * n
+    used = [False] * n
+    out = []
+
+    def extend(i):
+        if i == n:
+            out.append(tuple(image))
+            return
+        v = order[i]
+        for w in range(n):
+            if used[w] or colors[w] != colors[v]:
+                continue
+            if all((u in near[v]) == (image[u] in near[w]) for u in order[:i]):
+                image[v], used[w] = w, True
+                extend(i + 1)
+                used[w] = False
+
+    extend(0)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _core(spec):
+    """Edges and automorphisms of the core graph ``make(spec)``."""
+    G = make(spec)
+    return tuple(G.sorted_edges()), _automorphisms(G.adj)
+
+
+def _compositions(total, parts):
+    """Every tuple of ``parts`` positive ints summing to ``total``."""
+    for cuts in combinations(range(1, total), parts - 1):
+        bounds = (0, *cuts, total)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def _check_size(n, m):
+    """Refuse an (n, m) that enumeration does not list: SizeLimit above the
+    order ceilings, BadParams where no simple graph exists."""
     if n > (SPARSE_MAX_ORDER if m <= n + 1 else ENUMERATION_MAX_ORDER):
         raise SizeLimit(
             f"enumeration supports order <= {SPARSE_MAX_ORDER} with at most n + 1 "
@@ -211,10 +310,69 @@ def enumerate_connected(n, m):
         )
     if n < 1 or m < 0 or m > n * (n - 1) // 2:
         raise BadParams(f"no simple graphs with n={n}, m={m}")
+
+
+def _hung(n, m):
+    """Every connected graph with n vertices and m = n or n + 1 edges, once
+    per isomorphism class, labeled as built.
+
+    Such a graph is its core (base graph) with a rooted tree hung on each
+    core vertex: the cycles C_k for m = n, the pendant-free bicyclic graphs
+    for m = n + 1. Two graphs on one core are isomorphic iff an automorphism
+    of the core carries one's trees onto the other's, so an assignment of
+    (size, tree index) to the core vertices is built only if no
+    automorphism permutes it to a lexicographically smaller one. Sizes are
+    compared first: only the automorphisms fixing the sizes can reorder the
+    tree indices.
+    """
+    _check_size(n, m)
+    if m == n:
+        cores = [FamilySpec("cycle", (k,)) for k in range(3, n + 1)]
+    else:
+        cores = [sp for k in range(4, n + 1) for sp in enumerate_pendant_free_bicyclic(k)]
+    members = []
+    for spec in cores:
+        core_edges, autos = _core(spec)
+        for sizes in _compositions(n, len(autos[0])):
+            fixing = []
+            for p in autos:
+                moved = tuple(map(sizes.__getitem__, p))
+                if moved < sizes:
+                    break
+                if moved == sizes:
+                    fixing.append(p)
+            else:
+                for pick in product(*(range(len(_rooted_trees(s))) for s in sizes)):
+                    if all(pick <= tuple(map(pick.__getitem__, p)) for p in fixing):
+                        members.append(_hang(n, core_edges, sizes, pick))
+    return members
+
+
+def _hang(n, core_edges, sizes, pick):
+    """The core with tree ``pick[v]`` of ``_rooted_trees(sizes[v])`` rooted
+    at each core vertex v; tree vertices are numbered on from the core's."""
+    edges = list(core_edges)
+    top = len(sizes) - 1
+    for v, (s, i) in enumerate(zip(sizes, pick)):
+        edges += [(top + a if a else v, top + b) for a, b in _rooted_tree_edges(s)[i]]
+        top += s - 1
+    return Graph(n, edges)
+
+
+@lru_cache(maxsize=None)
+def enumerate_connected(n, m):
+    """All connected graphs with n vertices and m edges, one per iso class.
+
+    Returns canonical representatives sorted by canonical form; cached, so
+    treat the result as read-only.
+    """
+    _check_size(n, m)
     if m < n - 1:
         return ()
     if m == n - 1:
         return _trees(n)
+    if m <= n + 1:
+        return _classes(n, [canonical_code(n, G.adj, G.masks) for G in _hung(n, m)])
     codes = set()
     for G in enumerate_connected(n, m - 1):
         present = G.edges
@@ -236,8 +394,8 @@ def enumerate_connected(n, m):
 # The search classes: name -> the isomorph-free list of its graphs at order n.
 _CLASSES = {
     "trees": lambda n: list(enumerate_connected(n, n - 1)),
-    "unicyclic": lambda n: list(enumerate_connected(n, n)),
-    "bicyclic": lambda n: list(enumerate_connected(n, n + 1)),
+    "unicyclic": lambda n: _hung(n, n),
+    "bicyclic": lambda n: _hung(n, n + 1),
     "pendant_free_bicyclic": lambda n: [make(s) for s in enumerate_pendant_free_bicyclic(n)],
 }
 
@@ -245,7 +403,11 @@ SEARCH_CLASSES = tuple(_CLASSES)
 
 
 def class_graphs(class_name, n):
-    """The isomorph-free list of graphs making up a search class at order n."""
+    """The isomorph-free list of graphs making up a search class at order n.
+
+    Members keep the labels they were built with: canonical for trees, the
+    construction's for the others.
+    """
     build = _CLASSES.get(class_name)
     if build is None:
         raise BadParams(f"unknown search class {class_name!r}")
@@ -257,7 +419,8 @@ class SearchReport:
     """Extremal outcome over one enumerated class.
 
     ``winners`` collects every graph tied with the extremal value (within
-    the sum of the two solve error half-widths), sorted by canonical form;
+    the sum of the two solve error half-widths) as its canonically labeled
+    representative, sorted by canonical form;
     ``winner_values`` holds their Perron values in the same order.
     ``skipped`` counts candidates a table weight could not evaluate (missing
     degree pairs); they are excluded from the optimum.
@@ -322,18 +485,18 @@ def extremal(class_name, n, f, objective="min"):
     graphs = class_graphs(class_name, n)
     scored = _scored(graphs, f)
     top, ties = _best(scored, objective, f"class {class_name} at n={n}")
-    ties.sort(key=lambda t: canonical_form(t[2]))
+    ranked = sorted((canonical_code(n, G.adj, G.masks), rho) for rho, _, G in ties)
     return SearchReport(
         class_name=class_name,
         order=n,
         weight=f,
         objective=objective,
-        winners=[G for *_, G in ties],
+        winners=[graph_of_code(n, code) for code, _ in ranked],
         value=top[0],
         examined=len(scored),
         skipped=len(graphs) - len(scored),
         elapsed=time.perf_counter() - start,
-        winner_values=[v for v, *_ in ties],
+        winner_values=[rho for _, rho in ranked],
     )
 
 

@@ -7,7 +7,7 @@ implementations.
 
 from itertools import combinations, permutations, product
 
-from fspectra.graph_core import Graph, _refine
+from fspectra.graph_core import Graph, _refine, canonical_code
 
 
 def random_connected_graph(rng, n, extra_edges=0):
@@ -29,6 +29,13 @@ def random_connected_graph(rng, n, extra_edges=0):
 def relabeled(G, perm):
     """Copy of G with vertex v renamed perm[v]."""
     return Graph(G.n, [(perm[u], perm[v]) for u, v in G.edges])
+
+
+def induced_subgraph(G, vertices):
+    """Induced subgraph on the given vertices, relabeled by position."""
+    vertices = tuple(vertices)
+    pos = {v: i for i, v in enumerate(vertices)}
+    return Graph(len(vertices), [(pos[u], pos[v]) for u, v in G.edges if u in pos and v in pos])
 
 
 def brute_canonical(G):
@@ -92,6 +99,30 @@ def brute_twins(G):
         )
         for v in range(G.n)
     ]
+
+
+def brute_automorphisms(G):
+    """Every vertex permutation that maps G's edge set onto itself, as a
+    tuple of images, by scanning all n! permutations. Fine for n <= 8."""
+    return {
+        perm
+        for perm in permutations(range(G.n))
+        if all(G.has_edge(perm[u], perm[v]) for u, v in G.edges)
+    }
+
+
+def grown_codes(graphs):
+    """Canonical codes of every graph G + e, for G in ``graphs`` and e any
+    pair not an edge of G: grow-and-dedup with no pruning and no keep rule.
+    Codes come from the library kernel, which the brute oracles above
+    check on their own."""
+    codes = set()
+    for G in graphs:
+        for u, v in combinations(range(G.n), 2):
+            if not G.has_edge(u, v):
+                H = Graph(G.n, G.edges | {(u, v)})
+                codes.add(canonical_code(H.n, H.adj, H.masks))
+    return codes
 
 
 def complete_multipartite(*parts):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import warnings
 
 import pytest
@@ -90,6 +91,21 @@ def test_enumerate_pendant_free(capsys):
     assert code == 0
     assert "# count 3" in out
     assert "infty-star:3,3" in out
+
+
+# sha256 of the whole stdout of `enumerate --class <class> --order 8`: one
+# canonically labeled representative per line, in canonical order.
+ENUMERATE_DIGESTS = {
+    "unicyclic": "6e85aadee52027edafc61ecbd599a8ba4c9e72433e85f6dbbb51fcc3a019d886",
+    "bicyclic": "59c9d08c29242f472544d77039bddd30a18e266f69ffd9bc197be9ca341b3a29",
+}
+
+
+@pytest.mark.parametrize("class_name", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_output_pinned(capsys, class_name):
+    code, out, _ = run(capsys, "enumerate", "--class", class_name, "--order", "8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[class_name]
 
 
 def test_enumerate_connected_requires_size(capsys):

@@ -15,7 +15,14 @@ from fspectra.families import (
     make,
     parse_family,
 )
-from fspectra.graph_core import Graph, canonical_form, contains_induced, is_connected
+from fspectra.graph_core import (
+    Graph,
+    canonical_code,
+    canonical_form,
+    contains_induced,
+    graph_of_code,
+    is_connected,
+)
 from fspectra.spectral import f_spectral_radius
 from fspectra.search import (
     _scored,
@@ -28,7 +35,7 @@ from fspectra.search import (
     verify_theorem,
 )
 from fspectra.weights import parse_weight
-from helpers import brute_connected_classes, relabeled
+from helpers import brute_automorphisms, brute_connected_classes, grown_codes, relabeled
 
 TABLE = parse_weight("table:2,2=1;3,2=2;4,2=2")
 SOMBOR = parse_weight("sombor")
@@ -70,10 +77,53 @@ def test_enumerate_connected_examples():
     assert len(enumerate_connected(5, 4)) == 3  # trees on five vertices
 
 
+def _codes(graphs):
+    return [canonical_code(G.n, G.adj, G.masks) for G in graphs]
+
+
 def test_enumerate_connected_counts_against_oracle():
     for n, m in [(4, 4), (5, 5), (5, 6), (6, 5), (6, 6), (6, 7), (7, 6), (7, 7), (7, 8)]:
         got = enumerate_connected(n, m)
-        assert len(got) == len(brute_connected_classes(n, m)), (n, m)
+        want = brute_connected_classes(n, m)
+        assert len(got) == len(want), (n, m)
+        if m >= n:
+            members = class_graphs("unicyclic" if m == n else "bicyclic", n)
+            assert sorted(_codes(members)) == sorted(_codes(want)), (n, m)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_core_members_match_grow_and_dedup(n):
+    # The orbit-marking oracle stops at order 7; above it, growing every
+    # graph by every missing edge and deduplicating is the second generator.
+    unicyclic = grown_codes(enumerate_connected(n, n - 1))
+    bicyclic = grown_codes(graph_of_code(n, code) for code in unicyclic)
+    for class_name, want in (("unicyclic", unicyclic), ("bicyclic", bicyclic)):
+        got = _codes(class_graphs(class_name, n))
+        assert len(set(got)) == len(got)
+        assert set(got) == want
+
+
+def _cores(n):
+    """The family specs of the cores of the unicyclic and bicyclic classes
+    up to order n."""
+    cycles = [FamilySpec("cycle", (k,)) for k in range(3, n + 1)]
+    return cycles + [sp for k in range(4, n + 1) for sp in enumerate_pendant_free_bicyclic(k)]
+
+
+def test_core_automorphisms():
+    for spec in _cores(11):
+        edges, autos = search._core(spec)
+        k = make(spec).n
+        assert autos.count(tuple(range(k))) == 1
+        assert len(set(autos)) == len(autos)
+        for p in autos:
+            assert sorted(p) == list(range(k))
+            assert {tuple(sorted((p[u], p[v]))) for u, v in edges} == set(edges), (spec, p)
+        if k <= 7:
+            assert set(autos) == brute_automorphisms(make(spec)), spec
+    for k in range(3, 12):
+        assert len(search._core(FamilySpec("cycle", (k,)))[1]) == 2 * k
+    assert len(search._core(FamilySpec("theta", (2, 2, 2)))[1]) == 12
 
 
 def test_enumerate_connected_edge_cases():
@@ -137,14 +187,16 @@ def test_canonical_leaf_deletion_is_invariant_and_nonempty():
 
 def _clear_enumeration_caches():
     search._trees.cache_clear()
+    search._rooted_trees.cache_clear()
+    search._rooted_tree_edges.cache_clear()
+    search._core.cache_clear()
     enumerate_connected.cache_clear()
     canonical_form.cache_clear()
 
 
 def test_cold_enumeration_computes_few_canonical_forms(monkeypatch):
-    # Twin pruning alone computed 5739 canonical forms here; canonical
-    # deletion leaves about one candidate per class and level. The exact
-    # count pins the keep decisions of growth.
+    # Bicyclic graphs are built from their cores once per class, with no
+    # tree or unicyclic level, so each class costs exactly one canonical code.
     calls = []
     kernel = search.canonical_code
 
@@ -156,22 +208,20 @@ def test_cold_enumeration_computes_few_canonical_forms(monkeypatch):
     monkeypatch.setattr(search, "canonical_code", counted)
     graphs = enumerate_connected(9, 10)
     assert len(graphs) == 797
-    assert len(calls) == 1446
+    assert len(calls) == 797
 
 
 def test_no_candidate_outlives_its_class():
-    # Growth keeps candidates as canonical codes and builds one Graph per
-    # class, so after a cold run the only new live graphs are the cached
-    # class representatives (1132 here; keeping every candidate left 2578).
+    # A cold run builds one Graph per class member and keeps only the cached
+    # canonical representatives.
     _clear_enumeration_caches()
     gc.collect()
     before = {id(o) for o in gc.get_objects() if isinstance(o, Graph)}
     enumerate_connected(9, 10)
     gc.collect()
     new = {id(o) for o in gc.get_objects() if isinstance(o, Graph)} - before
-    reps = {id(G) for n in range(1, 10) for G in search._trees(n)}
-    reps |= {id(G) for m in (9, 10) for G in enumerate_connected(9, m)}
-    assert len(reps) == 1132
+    reps = {id(G) for G in enumerate_connected(9, 10)}
+    assert len(reps) == 797
     assert new == reps
 
 
@@ -275,6 +325,15 @@ def test_extremal_tsv_pinned_at_order_9():
     everyone = extremal("bicyclic", 9, parse_weight("randic"), "min")
     digest = hashlib.sha256(_tsv_without_elapsed(everyone).encode()).hexdigest()
     assert digest == "7d83116b1d663adacef6b1cca584b78a81077b5e87f877ec55fe2026053fb4d4"
+
+
+@pytest.mark.parametrize("class_name", ["trees", "unicyclic", "bicyclic"])
+def test_extremal_winners_are_canonical_representatives(class_name):
+    # Class members keep the labels they were built with; winners do not.
+    # randic ties every member, so its report holds the whole class.
+    for f, objective in ((SOMBOR, "min"), (SOMBOR, "max"), (parse_weight("randic"), "min")):
+        for G in extremal(class_name, 8, f, objective).winners:
+            assert G == graph_of_code(8, canonical_code(8, G.adj, G.masks))
 
 
 def test_class_graphs_sizes():

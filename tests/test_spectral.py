@@ -8,7 +8,7 @@ import pytest
 
 from fspectra.errors import BadParams, NoConvergence, SizeLimit
 from fspectra.families import FamilySpec, make, parse_family
-from fspectra.graph_core import Graph, induced_subgraph, is_connected
+from fspectra.graph_core import Graph, is_connected
 from fspectra.spectral import (
     f_adjacency,
     f_spectral_radius,
@@ -19,7 +19,7 @@ from fspectra.spectral import (
 )
 from fspectra.search import class_graphs
 from fspectra.weights import eval_weight, parse_weight
-from helpers import random_connected_graph
+from helpers import induced_subgraph, random_connected_graph
 
 TABLE = parse_weight("table:2,2=1;3,2=2;4,2=2")
 CONST1 = parse_weight("const:1")
