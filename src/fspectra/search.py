@@ -1,41 +1,41 @@
 """Exhaustive small-order enumeration and extremal verification.
 
-Each size of connected graph has one generator. Unicyclic (m = n) and
+Each size of connected graph has one generator. Every size with m <= n + 1
+is built from rooted trees, listed once per size as sorted nested tuples.
+A tree (m = n - 1) is rooted at its centroid: either one rooted tree whose
+root subtrees have at most (n - 1) // 2 vertices each, or, for even n, two
+rooted trees of order n / 2 with their roots joined. Unicyclic (m = n) and
 bicyclic (m = n + 1) graphs are built from their cores, the base graphs
 left once pendant vertices are stripped: the cycles C_k and the
 pendant-free bicyclic graphs, with a rooted tree hung on each core vertex.
-Rooted trees of each size are listed once, as sorted nested tuples. An
-assignment of (size, tree index) to the core vertices is built only if it
-is lexicographically smallest over the core's automorphisms, which a
+An assignment of (size, tree index) to the core vertices is built only if
+it is lexicographically smallest over the core's automorphisms, which a
 backtracking search over refined colour classes lists once per core. So
 each class is built once, as a ``Graph``, with no canonical code; its
 labels are the construction's, and ``enumerate_connected`` computes one
 canonical code per class to return canonically labeled representatives.
 
-Trees grow one leaf at a time, and denser sizes (m >= n + 2) one edge at a
-time from the level below. Growth works on adjacency lists and bitmasks:
-each kept candidate's canonical code (an int from
-``graph_core.canonical_code``) goes into a set per level, and a ``Graph`` is
-built only once per class, when the level's sorted codes are decoded into
-canonically labeled representatives. Growth adds one leaf or edge per twin
-orbit: a leaf goes on one vertex per twin class, and a new edge joins one
-pair per unordered pair of twin classes, because permuting twins is an
-automorphism and maps the skipped graphs onto kept ones.
+Denser sizes (m >= n + 2) grow one edge at a time from the level below.
+Growth works on adjacency lists and bitmasks: each kept candidate's
+canonical code (an int from ``graph_core.canonical_code``) goes into a set
+per level, and a ``Graph`` is built only once per class, when the level's
+sorted codes are decoded into canonically labeled representatives. A new
+edge joins one pair per unordered pair of twin classes, because permuting
+twins is an automorphism and maps the skipped graphs onto kept ones.
 
 A grown candidate H = G + e is kept only if e is a canonical last addition
 (canonical deletion, after McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 1998). Let D(H) be the removable leaves (trees) or non-bridge
-edges (m >= n) of H with the largest key: the sorted endpoint degrees, then
-the sorted neighbour-degree lists of the endpoints. H is kept iff e is in
-D(H). The key is an isomorphism invariant, so every isomorphism H -> H'
-maps D(H) onto D(H'), and growth stays complete. Every connected H with
-m >= n has a cycle, so D(H) is non-empty. Take e in D(H): H - e is
-connected with m - 1 edges, so an isomorphism s maps it onto a listed
-parent G, and s(H) = G + s(e) with s(e) in D(s(H)). Twin pruning tried a
-pair p = t(s(e)) for some automorphism t of G, so the candidate
-G + p = t(s(H)) has p in its D and is kept. Trees run the same argument with
-leaves. The key does not separate every orbit of D(H), so a class can still
-keep several candidates, and the dedup by canonical code stays.
+J. Algorithms 1998). Let D(H) be the non-bridge edges of H with the largest
+key: the sorted endpoint degrees, then the sorted neighbour-degree lists
+of the endpoints. H is kept iff e is in D(H). The key is an isomorphism
+invariant, so every isomorphism H -> H' maps D(H) onto D(H'), and growth
+stays complete. Every connected H with m >= n has a cycle, so D(H) is
+non-empty. Take e in D(H): H - e is connected with m - 1 edges, so an
+isomorphism s maps it onto a listed parent G, and s(H) = G + s(e) with
+s(e) in D(s(H)). Twin pruning tried a pair p = t(s(e)) for some
+automorphism t of G, so the candidate G + p = t(s(H)) has p in its D and
+is kept. The key does not separate every orbit of D(H), so a class can
+still keep several candidates, and the dedup by canonical code stays.
 
 Every search scores its candidates once, solving all candidates of one order
 in a single batched eigensolve, keeps the extremal value and the candidates
@@ -51,7 +51,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
 
 import numpy as np
@@ -171,11 +171,10 @@ def _bridge_sides(G):
 def _keeps(adj, e, rivals, sides):
     """Whether e is a canonical last addition to the graph with lists ``adj``.
 
-    ``rivals`` are the other leaf or edge deletions of that graph, each
-    given as an edge; a rival beats e when its key is larger and it is
-    removable. ``sides`` maps the rivals that are bridges of the graph
-    minus e to one side's vertex mask, so such a rival is removable only
-    if e crosses it; leaf deletions are always removable.
+    ``rivals`` are the other edges of that graph; a rival beats e when its
+    key is larger and it is removable. ``sides`` maps the rivals that are
+    bridges of the graph minus e to one side's vertex mask, so such a rival
+    is removable only if e crosses it.
     """
     deg = [len(a) for a in adj]
     u, v = e
@@ -196,20 +195,6 @@ def _keeps(adj, e, rivals, sides):
         if side is None or ((side >> u) ^ (side >> v)) & 1:
             return False
     return True
-
-
-@lru_cache(maxsize=None)
-def _trees(n):
-    if n == 1:
-        return (Graph(1, []),)
-    codes = set()
-    for T in _trees(n - 1):
-        for v in sorted(set(twins(T))):
-            adj, masks = _plus_edge(T.adj + ((),), T.masks + (0,), v, T.n)
-            leaves = [(x, a[0]) for x, a in enumerate(adj[: T.n]) if len(a) == 1]
-            if _keeps(adj, (T.n, v), leaves, {}):
-                codes.add(canonical_code(n, adj, masks))
-    return _classes(n, codes)
 
 
 @lru_cache(maxsize=None)
@@ -249,6 +234,24 @@ def _rooted_tree_edges(s):
         return out
 
     return tuple(tuple(edges(t, 0, [])) for t in _rooted_trees(s))
+
+
+def _centroid_trees(n):
+    """Every tree on n vertices once, labeled as built from its centroid:
+    a rooted tree of order n with root subtrees of at most (n - 1) // 2
+    vertices, or (even n) two of order n / 2, indices a <= b, roots joined."""
+    _check_size(n, n - 1)
+    members = []
+    for edges in _rooted_tree_edges(n):
+        # Preorder labels: each root subtree spans up to the next root child.
+        kids = [b for a, b in edges if a == 0] + [n]
+        if all(b - a <= (n - 1) // 2 for a, b in zip(kids, kids[1:])):
+            members.append(Graph(n, edges))
+    if n % 2 == 0:
+        h = n // 2
+        for a, b in combinations_with_replacement(_rooted_tree_edges(h), 2):
+            members.append(Graph(n, [*a, (0, h), *((x + h, y + h) for x, y in b)]))
+    return members
 
 
 def _automorphisms(adj):
@@ -369,10 +372,9 @@ def enumerate_connected(n, m):
     _check_size(n, m)
     if m < n - 1:
         return ()
-    if m == n - 1:
-        return _trees(n)
     if m <= n + 1:
-        return _classes(n, [canonical_code(n, G.adj, G.masks) for G in _hung(n, m)])
+        members = _centroid_trees(n) if m == n - 1 else _hung(n, m)
+        return _classes(n, [canonical_code(n, G.adj, G.masks) for G in members])
     codes = set()
     for G in enumerate_connected(n, m - 1):
         present = G.edges
@@ -393,7 +395,7 @@ def enumerate_connected(n, m):
 
 # The search classes: name -> the isomorph-free list of its graphs at order n.
 _CLASSES = {
-    "trees": lambda n: list(enumerate_connected(n, n - 1)),
+    "trees": _centroid_trees,
     "unicyclic": lambda n: _hung(n, n),
     "bicyclic": lambda n: _hung(n, n + 1),
     "pendant_free_bicyclic": lambda n: [make(s) for s in enumerate_pendant_free_bicyclic(n)],
@@ -405,8 +407,7 @@ SEARCH_CLASSES = tuple(_CLASSES)
 def class_graphs(class_name, n):
     """The isomorph-free list of graphs making up a search class at order n.
 
-    Members keep the labels they were built with: canonical for trees, the
-    construction's for the others.
+    Members keep the labels they were built with, not canonical ones.
     """
     build = _CLASSES.get(class_name)
     if build is None:
@@ -501,11 +502,12 @@ def extremal(class_name, n, f, objective="min"):
 
 
 def report_records(report):
-    """Machine-readable rows: (canonical encoding, rho, family tag)."""
+    """Machine-readable rows: (canonical encoding, rho, family tag). Winners
+    are canonical representatives, so each encoding is read off its edges."""
     rows = []
     for G, rho in zip(report.winners, report.winner_values):
-        n, bits = canonical_form(G)
-        enc = f"{n}:" + "".join(str(b) for b in bits)
+        n = G.n
+        enc = f"{n}:" + "".join("01"[(i, j) in G.edges] for j in range(1, n) for i in range(j))
         spec = identify_pendant_free_bicyclic(G)
         rows.append((enc, rho, str(spec) if spec else "-"))
     return rows

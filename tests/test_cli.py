@@ -108,6 +108,35 @@ def test_enumerate_output_pinned(capsys, class_name):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[class_name]
 
 
+# sha256 of the stdout of `enumerate --class trees --order 10`, and of
+# `extremal --class trees --order 10 --weight randic` up to its elapsed time
+# (randic ties all 106 trees), taken when trees still grew leaf by leaf.
+TREE_DIGESTS = {
+    "enumerate": "ef36e3e3d8d901eb84a4e94142fd2c9e0c78a49437bcb020e49976bb148e1527",
+    "extremal": "cced133d0781d4dd1a0e1b4a33a3453d6a4284ac35679a1e83af0aa75ee33db9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TREE_DIGESTS))
+def test_tree_outputs_pinned(capsys, command):
+    weight = ("--weight", "randic") if command == "extremal" else ()
+    code, out, _ = run(capsys, command, "--class", "trees", "--order", "10", *weight)
+    assert code == 0
+    text = out.split("\telapsed=")[0]
+    assert hashlib.sha256(text.encode()).hexdigest() == TREE_DIGESTS[command]
+
+
+@pytest.mark.parametrize("order, winner", [(1, "0.000000\t-\t1:"), (2, "1.414214\t-\t2:1")])
+def test_extremal_trees_of_order_1_and_2(capsys, order, winner):
+    code, out, _ = run(capsys, "extremal", "--class", "trees", "--order", str(order),
+                       "--weight", "sombor")
+    assert code == 0
+    assert out.split("\telapsed=")[0] == (
+        f"# class=trees\torder={order}\tweight=sombor\tobjective=min\n"
+        f"{winner}\n# value={winner.split()[0]}\texamined=1\tskipped=0"
+    )
+
+
 def test_enumerate_connected_requires_size(capsys):
     code, _, err = run(capsys, "enumerate", "--class", "connected", "--order", "4")
     assert code == 2

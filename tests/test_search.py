@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fspectra import search
+from fspectra import graph_core, search
 from fspectra.errors import BadParams, SizeLimit
 from fspectra.families import (
     FamilySpec,
@@ -82,13 +82,13 @@ def _codes(graphs):
 
 
 def test_enumerate_connected_counts_against_oracle():
-    for n, m in [(4, 4), (5, 5), (5, 6), (6, 5), (6, 6), (6, 7), (7, 6), (7, 7), (7, 8)]:
+    trees = [(n, n - 1) for n in range(1, 9)]
+    for n, m in trees + [(4, 4), (5, 5), (5, 6), (6, 6), (6, 7), (7, 7), (7, 8)]:
         got = enumerate_connected(n, m)
         want = brute_connected_classes(n, m)
         assert len(got) == len(want), (n, m)
-        if m >= n:
-            members = class_graphs("unicyclic" if m == n else "bicyclic", n)
-            assert sorted(_codes(members)) == sorted(_codes(want)), (n, m)
+        members = class_graphs(("trees", "unicyclic", "bicyclic")[m - n + 1], n)
+        assert sorted(_codes(members)) == sorted(_codes(want)) == _codes(got), (n, m)
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])
@@ -143,12 +143,6 @@ def _edge_kept(H, e):
     return search._keeps(H.adj, e, G.edges, search._bridge_sides(G))
 
 
-def _leaf_kept(T, leaf):
-    """The growth loop's keep decision for tree T grown by leaf ``leaf``."""
-    rivals = [(x, a[0]) for x, a in enumerate(T.adj) if len(a) == 1 and x != leaf]
-    return search._keeps(T.adj, (leaf, T.adj[leaf][0]), rivals, {})
-
-
 def _relabelings(n, count=3, seed=7):
     rng = random.Random(seed)
     perms = []
@@ -174,19 +168,7 @@ def test_canonical_deletion_is_invariant_and_nonempty():
                 assert _edge_kept(image, pe) == keep, (H, e, perm)
 
 
-def test_canonical_leaf_deletion_is_invariant_and_nonempty():
-    perms = _relabelings(8)
-    for T in enumerate_connected(8, 7):
-        leaves = [v for v in range(T.n) if len(T.adj[v]) == 1]
-        kept = [_leaf_kept(T, v) for v in leaves]
-        assert any(kept)
-        for perm in perms:
-            image = relabeled(T, perm)
-            assert [_leaf_kept(image, perm[v]) for v in leaves] == kept, (T, perm)
-
-
 def _clear_enumeration_caches():
-    search._trees.cache_clear()
     search._rooted_trees.cache_clear()
     search._rooted_tree_edges.cache_clear()
     search._core.cache_clear()
@@ -294,6 +276,12 @@ def test_fixture_free_counts_of_whole_classes(class_name):
         assert (free, len(graphs)) == pinned
 
 
+# randic ties every connected graph at rho = 1, so its min report on the
+# bicyclic class at order 9 lists the canonical encoding of all 797 bicyclic
+# graphs of order 9, in order; sha256 of that report without its elapsed time.
+RANDIC_BICYCLIC_9 = "7d83116b1d663adacef6b1cca584b78a81077b5e87f877ec55fe2026053fb4d4"
+
+
 def _tsv_without_elapsed(report):
     return report_tsv(report).split("\telapsed=")[0]
 
@@ -320,11 +308,29 @@ def test_extremal_tsv_pinned_at_order_9():
         "7.680721\tinfty:3,3,4\t9:110000000100000000001010110000100110\n"
         "# value=7.680721\texamined=797\tskipped=0"
     )
-    # randic ties every connected graph at rho = 1, so this report lists the
-    # canonical encoding of all 797 bicyclic graphs of order 9, in order.
     everyone = extremal("bicyclic", 9, parse_weight("randic"), "min")
     digest = hashlib.sha256(_tsv_without_elapsed(everyone).encode()).hexdigest()
-    assert digest == "7d83116b1d663adacef6b1cca584b78a81077b5e87f877ec55fe2026053fb4d4"
+    assert digest == RANDIC_BICYCLIC_9
+
+
+def test_report_reads_winner_encodings_off_their_edges(monkeypatch):
+    # extremal computes one canonical code per tied member to sort and
+    # relabel its winners; the report computes none.
+    calls = []
+    kernel = graph_core.canonical_code
+
+    def counted(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    _clear_enumeration_caches()
+    monkeypatch.setattr(search, "canonical_code", counted)
+    monkeypatch.setattr(graph_core, "canonical_code", counted)
+    everyone = extremal("bicyclic", 9, parse_weight("randic"), "min")
+    digest = hashlib.sha256(_tsv_without_elapsed(everyone).encode()).hexdigest()
+    assert len(everyone.winners) == 797
+    assert len(calls) == 797
+    assert digest == RANDIC_BICYCLIC_9
 
 
 @pytest.mark.parametrize("class_name", ["trees", "unicyclic", "bicyclic"])
