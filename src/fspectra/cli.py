@@ -15,9 +15,9 @@ import sys
 from . import search
 from .errors import FspectraError
 from .families import identify_pendant_free_bicyclic, make, parse_family
-from .graph_core import format_graph_text, read_graph_file, subdivided
+from .graph_core import format_graph_text, read_graph_file, subdivided, write_graph_file
 from .spectral import DEFAULT_TOL, f_adjacency, f_spectral_radius, full_spectrum
-from .weights import NAMED_WEIGHTS, parse_weight
+from .weights import parse_weight, parse_weights
 
 
 def _add_graph_source(p):
@@ -53,28 +53,7 @@ def _parse_range(text):
     return list(range(lo, hi + 1))
 
 
-def _split_weights(text):
-    """Split a comma-separated weight list without breaking table entries.
-
-    A piece starts a new weight only when it is a named weight or begins
-    with ``const:`` or ``table:``; any other piece is the rest of a table
-    entry ``x,y=v`` and is joined back onto the weight before it.
-    """
-    specs = []
-    for piece in text.split(","):
-        head = piece.strip()
-        named = head.replace("-", "_") in NAMED_WEIGHTS
-        if not specs or named or head.startswith(("const:", "table:")):
-            specs.append(piece)
-        else:
-            specs[-1] += "," + piece
-    return specs
-
-
 _CLASS_CHOICES = [c.replace("_", "-") for c in search.SEARCH_CLASSES]
-# Edges minus vertices of the classes that enumerate prints as canonical
-# representatives, the labels class searches report winners in.
-_EXCESS = {"trees": -1, "unicyclic": 0, "bicyclic": 1}
 
 
 def build_parser():
@@ -178,12 +157,10 @@ def _cmd_certify(args):
 
 
 def _emit_graph(G, out):
-    text = format_graph_text(G)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_graph_file(G, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_graph_text(G))
 
 
 def _cmd_subdivide(args):
@@ -212,7 +189,7 @@ def _cmd_enumerate(args):
     if name == "pendant_free_bicyclic":
         graphs = search.class_graphs(name, args.order)
     else:
-        size = args.size if name == "connected" else args.order + _EXCESS[name]
+        size = args.size if name == "connected" else args.order + search.EXCESS[name]
         graphs = search.enumerate_connected(args.order, size)
     for G in graphs:
         spec = identify_pendant_free_bicyclic(G)
@@ -231,7 +208,7 @@ def _cmd_extremal(args):
 
 
 def _cmd_verify(args):
-    weights = [parse_weight(w) for w in _split_weights(args.weights)]
+    weights = parse_weights(args.weights)
     kwargs = {}
     if args.s:
         kwargs["s_values"] = _parse_range(args.s)

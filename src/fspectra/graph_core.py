@@ -12,7 +12,6 @@ and the parser rejects loops and duplicate edges.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import BadParams, Disconnected, EdgeNotFound, NoCycle, SizeLimit
@@ -246,9 +245,7 @@ def contains_induced(G, H):
 
     Each |H|-subset's induced lists and masks are read off ``G.masks``, with
     no ``Graph`` built; one whose sorted degrees match H's is compared with
-    H by canonical code, through the kernel so that subsets stay out of
-    ``canonical_form``'s cache. H may have at most CANONICAL_MAX_VERTICES
-    vertices.
+    H by canonical code. H may have at most CANONICAL_MAX_VERTICES vertices.
     """
     if G.n > INDUCED_MAX_VERTICES:
         raise SizeLimit(
@@ -378,32 +375,23 @@ def canonical_code(n, adj, masks):
     return best
 
 
-def _code_bits(n, code):
-    """The bits of a canonical code of order n, first bit first."""
-    total = n * (n - 1) // 2
-    return tuple((code >> (total - 1 - i)) & 1 for i in range(total))
-
-
 def graph_of_code(n, code):
     """The canonically labeled graph of order n with the given code."""
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    return Graph(n, [e for e, bit in zip(pairs, _code_bits(n, code)) if bit])
+    return Graph(n, [e for k, e in enumerate(reversed(pairs)) if code >> k & 1])
 
 
-@lru_cache(maxsize=1 << 16)
 def canonical_form(G):
-    """Canonical encoding; equal encodings iff the graphs are isomorphic.
+    """Canonical key (n, ``canonical_code`` of G); equal keys iff the graphs
+    are isomorphic. Supports n <= 12."""
+    return (G.n, canonical_code(G.n, G.adj, G.masks))
 
-    The encoding is (n, bits) with bits the tuple form of
-    ``canonical_code(G.n, G.adj, G.masks)``: the lexicographically largest
-    column-major upper-triangle adjacency bitstring over the vertex
-    orderings compatible with the refined colour classes, found with twin
-    pruning, so symmetric graphs such as K_n, K_{a,b} and stars cost a
-    handful of search nodes. Cached per graph; enumeration calls the kernel
-    on its candidates directly and does not fill this cache. Supports
-    n <= 12.
-    """
-    return (G.n, _code_bits(G.n, canonical_code(G.n, G.adj, G.masks)))
+
+def encoding(G):
+    """The text ``n:bits`` of G under its own labels: its column-major
+    upper-triangle adjacency bits, first bit first. For a canonically
+    labeled graph the bits are its canonical code in binary."""
+    return f"{G.n}:" + "".join("01"[m >> i & 1] for j, m in enumerate(G.masks) for i in range(j))
 
 
 def parse_graph_text(text):

@@ -11,9 +11,11 @@ pendant-free bicyclic graphs, with a rooted tree hung on each core vertex.
 An assignment of (size, tree index) to the core vertices is built only if
 it is lexicographically smallest over the core's automorphisms, which a
 backtracking search over refined colour classes lists once per core. So
-each class is built once, as a ``Graph``, with no canonical code; its
-labels are the construction's, and ``enumerate_connected`` computes one
-canonical code per class to return canonically labeled representatives.
+each class is built once by ``_members``, as a ``Graph`` with the
+construction's labels and no canonical code. ``class_graphs`` returns the
+members as built, and ``enumerate_connected`` computes one canonical code
+per class to return canonically labeled representatives. ``EXCESS`` gives
+m - n for each search class that these generators list.
 
 Denser sizes (m >= n + 2) grow one edge at a time from the level below.
 Growth works on adjacency lists and bitmasks: each kept candidate's
@@ -41,7 +43,8 @@ Every search scores its candidates once, solving all candidates of one order
 in a single batched eigensolve, keeps the extremal value and the candidates
 tied with it (values at most the sum of their ``perron_values`` error
 half-widths apart), and reports winners as canonically labeled
-representatives in canonical order. Each named verification is one small
+representatives in canonical order, each written as its ``n:bits``
+``graph_core.encoding``. Each named verification is one small
 function in the ``_CHECKS`` table; the checks on pendant-free bicyclic
 graphs score family specs directly and compare spec strings, so they need
 no canonical form and run at any order.
@@ -59,6 +62,7 @@ import numpy as np
 from .errors import BadParams, MissingTableEntry, SizeLimit
 from .families import FamilySpec, forbidden_fixtures, identify_pendant_free_bicyclic, make
 from .graph_core import (
+    CANONICAL_MAX_VERTICES,
     Graph,
     _refine,
     base_graph,
@@ -66,6 +70,7 @@ from .graph_core import (
     canonical_form,
     contains_induced,
     degrees,
+    encoding,
     graph_of_code,
     twins,
 )
@@ -240,7 +245,6 @@ def _centroid_trees(n):
     """Every tree on n vertices once, labeled as built from its centroid:
     a rooted tree of order n with root subtrees of at most (n - 1) // 2
     vertices, or (even n) two of order n / 2, indices a <= b, roots joined."""
-    _check_size(n, n - 1)
     members = []
     for edges in _rooted_tree_edges(n):
         # Preorder labels: each root subtree spans up to the next root child.
@@ -328,7 +332,6 @@ def _hung(n, m):
     compared first: only the automorphisms fixing the sizes can reorder the
     tree indices.
     """
-    _check_size(n, m)
     if m == n:
         cores = [FamilySpec("cycle", (k,)) for k in range(3, n + 1)]
     else:
@@ -362,6 +365,13 @@ def _hang(n, core_edges, sizes, pick):
     return Graph(n, edges)
 
 
+def _members(n, m):
+    """Every connected graph with n vertices and m <= n + 1 edges, once per
+    isomorphism class, labeled as built: centroid trees or hung cores."""
+    _check_size(n, m)
+    return _centroid_trees(n) if m == n - 1 else _hung(n, m)
+
+
 @lru_cache(maxsize=None)
 def enumerate_connected(n, m):
     """All connected graphs with n vertices and m edges, one per iso class.
@@ -373,8 +383,7 @@ def enumerate_connected(n, m):
     if m < n - 1:
         return ()
     if m <= n + 1:
-        members = _centroid_trees(n) if m == n - 1 else _hung(n, m)
-        return _classes(n, [canonical_code(n, G.adj, G.masks) for G in members])
+        return _classes(n, [canonical_code(n, G.adj, G.masks) for G in _members(n, m)])
     codes = set()
     for G in enumerate_connected(n, m - 1):
         present = G.edges
@@ -393,15 +402,10 @@ def enumerate_connected(n, m):
     return _classes(n, codes)
 
 
-# The search classes: name -> the isomorph-free list of its graphs at order n.
-_CLASSES = {
-    "trees": _centroid_trees,
-    "unicyclic": lambda n: _hung(n, n),
-    "bicyclic": lambda n: _hung(n, n + 1),
-    "pendant_free_bicyclic": lambda n: [make(s) for s in enumerate_pendant_free_bicyclic(n)],
-}
+# Edges minus vertices of the search classes that enumeration lists.
+EXCESS = {"trees": -1, "unicyclic": 0, "bicyclic": 1}
 
-SEARCH_CLASSES = tuple(_CLASSES)
+SEARCH_CLASSES = (*EXCESS, "pendant_free_bicyclic")
 
 
 def class_graphs(class_name, n):
@@ -409,10 +413,11 @@ def class_graphs(class_name, n):
 
     Members keep the labels they were built with, not canonical ones.
     """
-    build = _CLASSES.get(class_name)
-    if build is None:
+    if class_name == "pendant_free_bicyclic":
+        return [make(s) for s in enumerate_pendant_free_bicyclic(n)]
+    if class_name not in EXCESS:
         raise BadParams(f"unknown search class {class_name!r}")
-    return build(n)
+    return _members(n, n + EXCESS[class_name])
 
 
 @dataclass
@@ -484,6 +489,8 @@ def extremal(class_name, n, f, objective="min"):
         raise BadParams("objective must be 'min' or 'max'")
     start = time.perf_counter()
     graphs = class_graphs(class_name, n)
+    if n > CANONICAL_MAX_VERTICES:
+        raise SizeLimit(f"canonical form supports at most {CANONICAL_MAX_VERTICES} vertices")
     scored = _scored(graphs, f)
     top, ties = _best(scored, objective, f"class {class_name} at n={n}")
     ranked = sorted((canonical_code(n, G.adj, G.masks), rho) for rho, _, G in ties)
@@ -503,13 +510,12 @@ def extremal(class_name, n, f, objective="min"):
 
 def report_records(report):
     """Machine-readable rows: (canonical encoding, rho, family tag). Winners
-    are canonical representatives, so each encoding is read off its edges."""
+    are canonical representatives, so ``graph_core.encoding`` reads each
+    encoding off the winner's own labels, with no canonical search."""
     rows = []
     for G, rho in zip(report.winners, report.winner_values):
-        n = G.n
-        enc = f"{n}:" + "".join("01"[(i, j) in G.edges] for j in range(1, n) for i in range(j))
         spec = identify_pendant_free_bicyclic(G)
-        rows.append((enc, rho, str(spec) if spec else "-"))
+        rows.append((encoding(G), rho, str(spec) if spec else "-"))
     return rows
 
 

@@ -12,7 +12,8 @@ positive real. The built-in named functions are
 
 Weights may also be a finite positive constant or an explicit table of
 finite positive values on unordered degree pairs. The string grammar
-accepted by :func:`parse_weight` is
+accepted by :func:`parse_weight`, and as a comma-separated list by
+:func:`parse_weights`, is
 
     abc | randic | sombor | zagreb1 | zagreb2 | recip-randic
     | const:<float>
@@ -93,9 +94,10 @@ class WeightSpec:
 
     @classmethod
     def from_table(cls, entries):
-        """Build a table spec from a mapping {(x, y): value} on unordered pairs."""
+        """Build a table spec from a mapping {(x, y): value} or an iterable
+        of ((x, y), value) pairs on unordered degree pairs."""
         items = {}
-        for (x, y), v in dict(entries).items():
+        for (x, y), v in entries.items() if hasattr(entries, "items") else entries:
             key = (min(x, y), max(x, y))
             if key in items and items[key] != float(v):
                 raise BadParams(f"conflicting table values for pair {key}")
@@ -127,7 +129,7 @@ def parse_weight(text):
             raise BadParams(f"bad constant weight spec {text!r}") from None
         return WeightSpec.constant(c)
     if text.startswith("table:"):
-        entries = {}
+        entries = []
         for chunk in text[len("table:"):].split(";"):
             chunk = chunk.strip()
             if not chunk:
@@ -135,16 +137,29 @@ def parse_weight(text):
             try:
                 pair, val = chunk.split("=")
                 xs, ys = pair.split(",")
-                x, y = int(xs), int(ys)
-                v = float(val)
+                entries.append(((int(xs), int(ys)), float(val)))
             except ValueError:
                 raise BadParams(f"bad table entry {chunk!r}") from None
-            key = (min(x, y), max(x, y))
-            if key in entries and entries[key] != v:
-                raise BadParams(f"conflicting table values for pair {key}")
-            entries[key] = v
         return WeightSpec.from_table(entries)
     raise BadParams(f"unrecognized weight spec {text!r}")
+
+
+def parse_weights(text):
+    """Parse a comma-separated list of weight specs.
+
+    A piece starts a new weight only when it is a named weight or begins
+    with ``const:`` or ``table:``; any other piece is the rest of a table
+    entry ``x,y=v`` and is joined back onto the weight before it.
+    """
+    specs = []
+    for piece in text.split(","):
+        head = piece.strip()
+        named = head.replace("-", "_") in NAMED_WEIGHTS
+        if not specs or named or head.startswith(("const:", "table:")):
+            specs.append(piece)
+        else:
+            specs[-1] += "," + piece
+    return [parse_weight(spec) for spec in specs]
 
 
 def eval_weight(f, x, y):

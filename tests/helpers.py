@@ -57,14 +57,6 @@ def bits_in_order(G, order):
     )
 
 
-def brute_canonical_bits(G):
-    """The library's canonical encoding (n, bits) by exhaustive search:
-    ``brute_canonical_code`` of G as a tuple of bits, first bit first."""
-    total = G.n * (G.n - 1) // 2
-    code = brute_canonical_code(G.n, G.adj)
-    return (G.n, tuple(code >> (total - 1 - i) & 1 for i in range(total)))
-
-
 def brute_canonical_code(n, adj):
     """``canonical_code(n, adj, masks)`` by exhaustive search.
 

@@ -76,6 +76,26 @@ def test_subdivide_roundtrip(capsys):
     assert (G.n, G.m) == (5, 5)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("subdivide", "--family", "theta:3,3,2", "--edge", "0,2"),
+        ("kelmans", "--family", "path:6", "--u", "1", "--v", "3"),
+    ],
+)
+def test_out_file_holds_the_graph_text_stdout_would_show(tmp_path, capsys, argv):
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out.graph"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, err) == (0, "")
+    text = path.read_text(encoding="utf-8")
+    # stdout keeps only kelmans' '#' report lines; the graph goes to the file
+    assert out + text == plain
+    assert all(line.startswith("#") for line in out.splitlines())
+    assert parse_graph_text(text).m > 0
+
+
 def test_kelmans_cli(capsys):
     code, out, _ = run(capsys, "kelmans", "--family", "path:5", "--u", "1", "--v", "3")
     assert code == 0
@@ -296,6 +316,11 @@ def test_verify_near_tied_eigenvalues(capsys):
         (("verify", "--theorem", "conjecture-pstarstar", "--weights", "sombor",
           "--classes", "pendant_free_bicyclic", "--n", "8"),
          "not 'pendant_free_bicyclic'"),
+        (("rho", "--family", "cycle:5", "--weight", "table:2,3=1;3,2=2"),
+         "conflicting table values for pair (2, 3)"),
+        # Refused once the class is listed, before any member is solved.
+        (("extremal", "--class", "pendant-free-bicyclic", "--order", "13", "--weight", "sombor"),
+         "canonical form supports at most 12 vertices"),
     ],
 )
 def test_bad_numeric_arguments_exit_2(capsys, argv, message):

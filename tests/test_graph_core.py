@@ -16,6 +16,7 @@ from fspectra.graph_core import (
     contains_induced,
     cyclomatic_number,
     degrees,
+    encoding,
     format_graph_text,
     fundamental_cycles,
     graph_of_code,
@@ -26,7 +27,6 @@ from fspectra.graph_core import (
 )
 from helpers import (
     bits_in_order,
-    brute_canonical_bits,
     brute_canonical_code,
     brute_contains_induced,
     brute_is_isomorphic,
@@ -184,11 +184,8 @@ def test_contains_induced_matches_oracle():
             Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]),
         )
         cases.extend((G, H) for G in hosts for H in patterns)
-    cached = canonical_form.cache_info().currsize
     for G, H in cases:
         assert contains_induced(G, H) == brute_contains_induced(G, H), (G, H)
-    # the subsets go to the kernel, not through canonical_form's cache
-    assert canonical_form.cache_info().currsize == cached
 
 
 def test_contains_induced_size_limit():
@@ -256,7 +253,7 @@ def _twin_heavy_corpus():
 
 def test_canonical_form_matches_brute_force_encoding():
     for G in _twin_heavy_corpus():
-        assert canonical_form(G) == brute_canonical_bits(G), G
+        assert canonical_form(G) == (G.n, brute_canonical_code(G.n, G.adj)), G
 
 
 def test_canonical_code_matches_brute_force_on_any_graph():
@@ -308,15 +305,15 @@ def test_canonical_form_symmetric_graphs_at_size_limit():
     # took about 2 s that way).
     n = 12
     pairs = n * (n - 1) // 2
-    assert canonical_form(complete_multipartite(*[1] * n)) == (n, (1,) * pairs)
-    assert canonical_form(Graph(n, [])) == (n, (0,) * pairs)
+    assert canonical_form(complete_multipartite(*[1] * n)) == (n, (1 << pairs) - 1)
+    assert canonical_form(Graph(n, [])) == (n, 0)
     # star: the leaves (lower degree, so first colour) then the centre
     star = make(FamilySpec("star", (n,)))
-    assert canonical_form(star) == (n, (0,) * (pairs - (n - 1)) + (1,) * (n - 1))
+    assert canonical_form(star) == (n, (1 << (n - 1)) - 1)
     # K_{6,6}: one vertex of side A, then all of side B, then the rest of A
     k66 = complete_multipartite(6, 6)
     best = [0] + list(range(6, 12)) + list(range(1, 6))
-    assert canonical_form(k66) == (n, bits_in_order(k66, best))
+    assert canonical_form(k66) == (n, int("".join(map(str, bits_in_order(k66, best))), 2))
     assert canonical_form(relabeled(k66, [(7 * v) % n for v in range(n)])) == canonical_form(k66)
 
 
@@ -337,10 +334,16 @@ def test_canonical_code_is_the_form_as_an_int():
         G = random_connected_graph(rng, rng.randint(1, 9), rng.randint(0, 6))
         adj = [tuple(rng.sample(a, len(a))) for a in G.adj]
         code = canonical_code(G.n, adj, G.masks)
-        n, bits = canonical_form(G)
-        assert code == int("".join(map(str, bits)) or "0", 2)
-        assert canonical_form(graph_of_code(n, code)) == (n, bits)
+        assert canonical_form(G) == (G.n, code)
+        assert canonical_form(graph_of_code(G.n, code)) == (G.n, code)
     assert canonical_code(0, [], []) == 0
+    # graph_of_code and encoding are inverse on any code, canonical or not;
+    # orders 0 and 1 have no pairs, so their bit string is empty.
+    for n in range(13):
+        width = n * (n - 1) // 2
+        for c in {0, (1 << width) - 1, rng.getrandbits(width)}:
+            bits = f"{c:0{width}b}" if width else ""
+            assert encoding(graph_of_code(n, c)) == f"{n}:{bits}"
 
 
 def test_canonical_form_size_limit():

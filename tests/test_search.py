@@ -173,7 +173,6 @@ def _clear_enumeration_caches():
     search._rooted_tree_edges.cache_clear()
     search._core.cache_clear()
     enumerate_connected.cache_clear()
-    canonical_form.cache_clear()
 
 
 def test_cold_enumeration_computes_few_canonical_forms(monkeypatch):
@@ -397,6 +396,21 @@ def test_report_output_shapes():
     text = report_tsv(report)
     assert "infty-star:3,3" in text
     assert text.startswith("# class=")
+
+
+def test_report_records_spell_canonical_codes_without_the_kernel(monkeypatch):
+    report = extremal("bicyclic", 7, SOMBOR, "max")
+    expected = []
+    for G in report.winners:
+        n, code = canonical_form(G)
+        expected.append(f"{n}:{code:0{n * (n - 1) // 2}b}")
+
+    def refuse(*args):
+        raise AssertionError("report_records ran a canonical search")
+
+    monkeypatch.setattr(graph_core, "canonical_code", refuse)
+    monkeypatch.setattr(search, "canonical_code", refuse)
+    assert [enc for enc, _, _ in report_records(report)] == expected
 
 
 def test_verify_equality_small():

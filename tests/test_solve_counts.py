@@ -11,6 +11,7 @@ import pytest
 
 from fspectra import search, spectral
 from fspectra.cli import main
+from fspectra.errors import SizeLimit
 from fspectra.families import make, parse_family
 from fspectra.luman import certify
 from fspectra.search import class_graphs, extremal, report_tsv
@@ -56,6 +57,14 @@ def test_extremal_and_report_solve_once_per_member(
     assert report.examined == size
     assert (len(report.winners) == size) is all_tie
     assert len(text.splitlines()) == len(report.winners) + 2
+
+
+def test_extremal_refuses_orders_past_the_canonical_ceiling_unsolved(solves):
+    # Winners are reported by canonical code, which stops at 12 vertices; the
+    # pendant-free class lists past that, so extremal must refuse before scoring.
+    with pytest.raises(SizeLimit, match="at most 12 vertices"):
+        extremal("pendant_free_bicyclic", 13, parse_weight("sombor"))
+    assert solves == []
 
 
 def test_certify_solves_once(solves):

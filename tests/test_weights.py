@@ -12,6 +12,7 @@ from fspectra.weights import (
     check_property,
     eval_weight,
     parse_weight,
+    parse_weights,
 )
 
 TABLE = parse_weight("table:2,2=1;3,2=2;4,2=2")
@@ -97,6 +98,24 @@ def test_table_unordered_pairs():
     f = WeightSpec.from_table({(3, 2): 2.0})
     assert eval_weight(f, 2, 3) == 2.0
     assert eval_weight(f, 3, 2) == 2.0
+
+
+def test_table_pairs_are_normalised_and_checked_in_one_place():
+    # Pair lists may name one unordered pair twice; a mapping cannot.
+    pairs = WeightSpec.from_table([((3, 2), 2.0), ((2, 3), 2.0), ((2, 2), 1.0)])
+    assert pairs == WeightSpec.from_table({(2, 2): 1.0, (2, 3): 2.0})
+    assert pairs == parse_weight("table:3,2=2;2,3=2;2,2=1")
+    for build in (lambda: WeightSpec.from_table([((2, 3), 1.0), ((3, 2), 2.0)]),
+                  lambda: parse_weight("table:2,3=1;3,2=2")):
+        with pytest.raises(BadParams, match=r"conflicting table values for pair \(2, 3\)"):
+            build()
+
+
+def test_parse_weights_keeps_table_commas():
+    specs = parse_weights("sombor, table:2,2=1;3,2=2,recip-randic,const:2")
+    assert [str(f) for f in specs] == ["sombor", "table:2,2=1;2,3=2", "recip-randic", "const:2"]
+    with pytest.raises(BadParams, match="bad table entry"):
+        parse_weights("table:2,2=1,x")
 
 
 def test_degree_domain():
