@@ -209,18 +209,11 @@ def _cmd_extremal(args):
 
 def _cmd_verify(args):
     weights = parse_weights(args.weights)
-    kwargs = {}
-    if args.s:
-        kwargs["s_values"] = _parse_range(args.s)
-    if args.t:
-        kwargs["t_values"] = _parse_range(args.t)
-    if args.n:
-        kwargs["n_values"] = _parse_range(args.n)
-    if args.m:
-        kwargs["m_values"] = _parse_range(args.m)
+    # Only the ranges given go on: the theorem has its own defaults.
+    ranges = {f"{k}_values": _parse_range(getattr(args, k)) for k in "stnm" if getattr(args, k)}
     if args.classes:
-        kwargs["class_names"] = [c.strip() for c in args.classes.split(",")]
-    report = search.verify_theorem(args.theorem, weights, **kwargs)
+        ranges["class_names"] = [c.strip() for c in args.classes.split(",")]
+    report = search.verify_theorem(args.theorem, weights, **ranges)
     for line in report.checks:
         print(f"{line.status} {line.text}")
     total = len(report.checks)

@@ -18,7 +18,7 @@ Family spec grammar (parsed by :func:`parse_family`):
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import BadParams, SizeLimit
 from .graph_core import GRAPH_MAX_ORDER, Graph, degrees, internal_paths, is_connected
@@ -102,7 +102,8 @@ def _sn_plus_e(k):
     return _pendants(3, _C3, (k - 3,))
 
 
-class _Family(NamedTuple):
+@dataclass(frozen=True)
+class _Family:
     token: str  # spelling in spec strings
     arity: int  # number of parameters
     offset: int  # order = sum(params) + offset

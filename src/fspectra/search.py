@@ -15,7 +15,8 @@ each class is built once by ``_members``, as a ``Graph`` with the
 construction's labels and no canonical code. ``class_graphs`` returns the
 members as built, and ``enumerate_connected`` computes one canonical code
 per class to return canonically labeled representatives. ``EXCESS`` gives
-m - n for each search class that these generators list.
+m - n for each search class that these generators list, up to order
+``CANONICAL_MAX_VERTICES`` (12), where canonical codes stop.
 
 Denser sizes (m >= n + 2) grow one edge at a time from the level below.
 Growth works on adjacency lists and bitmasks: each kept candidate's
@@ -44,18 +45,20 @@ in a single batched eigensolve, keeps the extremal value and the candidates
 tied with it (values at most the sum of their ``perron_values`` error
 half-widths apart), and reports winners as canonically labeled
 representatives in canonical order, each written as its ``n:bits``
-``graph_core.encoding``. Each named verification is one small
-function in the ``_CHECKS`` table; the checks on pendant-free bicyclic
-graphs score family specs directly and compare spec strings, so they need
-no canonical form and run at any order.
+``graph_core.encoding``, so ``extremal`` refuses an order past
+``CANONICAL_MAX_VERTICES`` before it lists the class. Each named
+verification is one small ``_CHECKS`` function that names the ranges it
+reads as keyword parameters with defaults; ``verify_theorem`` refuses any
+other range. The checks on pendant-free bicyclic graphs score family specs
+directly and compare spec strings, so they run at any order.
 """
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,11 +79,9 @@ from .graph_core import (
 )
 from .spectral import f_adjacency, perron_values
 
-# Largest order enumerate_connected lists: 11 for the search classes (trees,
-# unicyclic and bicyclic, m <= n + 1), 9 for denser sizes, whose levels at
-# orders 10 and 11 run to millions of classes.
+# Largest order enumerate_connected lists for sizes m >= n + 2, whose levels
+# at orders 10 and 11 run to millions of classes.
 ENUMERATION_MAX_ORDER = 9
-SPARSE_MAX_ORDER = 11
 # Largest stack of dense matrices, in bytes, a pendant-free bicyclic search builds.
 STACK_MAX_BYTES = 2 ** 30
 
@@ -308,11 +309,12 @@ def _compositions(total, parts):
 
 
 def _check_size(n, m):
-    """Refuse an (n, m) that enumeration does not list: SizeLimit above the
-    order ceilings, BadParams where no simple graph exists."""
-    if n > (SPARSE_MAX_ORDER if m <= n + 1 else ENUMERATION_MAX_ORDER):
+    """Refuse an (n, m) that enumeration does not list: SizeLimit above
+    CANONICAL_MAX_VERTICES (m <= n + 1, where canonical codes stop) or else
+    ENUMERATION_MAX_ORDER, BadParams where no simple graph exists."""
+    if n > (CANONICAL_MAX_VERTICES if m <= n + 1 else ENUMERATION_MAX_ORDER):
         raise SizeLimit(
-            f"enumeration supports order <= {SPARSE_MAX_ORDER} with at most n + 1 "
+            f"enumeration supports order <= {CANONICAL_MAX_VERTICES} with at most n + 1 "
             f"edges and order <= {ENUMERATION_MAX_ORDER} otherwise"
         )
     if n < 1 or m < 0 or m > n * (n - 1) // 2:
@@ -487,10 +489,10 @@ def extremal(class_name, n, f, objective="min"):
     """Exact extremal set of rho_f over an enumerated class."""
     if objective not in ("min", "max"):
         raise BadParams("objective must be 'min' or 'max'")
-    start = time.perf_counter()
-    graphs = class_graphs(class_name, n)
     if n > CANONICAL_MAX_VERTICES:
         raise SizeLimit(f"canonical form supports at most {CANONICAL_MAX_VERTICES} vertices")
+    start = time.perf_counter()
+    graphs = class_graphs(class_name, n)
     scored = _scored(graphs, f)
     top, ties = _best(scored, objective, f"class {class_name} at n={n}")
     ranked = sorted((canonical_code(n, G.adj, G.masks), rho) for rho, _, G in ties)
@@ -564,14 +566,6 @@ class TheoremReport:
         return self
 
 
-class _Ranges(NamedTuple):
-    s_values: tuple
-    t_values: tuple
-    n_values: tuple
-    m_values: tuple
-    class_names: tuple
-
-
 def _balanced(kind, m):
     """The theta- or infty-type spec (s, s, t) of size m with 2s + t = m and
     |s - t| <= 1, as a string; theta lengths are listed sorted."""
@@ -584,7 +578,11 @@ def _balanced(kind, m):
 
 
 def _pendant_free_of_kind(kind, m):
-    return [sp for sp in enumerate_pendant_free_bicyclic(m - 1) if sp.kind == kind]
+    listed = enumerate_pendant_free_bicyclic(m - 1) if m > 4 else []
+    specs = [sp for sp in listed if sp.kind == kind]
+    if not specs:
+        raise BadParams(f"no {kind}-type graph has {m} edges")
+    return specs
 
 
 def _min_specs(specs, f, where):
@@ -593,21 +591,21 @@ def _min_specs(specs, f, where):
     return {str(sp) for *_, sp in ties}
 
 
-def _each_winner(rep, f, r, class_name, objective, ok, label):
-    """Search the class at every order in r and add one check per winner.
+def _each_winner(rep, f, n_values, class_name, objective, ok, label):
+    """Search the class at every order in n_values and add one check per winner.
 
     ``label`` is formatted with f, class_name, n and rho (the extremal value).
     """
-    for n in r.n_values:
+    for n in n_values:
         report = extremal(class_name, n, f, objective)
         text = label.format(f=f, class_name=class_name, n=n, rho=report.value)
         for G in report.winners:
             rep.add(ok(G), text)
 
 
-def _check_theta_infty_equality(rep, f, r):
-    for s in r.s_values:
-        for t in r.t_values:
+def _check_theta_infty_equality(rep, f, s_values=(3, 4, 5), t_values=(2, 3, 4)):
+    for s in s_values:
+        for t in t_values:
             pair = [f_adjacency(make(FamilySpec(k, (s, s, t))), f) for k in ("theta", "infty")]
             rho, _, err = perron_values(np.stack(pair))
             (a, b), (err_a, err_b) = rho.tolist(), err.tolist()
@@ -617,27 +615,27 @@ def _check_theta_infty_equality(rep, f, r):
             )
 
 
-def _check_base_graph_reduction(rep, f, r):
+def _check_base_graph_reduction(rep, f, n_values=(8,)):
     _each_winner(
-        rep, f, r, "bicyclic", "min",
+        rep, f, n_values, "bicyclic", "min",
         lambda G: min(degrees(G)) >= 2,
         "{f} n={n}: min winner pendant-free (rho={rho:.6f})",
     )
 
 
-def _check_type_minimal(kind, rep, f, r):
-    for m in r.m_values:
+def _check_type_minimal(kind, rep, f, m_values=(9,)):
+    for m in m_values:
+        specs = _pendant_free_of_kind(kind, m)
         expect = _balanced(kind, m)
-        where = f"the {kind}-type class at m={m}"
-        winners = _min_specs(_pendant_free_of_kind(kind, m), f, where)
+        winners = _min_specs(specs, f, f"the {kind}-type class at m={m}")
         rep.add(
             winners == {expect},
             f"{f} m={m}: min {kind}-type winners {sorted(winners)} expected [{expect}]",
         )
 
 
-def _check_infty_star_domination(rep, f, r):
-    for m in r.m_values:
+def _check_infty_star_domination(rep, f, m_values=(9,)):
+    for m in m_values:
         if m < 9:
             raise BadParams("infty-star domination needs size >= 9")
         thetas = _scored(_pendant_free_of_kind("theta", m), f, make)
@@ -650,8 +648,8 @@ def _check_infty_star_domination(rep, f, r):
             )
 
 
-def _check_main_bicyclic(rep, f, r):
-    for n in r.n_values:
+def _check_main_bicyclic(rep, f, n_values=(8,)):
+    for n in n_values:
         if n < 8:
             raise BadParams("main theorem instances need order >= 8")
         expect = {_balanced("theta", n + 1), _balanced("infty", n + 1)}
@@ -663,29 +661,29 @@ def _check_main_bicyclic(rep, f, r):
         )
 
 
-def _check_forbidden_subgraphs(rep, f, r):
+def _check_forbidden_subgraphs(rep, f, class_names=tuple(EXCESS), n_values=(8,)):
     fixtures = forbidden_fixtures()
-    for class_name in r.class_names:
+    for class_name in class_names:
         _each_winner(
-            rep, f, r, class_name, "max",
+            rep, f, n_values, class_name, "max",
             lambda G: not any(contains_induced(G, H) for H in fixtures),
             "{f} {class_name} n={n}: max winner avoids all six fixtures",
         )
 
 
-def _check_max_unicyclic_base(rep, f, r):
+def _check_max_unicyclic_base(rep, f, n_values=(8,)):
     c3 = canonical_form(make(FamilySpec("cycle", (3,))))
     _each_winner(
-        rep, f, r, "unicyclic", "max",
+        rep, f, n_values, "unicyclic", "max",
         lambda G: canonical_form(base_graph(G)) == c3,
         "{f} n={n}: max unicyclic winner has base C3",
     )
 
 
-def _check_max_bicyclic_base(rep, f, r):
+def _check_max_bicyclic_base(rep, f, n_values=(8,)):
     targets = {canonical_form(make(FamilySpec("theta", p))) for p in ((1, 2, 2), (2, 2, 2))}
     _each_winner(
-        rep, f, r, "bicyclic", "max",
+        rep, f, n_values, "bicyclic", "max",
         lambda G: canonical_form(base_graph(G)) in targets,
         "{f} n={n}: max bicyclic winner has base theta(1,2,2) or theta(2,2,2)",
     )
@@ -699,9 +697,9 @@ _CONJECTURED = {
 }
 
 
-def _check_conjecture_pstarstar(rep, f, r):
-    for class_name in r.class_names:
-        for n in r.n_values:
+def _check_conjecture_pstarstar(rep, f, class_names=tuple(EXCESS), n_values=(8,)):
+    for class_name in class_names:
+        for n in n_values:
             spec = _CONJECTURED[class_name](n)
             target = make(spec)
             report = extremal(class_name, n, f, "max")
@@ -714,7 +712,7 @@ def _check_conjecture_pstarstar(rep, f, r):
 
 
 # Named verifications, in the order the CLI lists them. Each check runs one
-# weight over the ranges and adds its lines to the report.
+# weight over the ranges it names as keyword parameters and adds its lines.
 _CHECKS = {
     "theta-infty-equality": _check_theta_infty_equality,
     "base-graph-reduction": _check_base_graph_reduction,
@@ -731,29 +729,25 @@ _CHECKS = {
 THEOREMS = tuple(_CHECKS)
 
 
-def verify_theorem(
-    theorem,
-    weights,
-    s_values=(3, 4, 5),
-    t_values=(2, 3, 4),
-    n_values=(8,),
-    m_values=(9,),
-    class_names=("trees", "unicyclic", "bicyclic"),
-):
+def verify_theorem(theorem, weights, **ranges):
     """Run one named verification and return a TheoremReport.
 
-    ``weights`` is a list of WeightSpec. Callers pick ranges small enough
-    for exhaustive checking; everything here is desk scale. The class
-    checks speak of trees, unicyclic and bicyclic graphs only.
+    ``weights`` is a list of WeightSpec. ``ranges`` sets only ranges that
+    the theorem's check names (its defaults fill the rest); any other is
+    refused with BadParams before any work. Ranges are desk scale, and the
+    class checks speak of trees, unicyclic and bicyclic graphs only.
     """
     check = _CHECKS.get(theorem)
     if check is None:
         raise BadParams(f"unknown theorem id {theorem!r}")
-    for c in class_names:
-        if c not in _CONJECTURED:
+    reads = list(inspect.signature(check).parameters)[2:]
+    if not ranges.keys() <= set(reads):
+        given = ", ".join(sorted(ranges))
+        raise BadParams(f"theorem {theorem} reads {', '.join(reads)}; it was given {given}")
+    for c in ranges.get("class_names", ()):
+        if c not in EXCESS:
             raise BadParams(f"verify classes are trees, unicyclic and bicyclic, not {c!r}")
     rep = TheoremReport(theorem, None)
-    ranges = _Ranges(s_values, t_values, n_values, m_values, class_names)
     for f in weights:
-        check(rep, f, ranges)
+        check(rep, f, **ranges)
     return rep.finalize()

@@ -248,6 +248,28 @@ def test_verify_unevaluable_weight_is_a_domain_error(capsys, theorem, m):
     assert err == f"error: no evaluable graphs in the theta-type class at m={m}\n"
 
 
+@pytest.mark.parametrize(
+    "theorem, flags, message",
+    [
+        ("main-bicyclic", ("--m", "20"), "theorem main-bicyclic reads n_values"),
+        ("main-bicyclic", ("--m", "20", "--s", "9"), "m_values, s_values"),
+        ("main-bicyclic", ("--s", "9"), "s_values"),
+        ("theta-minimal", ("--classes", "trees"), "theorem theta-minimal reads m_values"),
+    ],
+)
+def test_verify_refuses_ranges_the_theorem_does_not_read(capsys, theorem, flags, message):
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--weights", "sombor", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_verify_empty_family_class_is_a_domain_error(capsys):
+    code, out, err = run(
+        capsys, "verify", "--theorem", "infty-minimal", "--m", "5", "--weights", "sombor"
+    )
+    assert (code, out, err) == (2, "", "error: no infty-type graph has 5 edges\n")
+
+
 def test_usage_errors(capsys):
     code, _, _ = run(capsys, "rho", "--family", "cycle:5")  # missing --weight
     assert code == 2
@@ -318,7 +340,7 @@ def test_verify_near_tied_eigenvalues(capsys):
          "not 'pendant_free_bicyclic'"),
         (("rho", "--family", "cycle:5", "--weight", "table:2,3=1;3,2=2"),
          "conflicting table values for pair (2, 3)"),
-        # Refused once the class is listed, before any member is solved.
+        # Refused before the class is listed.
         (("extremal", "--class", "pendant-free-bicyclic", "--order", "13", "--weight", "sombor"),
          "canonical form supports at most 12 vertices"),
     ],
@@ -357,8 +379,8 @@ def test_enumerate_order_ceiling(capsys):
     code, out, _ = run(capsys, "enumerate", "--class", "trees", "--order", "11")
     assert code == 0
     assert out.endswith("# count 235\n")
-    for argv in (("--class", "trees", "--order", "12"),
+    for argv in (("--class", "trees", "--order", "13"),
                  ("--class", "connected", "--order", "10", "--size", "12")):
         code, out, err = run(capsys, "enumerate", *argv)
         assert (code, out) == (2, "")
-        assert "enumeration supports order <= 11" in err
+        assert "enumeration supports order <= 12" in err

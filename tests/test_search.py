@@ -129,7 +129,7 @@ def test_core_automorphisms():
 def test_enumerate_connected_edge_cases():
     assert enumerate_connected(5, 3) == ()  # below tree threshold
     with pytest.raises(SizeLimit):
-        enumerate_connected(12, 13)
+        enumerate_connected(13, 14)
     with pytest.raises(SizeLimit):
         enumerate_connected(10, 12)  # denser than bicyclic: order 9 at most
     with pytest.raises(BadParams):
@@ -241,16 +241,16 @@ def test_enumeration_lists_pinned(n, m):
     assert hashlib.sha256(text.encode()).hexdigest() == LIST_DIGESTS[(n, m)]
 
 # OEIS A000055 (trees), A001429 (connected unicyclic), A001435 (connected
-# bicyclic), n = 4..11.
+# bicyclic), n = 4..12.
 OEIS_COUNTS = {
-    "trees": (2, 3, 6, 11, 23, 47, 106, 235),
-    "unicyclic": (2, 5, 13, 33, 89, 240, 657, 1806),
-    "bicyclic": (1, 5, 19, 67, 236, 797, 2678, 8833),
+    "trees": (2, 3, 6, 11, 23, 47, 106, 235, 551),
+    "unicyclic": (2, 5, 13, 33, 89, 240, 657, 1806, 5026),
+    "bicyclic": (1, 5, 19, 67, 236, 797, 2678, 8833, 28908),
 }
 
 
 @pytest.mark.parametrize("class_name", sorted(OEIS_COUNTS))
-@pytest.mark.parametrize("n", range(4, 12))
+@pytest.mark.parametrize("n", range(4, 13))
 def test_class_counts_match_oeis(class_name, n):
     graphs = class_graphs(class_name, n)
     assert len(graphs) == OEIS_COUNTS[class_name][n - 4]

@@ -11,10 +11,10 @@ import pytest
 
 from fspectra import search, spectral
 from fspectra.cli import main
-from fspectra.errors import SizeLimit
+from fspectra.errors import BadParams, SizeLimit
 from fspectra.families import make, parse_family
 from fspectra.luman import certify
-from fspectra.search import class_graphs, extremal, report_tsv
+from fspectra.search import THEOREMS, class_graphs, extremal, report_tsv, verify_theorem
 from fspectra.weights import parse_weight
 
 
@@ -64,6 +64,54 @@ def test_extremal_refuses_orders_past_the_canonical_ceiling_unsolved(solves):
     # pendant-free class lists past that, so extremal must refuse before scoring.
     with pytest.raises(SizeLimit, match="at most 12 vertices"):
         extremal("pendant_free_bicyclic", 13, parse_weight("sombor"))
+    assert solves == []
+
+
+# The ranges each theorem reads; any other range is refused before any work.
+READS = {
+    "theta-infty-equality": ("s_values", "t_values"),
+    "base-graph-reduction": ("n_values",),
+    "theta-minimal": ("m_values",),
+    "infty-minimal": ("m_values",),
+    "infty-star-domination": ("m_values",),
+    "main-bicyclic": ("n_values",),
+    "forbidden-subgraphs": ("class_names", "n_values"),
+    "max-unicyclic-base": ("n_values",),
+    "max-bicyclic-base": ("n_values",),
+    "conjecture-pstarstar": ("class_names", "n_values"),
+}
+# A value each range would accept, so only the theorem can refuse it.
+RANGE_VALUES = {
+    "s_values": (3,),
+    "t_values": (2,),
+    "n_values": (8,),
+    "m_values": (9,),
+    "class_names": ("trees",),
+}
+UNREAD = [(t, r) for t in THEOREMS for r in RANGE_VALUES if r not in READS[t]]
+
+
+@pytest.mark.parametrize("theorem, name", UNREAD)
+def test_unread_ranges_are_refused_unsolved(solves, theorem, name):
+    given = {r: RANGE_VALUES[r] for r in READS[theorem]} | {name: RANGE_VALUES[name]}
+    with pytest.raises(BadParams) as caught:
+        verify_theorem(theorem, [parse_weight("sombor")], **given)
+    message = str(caught.value)
+    for word in (theorem, *READS[theorem], name):
+        assert word in message
+    assert solves == []
+
+
+@pytest.mark.parametrize(
+    "theorem, m",
+    [("infty-minimal", 4), ("infty-minimal", 5), ("infty-minimal", 6), ("theta-minimal", 4)],
+)
+def test_empty_type_class_is_refused_unsolved(solves, theorem, m):
+    # No infty-type graph has fewer than 7 edges, and no theta-type graph
+    # fewer than 5, whatever the weight.
+    kind = theorem.split("-")[0]
+    with pytest.raises(BadParams, match=f"^no {kind}-type graph has {m} edges$"):
+        verify_theorem(theorem, [parse_weight("sombor")], m_values=(m,))
     assert solves == []
 
 

@@ -242,6 +242,77 @@ def test_verify_out_of_range_raises(theorem, kwargs):
         verify_theorem(theorem, [parse_weight("sombor")], **kwargs)
 
 
+# Every theorem under sombor with no range option, so each check's own
+# defaults: s 3..5 and t 2..4, n 8, m 9, and all three search classes.
+DEFAULT_RANGES = {
+    "theta-infty-equality": """\
+PASS sombor theta(3,3,2)=8.118038735 infty(3,3,2)=8.118038735
+PASS sombor theta(3,3,3)=7.817337800 infty(3,3,3)=7.817337800
+PASS sombor theta(3,3,4)=7.680721120 infty(3,3,4)=7.680721120
+PASS sombor theta(4,4,2)=7.823230855 infty(4,4,2)=7.823230855
+PASS sombor theta(4,4,3)=7.546621679 infty(4,4,3)=7.546621679
+PASS sombor theta(4,4,4)=7.416198487 infty(4,4,4)=7.416198487
+PASS sombor theta(5,5,2)=7.686860501 infty(5,5,2)=7.686860501
+PASS sombor theta(5,5,3)=7.416561847 infty(5,5,3)=7.416561847
+PASS sombor theta(5,5,4)=7.286973065 infty(5,5,4)=7.286973065
+# theorem=theta-infty-equality checks=9 failures=0
+""",
+    "base-graph-reduction": """\
+PASS sombor n=8: min winner pendant-free (rho=7.817338)
+PASS sombor n=8: min winner pendant-free (rho=7.817338)
+# theorem=base-graph-reduction checks=2 failures=0
+""",
+    "theta-minimal": """\
+PASS sombor m=9: min theta-type winners ['theta:3,3,3'] expected [theta:3,3,3]
+# theorem=theta-minimal checks=1 failures=0
+""",
+    "infty-minimal": """\
+PASS sombor m=9: min infty-type winners ['infty:3,3,3'] expected [infty:3,3,3]
+# theorem=infty-minimal checks=1 failures=0
+""",
+    "infty-star-domination": """\
+PASS sombor m=9: best theta 7.817338 < infty-star(3,6) 9.999412
+PASS sombor m=9: best theta 7.817338 < infty-star(4,5) 9.680906
+# theorem=infty-star-domination checks=2 failures=0
+""",
+    "main-bicyclic": """\
+PASS sombor n=8: winners ['infty:3,3,3', 'theta:3,3,3'] expected ['infty:3,3,3', 'theta:3,3,3']
+# theorem=main-bicyclic checks=1 failures=0
+""",
+    "forbidden-subgraphs": """\
+PASS sombor trees n=8: max winner avoids all six fixtures
+PASS sombor unicyclic n=8: max winner avoids all six fixtures
+PASS sombor bicyclic n=8: max winner avoids all six fixtures
+# theorem=forbidden-subgraphs checks=3 failures=0
+""",
+    "max-unicyclic-base": """\
+PASS sombor n=8: max unicyclic winner has base C3
+# theorem=max-unicyclic-base checks=1 failures=0
+""",
+    "max-bicyclic-base": """\
+PASS sombor n=8: max bicyclic winner has base theta(1,2,2) or theta(2,2,2)
+# theorem=max-bicyclic-base checks=1 failures=0
+""",
+    "conjecture-pstarstar": """\
+OBS sombor trees n=8: observed max differs from conjectured double-star:4,4 (rho=18.708287)
+OBS sombor unicyclic n=8: observed max differs from conjectured c3:3,2,0 (rho=19.343071)
+OBS sombor bicyclic n=8: observed max differs from conjectured theta122:2,2 (rho=20.413054)
+# theorem=conjecture-pstarstar checks=3 failures=0
+""",
+}
+
+
+def test_default_ranges_cover_every_theorem():
+    assert tuple(DEFAULT_RANGES) == THEOREMS
+
+
+@pytest.mark.parametrize("theorem", sorted(DEFAULT_RANGES))
+def test_verify_default_ranges_pinned(capsys, theorem):
+    code = main(["verify", "--theorem", theorem, "--weights", "sombor"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, DEFAULT_RANGES[theorem], "")
+
+
 def test_main_bicyclic_runs_past_the_canonical_order(capsys):
     code = main(["verify", "--theorem", "main-bicyclic", "--n", "13..16", "--weights", "sombor"])
     assert capsys.readouterr().out == """\
