@@ -205,26 +205,15 @@ def forbidden_fixtures():
 def identify_pendant_free_bicyclic(G):
     """Recognize a pendant-free bicyclic graph as a theta/infty/infty_star spec.
 
-    Returns None when G is not of one of the three shapes.
+    A connected graph with m = n + 1 and minimum degree 2 subdivides one of
+    the three kernels of cyclomatic number 2, read off its internal paths:
+    three open paths make a theta, two closed and one open an infty, two
+    closed alone an infty-star. Returns None for any other graph.
     """
-    if G.n < 4 or G.m != G.n + 1 or not is_connected(G):
+    if G.m != G.n + 1 or not is_connected(G) or min(degrees(G)) < 2:
         return None
-    degs = degrees(G)
-    if min(degs) < 2:
-        return None
-    hubs = sorted(v for v in range(G.n) if degs[v] > 2)
     paths = internal_paths(G)
-    if sorted(d for d in degs if d > 2) == [4] and len(hubs) == 1:
-        lens = sorted(p.length for p in paths if p.closed)
-        if len(lens) == 2 and len(paths) == 2:
-            return FamilySpec("infty_star", tuple(lens))
-        return None
-    if sorted(d for d in degs if d > 2) != [3, 3] or len(hubs) != 2:
-        return None
     closed = sorted(p.length for p in paths if p.closed)
-    open_ = [p for p in paths if not p.closed]
-    if not closed and len(open_) == 3:
-        return FamilySpec("theta", tuple(sorted(p.length for p in open_)))
-    if len(closed) == 2 and len(open_) == 1:
-        return FamilySpec("infty", (*closed, open_[0].length))
-    return None
+    open_ = sorted(p.length for p in paths if not p.closed)
+    kind = {(0, 3): "theta", (2, 1): "infty", (2, 0): "infty_star"}[len(closed), len(open_)]
+    return FamilySpec(kind, (*closed, *open_))

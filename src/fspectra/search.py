@@ -450,27 +450,23 @@ def _scored(items, f, graph_of=lambda G: G):
     """(rho, err, item), err the solve's error half-width, for every item
     whose graph f can evaluate, in input order.
 
-    The f-adjacency matrices of each order fill one stack, solved by one
-    ``perron_values`` call.
+    Every item's graph has one order, so their f-adjacency matrices fill one
+    stack, solved by one ``perron_values`` call.
     """
-    by_order = {}
-    for i, item in enumerate(items):
-        G = graph_of(item)
-        by_order.setdefault(G.n, []).append((i, G))
-    scores = {}
-    for n, members in by_order.items():
-        stack = np.empty((len(members), n, n))
-        kept = []
-        for i, G in members:
-            try:
-                stack[len(kept)] = f_adjacency(G, f)
-            except MissingTableEntry:
-                continue
-            kept.append(i)
-        if kept:
-            rho, _, err = perron_values(stack[: len(kept)])
-            scores.update(zip(kept, zip(rho.tolist(), err.tolist())))
-    return [(*scores[i], item) for i, item in enumerate(items) if i in scores]
+    graphs = [graph_of(item) for item in items]
+    n = graphs[0].n
+    stack = np.empty((len(graphs), n, n))
+    kept = []
+    for item, G in zip(items, graphs):
+        try:
+            stack[len(kept)] = f_adjacency(G, f)
+        except MissingTableEntry:
+            continue
+        kept.append(item)
+    if not kept:
+        return []
+    rho, _, err = perron_values(stack[: len(kept)])
+    return list(zip(rho.tolist(), err.tolist(), kept))
 
 
 def _best(scored, objective, where):
@@ -566,15 +562,15 @@ class TheoremReport:
         return self
 
 
-def _balanced(kind, m):
-    """The theta- or infty-type spec (s, s, t) of size m with 2s + t = m and
-    |s - t| <= 1, as a string; theta lengths are listed sorted."""
-    for s in range(1, m):
-        t = m - 2 * s
-        if t >= 1 and abs(s - t) <= 1:
-            lengths = tuple(sorted((s, s, t))) if kind == "theta" else (s, s, t)
-            return str(FamilySpec(kind, lengths))
-    raise BadParams(f"no balanced split for m={m}")
+def _balanced(kind, m, specs):
+    """The string of the listed kind-type spec with lengths s, s, t and
+    |s - t| <= 1, where an infty's equal pair are its cycles; BadParams when
+    no listed spec of size m is balanced."""
+    for sp in specs:
+        p = sp.params
+        if sp.kind == kind and max(p) - min(p) <= 1 and (kind == "theta" or p[0] == p[1]):
+            return str(sp)
+    raise BadParams(f"no balanced {kind}-type graph has {m} edges")
 
 
 def _pendant_free_of_kind(kind, m):
@@ -626,7 +622,7 @@ def _check_base_graph_reduction(rep, f, n_values=(8,)):
 def _check_type_minimal(kind, rep, f, m_values=(9,)):
     for m in m_values:
         specs = _pendant_free_of_kind(kind, m)
-        expect = _balanced(kind, m)
+        expect = _balanced(kind, m, specs)
         winners = _min_specs(specs, f, f"the {kind}-type class at m={m}")
         rep.add(
             winners == {expect},
@@ -652,9 +648,9 @@ def _check_main_bicyclic(rep, f, n_values=(8,)):
     for n in n_values:
         if n < 8:
             raise BadParams("main theorem instances need order >= 8")
-        expect = {_balanced("theta", n + 1), _balanced("infty", n + 1)}
-        where = f"class pendant_free_bicyclic at n={n}"
-        winners = _min_specs(enumerate_pendant_free_bicyclic(n), f, where)
+        specs = enumerate_pendant_free_bicyclic(n)
+        expect = {_balanced(kind, n + 1, specs) for kind in ("theta", "infty")}
+        winners = _min_specs(specs, f, f"class pendant_free_bicyclic at n={n}")
         rep.add(
             winners == expect,
             f"{f} n={n}: winners {sorted(winners)} expected {sorted(expect)}",
@@ -672,19 +668,18 @@ def _check_forbidden_subgraphs(rep, f, class_names=tuple(EXCESS), n_values=(8,))
 
 
 def _check_max_unicyclic_base(rep, f, n_values=(8,)):
-    c3 = canonical_form(make(FamilySpec("cycle", (3,))))
     _each_winner(
         rep, f, n_values, "unicyclic", "max",
-        lambda G: canonical_form(base_graph(G)) == c3,
+        lambda G: base_graph(G).n == 3,
         "{f} n={n}: max unicyclic winner has base C3",
     )
 
 
 def _check_max_bicyclic_base(rep, f, n_values=(8,)):
-    targets = {canonical_form(make(FamilySpec("theta", p))) for p in ((1, 2, 2), (2, 2, 2))}
+    targets = ("theta:1,2,2", "theta:2,2,2")
     _each_winner(
         rep, f, n_values, "bicyclic", "max",
-        lambda G: canonical_form(base_graph(G)) in targets,
+        lambda G: str(identify_pendant_free_bicyclic(base_graph(G))) in targets,
         "{f} n={n}: max bicyclic winner has base theta(1,2,2) or theta(2,2,2)",
     )
 
@@ -701,9 +696,9 @@ def _check_conjecture_pstarstar(rep, f, class_names=tuple(EXCESS), n_values=(8,)
     for class_name in class_names:
         for n in n_values:
             spec = _CONJECTURED[class_name](n)
-            target = make(spec)
+            target = canonical_form(make(spec))
             report = extremal(class_name, n, f, "max")
-            match = any(canonical_form(G) == canonical_form(target) for G in report.winners)
+            match = any(canonical_form(G) == target for G in report.winners)
             rep.observe(
                 f"{f} {class_name} n={n}: observed max "
                 f"{'matches' if match else 'differs from'} conjectured {spec} "

@@ -270,6 +270,13 @@ def test_verify_empty_family_class_is_a_domain_error(capsys):
     assert (code, out, err) == (2, "", "error: no infty-type graph has 5 edges\n")
 
 
+def test_verify_size_with_no_balanced_graph_is_a_domain_error(capsys):
+    code, out, err = run(
+        capsys, "verify", "--theorem", "infty-minimal", "--m", "7", "--weights", "sombor"
+    )
+    assert (code, out, err) == (2, "", "error: no balanced infty-type graph has 7 edges\n")
+
+
 def test_usage_errors(capsys):
     code, _, _ = run(capsys, "rho", "--family", "cycle:5")  # missing --weight
     assert code == 2

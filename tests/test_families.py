@@ -11,6 +11,7 @@ from fspectra.families import (
     make,
     parse_family,
 )
+from fspectra.search import class_graphs, enumerate_pendant_free_bicyclic
 from fspectra.graph_core import (
     GRAPH_MAX_ORDER,
     base_graph,
@@ -209,3 +210,25 @@ def test_wrong_parameter_count_names_the_kind():
         make(FamilySpec("path", (3, 4)))
     with pytest.raises(BadParams, match=r"^k5_minus_p4 needs 0 parameter\(s\), got 1$"):
         make(FamilySpec("k5_minus_p4", (1,)))
+
+
+def test_identify_matches_the_listing():
+    # Every sparse class member is recognised exactly when it is pendant-free
+    # bicyclic, as the listed spec of its isomorphism class; every listed
+    # spec is recognised as itself.
+    checked = 0
+    for n in range(4, 11):
+        listed = {canonical_form(make(sp)): sp for sp in enumerate_pendant_free_bicyclic(n)}
+        for class_name in ("trees", "unicyclic", "bicyclic"):
+            for G in class_graphs(class_name, n):
+                got = identify_pendant_free_bicyclic(G)
+                if class_name == "bicyclic" and min(degrees(G)) >= 2:
+                    assert got == listed[canonical_form(G)]
+                else:
+                    assert got is None
+                checked += 1
+    for n in range(4, 61):
+        for spec in enumerate_pendant_free_bicyclic(n):
+            assert identify_pendant_free_bicyclic(make(spec)) == spec
+            checked += 1
+    assert checked == 27_270

@@ -517,13 +517,15 @@ def test_extremal_partial_table_pinned(class_name, objective, weight):
     assert report.examined + report.skipped == len(class_graphs(class_name, 8))
 
 
-def test_scored_keeps_input_order_across_orders():
-    f = parse_weight("table:2,2=1;2,3=2;1,2=1.5;1,3=0.5")
-    specs = ["theta:3,3,3", "cycle:5", "star:5", "path:4", "infty:3,3,2", "cycle:8",
-             "theta:2,2,3", "path:9"]  # star:5 has a (1,4) edge the table lacks
+def test_scored_keeps_input_order():
+    # Every item has order 8, as for every caller; star:8 has a (1,7) edge
+    # the table lacks, so it is skipped.
+    f = parse_weight("table:2,2=1;2,3=2;1,2=1.5;1,3=0.5;2,4=2.5")
+    specs = ["theta:3,3,3", "infty:3,3,3", "star:8", "path:8", "cycle:8", "infty-star:4,5"]
     items = [parse_family(s) for s in specs]
+    assert {make(sp).n for sp in items} == {8}
     scored = _scored(items, f, make)
-    assert [str(sp) for *_, sp in scored] == [s for s in specs if s != "star:5"]
+    assert [str(sp) for *_, sp in scored] == [s for s in specs if s != "star:8"]
     for rho, err, sp in scored:
         assert type(rho) is type(err) is float
         assert rho == pytest.approx(f_spectral_radius(make(sp), f).rho, rel=1e-12)

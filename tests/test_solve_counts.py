@@ -115,6 +115,14 @@ def test_empty_type_class_is_refused_unsolved(solves, theorem, m):
     assert solves == []
 
 
+def test_unbalanced_size_is_refused_unsolved(solves):
+    # The only infty-type graph with 7 edges is infty:3,3,1, whose cycles
+    # and path differ by 2, so no expected winner exists.
+    with pytest.raises(BadParams, match="^no balanced infty-type graph has 7 edges$"):
+        verify_theorem("infty-minimal", [parse_weight("sombor")], m_values=(7,))
+    assert solves == []
+
+
 def test_certify_solves_once(solves):
     alpha, report = certify(make(parse_family("theta:3,3,2")), parse_weight("sombor"))
     assert len(solves) == 1
