@@ -187,16 +187,16 @@ def _cmd_enumerate(args):
         raise FspectraError("--class connected requires --size, and no other class takes it")
     name = args.class_name.replace("-", "_")
     if name == "pendant_free_bicyclic":
-        graphs = search.class_graphs(name, args.order)
+        listed = search.enumerate_pendant_free_bicyclic(args.order)
+        members = ((str(spec), make(spec)) for spec in listed)
     else:
         size = args.size if name == "connected" else args.order + search.EXCESS[name]
-        graphs = search.enumerate_connected(args.order, size)
-    for G in graphs:
-        spec = identify_pendant_free_bicyclic(G)
-        tag = str(spec) if spec else "-"
+        listed = search.enumerate_connected(args.order, size)
+        members = ((str(identify_pendant_free_bicyclic(G) or "-"), G) for G in listed)
+    for tag, G in members:
         edges = ",".join(f"{u}-{v}" for u, v in G.sorted_edges())
         print(f"{tag}\t{G.n} {G.m}\t{edges}")
-    print(f"# count {len(graphs)}")
+    print(f"# count {len(listed)}")
     return 0
 
 

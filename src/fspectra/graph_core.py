@@ -166,22 +166,21 @@ def internal_paths(G):
     if not is_connected(G):
         raise Disconnected("internal paths need a connected graph")
     deg = degrees(G)
-    seen = set()
+    seen = set()  # (start, first step) of the reverse of each path listed
     out = []
     for v0 in range(G.n):
         if deg[v0] < 3:
             continue
         for w in G.adj[v0]:
+            if (v0, w) in seen:
+                continue
             seq = [v0, w]
             while deg[seq[-1]] == 2:
                 a, b = G.adj[seq[-1]]
                 seq.append(a if a != seq[-2] else b)
             if deg[seq[-1]] < 3:
                 continue  # pendant chain, not an internal path
-            key = frozenset((min(a, b), max(a, b)) for a, b in zip(seq, seq[1:]))
-            if key in seen:
-                continue
-            seen.add(key)
+            seen.add((seq[-1], seq[-2]))
             closed = seq[0] == seq[-1]
             tup = tuple(seq)
             rev = tuple(reversed(seq))

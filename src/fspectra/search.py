@@ -40,17 +40,17 @@ automorphism t of G, so the candidate G + p = t(s(H)) has p in its D and
 is kept. The key does not separate every orbit of D(H), so a class can
 still keep several candidates, and the dedup by canonical code stays.
 
-Every search scores its candidates once, solving all candidates of one order
-in a single batched eigensolve, keeps the extremal value and the candidates
-tied with it (values at most the sum of their ``perron_values`` error
-half-widths apart), and reports winners as canonically labeled
-representatives in canonical order, each written as its ``n:bits``
-``graph_core.encoding``, so ``extremal`` refuses an order past
-``CANONICAL_MAX_VERTICES`` before it lists the class. Each named
+Every search scores its candidates once, in batched eigensolves over
+chunks of at most ``CHUNK_BYTES`` of matrices, keeps the extremal value
+and the candidates tied with it (values at most the sum of their
+``perron_values`` error half-widths apart), and reports winners as
+canonically labeled representatives in canonical order, each written as
+its ``n:bits`` ``graph_core.encoding``, so ``extremal`` refuses an order
+past ``CANONICAL_MAX_VERTICES`` before it lists the class. Each named
 verification is one small ``_CHECKS`` function that names the ranges it
-reads as keyword parameters with defaults; ``verify_theorem`` refuses any
-other range. The checks on pendant-free bicyclic graphs score family specs
-directly and compare spec strings, so they run at any order.
+reads as keyword parameters with defaults; ``verify_theorem`` refuses
+any other range. The checks on pendant-free bicyclic graphs score family
+specs and compare spec strings, so they run up to ``GRAPH_MAX_ORDER``.
 """
 
 import inspect
@@ -66,6 +66,7 @@ from .errors import BadParams, MissingTableEntry, SizeLimit
 from .families import FamilySpec, forbidden_fixtures, identify_pendant_free_bicyclic, make
 from .graph_core import (
     CANONICAL_MAX_VERTICES,
+    GRAPH_MAX_ORDER,
     Graph,
     _refine,
     base_graph,
@@ -82,8 +83,8 @@ from .spectral import f_adjacency, perron_values
 # Largest order enumerate_connected lists for sizes m >= n + 2, whose levels
 # at orders 10 and 11 run to millions of classes.
 ENUMERATION_MAX_ORDER = 9
-# Largest stack of dense matrices, in bytes, a pendant-free bicyclic search builds.
-STACK_MAX_BYTES = 2 ** 30
+# Bytes of f-adjacency matrices a search holds at once (at least one matrix).
+CHUNK_BYTES = 2 ** 24
 
 
 def enumerate_pendant_free_bicyclic(n):
@@ -92,11 +93,13 @@ def enumerate_pendant_free_bicyclic(n):
     Theta(l1<=l2<=l3) with l1+l2+l3 = n+1 (at most one length 1),
     infty(l1<=l2, l3) with cycles >= 3 and path >= 1, and
     infty_star(l1<=l2) with cycles summing to n+1. No two specs are
-    isomorphic. Raises SizeLimit if one matrix per spec would pass
-    STACK_MAX_BYTES.
+    isomorphic. Raises SizeLimit, before listing, for an order above
+    GRAPH_MAX_ORDER, where ``make`` stops.
     """
     if n < 4:
         raise BadParams("pendant-free bicyclic graphs need order >= 4")
+    if n > GRAPH_MAX_ORDER:
+        raise SizeLimit(f"pendant-free bicyclic graphs need order <= {GRAPH_MAX_ORDER}, got {n}")
     total = n + 1
     specs = []
     for l1 in range(1, total // 3 + 1):
@@ -114,10 +117,6 @@ def enumerate_pendant_free_bicyclic(n):
         l2 = total - l1
         if l2 >= l1:
             specs.append(FamilySpec("infty_star", (l1, l2)))
-    need = len(specs) * n * n * 8
-    if need > STACK_MAX_BYTES:
-        raise SizeLimit(f"pendant-free bicyclic searches at order {n} need {need / 1e9:.2f} GB "
-                        f"of matrices, over the {STACK_MAX_BYTES / 1e9:.2f} GB limit")
     return specs
 
 
@@ -450,23 +449,27 @@ def _scored(items, f, graph_of=lambda G: G):
     """(rho, err, item), err the solve's error half-width, for every item
     whose graph f can evaluate, in input order.
 
-    Every item's graph has one order, so their f-adjacency matrices fill one
-    stack, solved by one ``perron_values`` call.
+    Every item's graph has one order. Items are taken in chunks whose
+    matrices fit CHUNK_BYTES (at least one), and each chunk's graphs are
+    built, stacked and solved by one ``perron_values`` call, so a search
+    holds one chunk of matrices however many items it scores.
     """
-    graphs = [graph_of(item) for item in items]
-    n = graphs[0].n
-    stack = np.empty((len(graphs), n, n))
-    kept = []
-    for item, G in zip(items, graphs):
-        try:
-            stack[len(kept)] = f_adjacency(G, f)
-        except MissingTableEntry:
-            continue
-        kept.append(item)
-    if not kept:
-        return []
-    rho, _, err = perron_values(stack[: len(kept)])
-    return list(zip(rho.tolist(), err.tolist(), kept))
+    n = graph_of(items[0]).n
+    per = max(1, CHUNK_BYTES // (8 * n * n))
+    stack = np.empty((min(len(items), per), n, n))
+    scored = []
+    for start in range(0, len(items), per):
+        kept = []
+        for item in items[start : start + per]:
+            try:
+                stack[len(kept)] = f_adjacency(graph_of(item), f)
+            except MissingTableEntry:
+                continue
+            kept.append(item)
+        if kept:
+            rho, _, err = perron_values(stack[: len(kept)])
+            scored += zip(rho.tolist(), err.tolist(), kept)
+    return scored
 
 
 def _best(scored, objective, where):

@@ -326,9 +326,9 @@ def test_verify_near_tied_eigenvalues(capsys):
         (("rho", "--family", "cycle:5", "--weight", "sombor", "--tol", "nan"), "tol"),
         (("enumerate", "--class", "trees", "--order", "5", "--size", "9"),
          "no other class takes it"),
-        # 13068 dense order-200 matrices would take 4.2 GB; refused before any is built.
-        (("verify", "--theorem", "main-bicyclic", "--weights", "sombor", "--n", "200..200"),
-         "pendant-free bicyclic searches at order 200 need 4.18 GB"),
+        # Past the order where make stops; refused before any spec is listed.
+        (("verify", "--theorem", "main-bicyclic", "--weights", "sombor", "--n", "2001..2001"),
+         "pendant-free bicyclic graphs need order <= 2000, got 2001"),
         (("verify", "--theorem", "main-bicyclic", "--weights", "sombor", "--n", "12..8"),
          "empty range"),
         (("verify", "--theorem", "main-bicyclic", "--weights", "sombor", "--n", "8..x"),

@@ -483,12 +483,16 @@ def test_pendant_free_needs_order_four():
         enumerate_pendant_free_bicyclic(3)
 
 
-def test_pendant_free_order_bounded_by_the_stack_budget():
-    # Order 142 lists 6613 specs, a 1.07e9-byte stack, just under the budget.
-    specs = enumerate_pendant_free_bicyclic(142)
-    assert len(specs) * 142 * 142 * 8 <= search.STACK_MAX_BYTES
-    with pytest.raises(SizeLimit, match="order 143"):
-        enumerate_pendant_free_bicyclic(143)
+def test_pendant_free_order_bounded_by_graph_max_order(monkeypatch):
+    # Past order 2000, where make stops, the lister refuses before it lists.
+    assert len(enumerate_pendant_free_bicyclic(143)) == 6627
+
+    def unlisted(*args):
+        raise AssertionError("a spec was listed")
+
+    monkeypatch.setattr(search, "FamilySpec", unlisted)
+    with pytest.raises(SizeLimit, match="need order <= 2000, got 2001"):
+        enumerate_pendant_free_bicyclic(2001)
 
 
 # Taken from the per-graph power-iteration scoring that preceded the batched
@@ -515,6 +519,31 @@ def test_extremal_partial_table_pinned(class_name, objective, weight):
     text = report_tsv(report)
     assert text[: text.index("elapsed=")] == PARTIAL_TABLE_TSV[class_name, objective, weight]
     assert report.examined + report.skipped == len(class_graphs(class_name, 8))
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7])
+def test_scored_chunks_match_one_stack(monkeypatch, per_chunk):
+    # The table has no pair with a degree above 3, so 51 of the 89 members
+    # are skipped.
+    f = parse_weight("table:1,2=1;2,2=1;1,3=1.5;2,3=2;3,3=2.5")
+    graphs = class_graphs("unicyclic", 8)
+    stacks = []
+    real = search.perron_values
+
+    def counted(stack, *args, **kwargs):
+        stacks.append(len(stack))
+        return real(stack, *args, **kwargs)
+
+    monkeypatch.setattr(search, "perron_values", counted)
+    whole = _scored(graphs, f)
+    assert stacks == [len(whole)] and len(whole) == 38
+    stacks.clear()
+    monkeypatch.setattr(search, "CHUNK_BYTES", per_chunk * 8 * 8 * 8)  # order-8 doubles
+    chunked = _scored(graphs, f)
+    assert [(r.hex(), e.hex(), G) for r, e, G in chunked] == [
+        (r.hex(), e.hex(), G) for r, e, G in whole
+    ]
+    assert max(stacks) <= per_chunk and sum(stacks) == len(whole)
 
 
 def test_scored_keeps_input_order():
