@@ -187,16 +187,17 @@ def _cmd_enumerate(args):
         raise FspectraError("--class connected requires --size, and no other class takes it")
     name = args.class_name.replace("-", "_")
     if name == "pendant_free_bicyclic":
-        listed = search.enumerate_pendant_free_bicyclic(args.order)
+        listed = search.iter_pendant_free_bicyclic(args.order)
         members = ((str(spec), make(spec)) for spec in listed)
     else:
         size = args.size if name == "connected" else args.order + search.EXCESS[name]
         listed = search.enumerate_connected(args.order, size)
         members = ((str(identify_pendant_free_bicyclic(G) or "-"), G) for G in listed)
-    for tag, G in members:
+    count = 0
+    for count, (tag, G) in enumerate(members, 1):
         edges = ",".join(f"{u}-{v}" for u, v in G.sorted_edges())
         print(f"{tag}\t{G.n} {G.m}\t{edges}")
-    print(f"# count {len(listed)}")
+    print(f"# count {count}")
     return 0
 
 

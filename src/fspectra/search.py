@@ -87,13 +87,13 @@ ENUMERATION_MAX_ORDER = 9
 CHUNK_BYTES = 2 ** 24
 
 
-def enumerate_pendant_free_bicyclic(n):
-    """Family specs of all pendant-free bicyclic graphs of order n.
+def iter_pendant_free_bicyclic(n):
+    """Yield the family specs of all pendant-free bicyclic graphs of order n.
 
     Theta(l1<=l2<=l3) with l1+l2+l3 = n+1 (at most one length 1),
     infty(l1<=l2, l3) with cycles >= 3 and path >= 1, and
     infty_star(l1<=l2) with cycles summing to n+1. No two specs are
-    isomorphic. Raises SizeLimit, before listing, for an order above
+    isomorphic. Raises SizeLimit, before the first spec, for an order above
     GRAPH_MAX_ORDER, where ``make`` stops.
     """
     if n < 4:
@@ -101,23 +101,25 @@ def enumerate_pendant_free_bicyclic(n):
     if n > GRAPH_MAX_ORDER:
         raise SizeLimit(f"pendant-free bicyclic graphs need order <= {GRAPH_MAX_ORDER}, got {n}")
     total = n + 1
-    specs = []
     for l1 in range(1, total // 3 + 1):
         for l2 in range(max(l1, 2), (total - l1) // 2 + 1):
             l3 = total - l1 - l2
-            if l3 < l2:
-                continue
-            specs.append(FamilySpec("theta", (l1, l2, l3)))
+            if l3 >= l2:
+                yield FamilySpec("theta", (l1, l2, l3))
     for l1 in range(3, total + 1):
         for l2 in range(l1, total + 1):
             l3 = total - l1 - l2
             if l3 >= 1:
-                specs.append(FamilySpec("infty", (l1, l2, l3)))
+                yield FamilySpec("infty", (l1, l2, l3))
     for l1 in range(3, total // 2 + 1):
         l2 = total - l1
         if l2 >= l1:
-            specs.append(FamilySpec("infty_star", (l1, l2)))
-    return specs
+            yield FamilySpec("infty_star", (l1, l2))
+
+
+def enumerate_pendant_free_bicyclic(n):
+    """List of ``iter_pendant_free_bicyclic(n)``, refusing a bad order first."""
+    return list(iter_pendant_free_bicyclic(n))
 
 
 def _plus_edge(adj, masks, u, v):

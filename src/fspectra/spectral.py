@@ -2,14 +2,13 @@
 
 Class searches score a whole stack of same-order matrices with one call of
 LAPACK's symmetric eigensolver (``perron_values``). A single graph's Perron
-value is still computed by shifted power iteration on A + cI with c = max
-row sum: the shift makes the spectrum nonnegative, so the largest
-eigenvalue of A dominates in modulus even for bipartite-like spectra with
-a matching -rho eigenvalue. Both accept rho by the same relative residual
-bound, the power iteration on its positive vector and the batched solve on
-each signed unit eigenvector, and the batched solve returns an error
-half-width with each rho. Full spectra go through LAPACK's symmetric
-eigensolver.
+value comes from power iteration on A + r_k I, r_k the step's Rayleigh
+quotient: the iterate stays positive, so 0 < r_k <= rho and every other
+eigenvalue lambda, -rho included, shrinks by |lambda + r_k| / (rho + r_k) < 1
+per step. Both accept rho by the same relative residual bound, the power
+iteration on its positive vector and the batched solve on each signed unit
+eigenvector, and the batched solve returns an error half-width with each
+rho. Full spectra go through LAPACK's symmetric eigensolver.
 """
 
 import math
@@ -71,6 +70,7 @@ class SpectralResult:
 def spectral_radius(M, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
     """Largest eigenvalue of a symmetric nonnegative matrix by power iteration.
 
+    Each step maps x to Mx + rho_k x, rho_k = x.Mx / x.x its Rayleigh quotient.
     ``tol`` is relative: iteration stops once max|Mx - rho*x| <= tol * max(1, rho)
     with x normalized to unit maximum entry. Deterministic for fixed input.
     For a connected underlying graph the returned vector is strictly positive.
@@ -85,7 +85,7 @@ def spectral_radius(M, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
     n = M.shape[0]
     if n == 0:
         raise BadParams("matrix must be nonempty")
-    shift = float(_finite_row_sums(M).max())
+    _finite_row_sums(M)
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.ones(n)
         rho = 0.0
@@ -99,7 +99,7 @@ def spectral_radius(M, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
                 raise NoConvergence(iteration, residual)
             if residual <= tol * max(1.0, abs(rho)):
                 return SpectralResult(rho, x, residual, iteration, tol)
-            x = y + shift * x
+            x = y + rho * x
     raise NoConvergence(max_iterations, residual)
 
 

@@ -91,8 +91,8 @@ def test_spectral_radius_no_convergence():
 
 
 def test_spectral_radius_rejects_overflow_before_iterating():
-    # Row sums of 2e308 overflow the shift; max_iterations keeps a
-    # regression from running the full iteration budget.
+    # Row sums of 2e308 overflow to inf and must be refused before the first
+    # step; max_iterations keeps a regression from running the full budget.
     M = f_adjacency(make(parse_family("cycle:5")), parse_weight("const:1e308"))
     with pytest.raises(BadParams, match="finite"):
         spectral_radius(M, max_iterations=10)
@@ -102,12 +102,30 @@ def test_spectral_radius_rejects_overflow_before_iterating():
 
 
 def test_spectral_radius_stops_when_an_iterate_overflows():
-    # The shift 2e307 is finite, but x.(Mx) = 1e309 is not: rho must not
+    # Every row sum 2e307 is finite, but x.(Mx) = 1e309 is not: rho must not
     # come back as inf, and the loop must stop at the first such iterate.
     M = f_adjacency(make(parse_family("cycle:50")), parse_weight("const:1e307"))
     with pytest.raises(NoConvergence) as exc:
         spectral_radius(M, max_iterations=10)
     assert exc.value.iterations == 1
+
+
+# Step ceilings for the max-side extremal shapes, whose max row sum is many
+# times rho; a path or theta family takes hundreds to thousands of steps.
+HUB_STEPS = {"star:250": 10, "double-star:100,100": 20, "sn-plus-e:150": 40}
+
+
+@pytest.mark.parametrize("weight", ["sombor", "zagreb1", "const:1.5"])
+@pytest.mark.parametrize(
+    "family", [*HUB_STEPS, "c3:40,40,40", "theta:20,20,21", "path:90", "cycle:12"]
+)
+def test_spectral_radius_agrees_with_perron_values(family, weight):
+    M = f_adjacency(make(parse_family(family)), parse_weight(weight))
+    res = spectral_radius(M)
+    rho, _, errors = perron_values(M[None])
+    assert abs(res.rho - rho[0]) <= errors[0]
+    assert res.vector.min() > 0.0
+    assert res.iterations <= HUB_STEPS.get(family, math.inf)
 
 
 def test_full_spectrum_known_values():
