@@ -21,8 +21,9 @@ m - n for each search class that these generators list, up to order
 Denser sizes (m >= n + 2) grow one edge at a time from the level below.
 Growth works on adjacency lists and bitmasks: each kept candidate's
 canonical code (an int from ``graph_core.canonical_code``) goes into a set
-per level, and a ``Graph`` is built only once per class, when the level's
-sorted codes are decoded into canonically labeled representatives. A new
+per level, which replaces the level below once grown, and a ``Graph`` is
+built only once per class, when a level's codes are decoded to grow the
+next level or, sorted, into the canonically labeled representatives. A new
 edge joins one pair per unordered pair of twin classes, because permuting
 twins is an automorphism and maps the skipped graphs onto kept ones.
 
@@ -375,33 +376,33 @@ def _members(n, m):
     return _centroid_trees(n) if m == n - 1 else _hung(n, m)
 
 
-@lru_cache(maxsize=None)
 def enumerate_connected(n, m):
     """All connected graphs with n vertices and m edges, one per iso class.
 
-    Returns canonical representatives sorted by canonical form; cached, so
-    treat the result as read-only.
+    Returns canonical representatives sorted by canonical form.
     """
     _check_size(n, m)
     if m < n - 1:
         return ()
-    if m <= n + 1:
-        return _classes(n, [canonical_code(n, G.adj, G.masks) for G in _members(n, m)])
-    codes = set()
-    for G in enumerate_connected(n, m - 1):
-        present = G.edges
-        rep = twins(G)
-        sides = _bridge_sides(G)
-        tried = set()
-        for u in range(n):
-            for v in range(u + 1, n):
-                key = frozenset((rep[u], rep[v]))
-                if (u, v) in present or key in tried:
-                    continue
-                tried.add(key)
-                adj, masks = _plus_edge(G.adj, G.masks, u, v)
-                if _keeps(adj, (u, v), present, sides):
-                    codes.add(canonical_code(n, adj, masks))
+    codes = [canonical_code(n, G.adj, G.masks) for G in _members(n, min(m, n + 1))]
+    for _ in range(n + 1, m):
+        grown = set()
+        for code in codes:
+            G = graph_of_code(n, code)
+            present = G.edges
+            rep = twins(G)
+            sides = _bridge_sides(G)
+            tried = set()
+            for u in range(n):
+                for v in range(u + 1, n):
+                    key = frozenset((rep[u], rep[v]))
+                    if (u, v) in present or key in tried:
+                        continue
+                    tried.add(key)
+                    adj, masks = _plus_edge(G.adj, G.masks, u, v)
+                    if _keeps(adj, (u, v), present, sides):
+                        grown.add(canonical_code(n, adj, masks))
+        codes = grown
     return _classes(n, codes)
 
 
@@ -545,26 +546,23 @@ class CheckLine:
 
 @dataclass
 class TheoremReport:
-    """Structured verification outcome: one CheckLine per instance checked.
-
-    ``passed`` is None for observational (conjecture) runs, which never
-    assert.
-    """
+    """Structured verification outcome: one CheckLine per instance checked."""
 
     theorem: str
-    passed: bool | None
     checks: list = field(default_factory=list)
+
+    @property
+    def passed(self):
+        """None when no line is PASS or FAIL (observational conjecture runs
+        never assert), else whether no line is FAIL."""
+        statuses = {c.status for c in self.checks}
+        return None if statuses <= {"OBS"} else "FAIL" not in statuses
 
     def add(self, ok, text):
         self.checks.append(CheckLine("PASS" if ok else "FAIL", text))
 
     def observe(self, text):
         self.checks.append(CheckLine("OBS", text))
-
-    def finalize(self):
-        statuses = {c.status for c in self.checks}
-        self.passed = None if statuses <= {"OBS"} else "FAIL" not in statuses
-        return self
 
 
 def _balanced(kind, m, specs):
@@ -747,7 +745,7 @@ def verify_theorem(theorem, weights, **ranges):
     for c in ranges.get("class_names", ()):
         if c not in EXCESS:
             raise BadParams(f"verify classes are trees, unicyclic and bicyclic, not {c!r}")
-    rep = TheoremReport(theorem, None)
+    rep = TheoremReport(theorem)
     for f in weights:
         check(rep, f, **ranges)
-    return rep.finalize()
+    return rep

@@ -18,10 +18,13 @@ accepted by :func:`parse_weight`, and as a comma-separated list by
     abc | randic | sombor | zagreb1 | zagreb2 | recip-randic
     | const:<float>
     | table:<x>,<y>=<v>(;<x>,<y>=<v>)*
+
+Spec strings read back exactly: ``str(f)`` writes each number as ``:g``
+text when that reads back, else as its repr, so ``parse_weight(str(f)) == f``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BadParams, MissingTableEntry, NonPositiveValue
 
@@ -45,52 +48,40 @@ _FORMULAS = {
 NAMED_WEIGHTS = tuple(_FORMULAS)
 
 
+def _exact(v):
+    """v as ``:g`` text when that reads back to v, else as its repr."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """A named, constant, or table-defined symmetric weight function.
 
-    Use the classmethods :meth:`named`, :meth:`constant`, :meth:`from_table`
-    or :func:`parse_weight` instead of the raw constructor. Instances are
-    immutable and hashable.
+    ``text`` is the spec string, which reads back through
+    :func:`parse_weight` to an equal spec and alone decides equality and
+    hashing; ``func`` is the degree-pair function. Use the classmethods
+    :meth:`named`, :meth:`constant`, :meth:`from_table` or
+    :func:`parse_weight`, which validate their input, instead of the raw
+    constructor. Instances are immutable, hashable and picklable.
     """
 
-    kind: str
-    name: str | None = None
-    c: float | None = None
-    table: tuple = None
-
-    def __post_init__(self):
-        if self.kind == "named":
-            if self.name not in NAMED_WEIGHTS:
-                raise BadParams(f"unknown named weight {self.name!r}")
-        elif self.kind == "constant":
-            if self.c is None or not 0 < self.c < math.inf:
-                raise BadParams(f"constant weight must be finite and > 0, got {self.c}")
-        elif self.kind == "table":
-            if not self.table:
-                raise BadParams("table weight needs at least one entry")
-            lookup = {}
-            for (x, y), v in self.table:
-                if x < 1 or y < 1:
-                    raise BadParams(f"table degrees must be >= 1, got ({x}, {y})")
-                if not (v > 0):
-                    raise NonPositiveValue(
-                        f"table value for ({x}, {y}) must be > 0, got {v}"
-                    )
-                if v == math.inf:
-                    raise BadParams(f"table value for ({x}, {y}) must be finite, got {v}")
-                lookup[(x, y)] = float(v)
-            object.__setattr__(self, "_lookup", lookup)
-        else:
-            raise BadParams(f"unknown weight kind {self.kind!r}")
+    text: str
+    func: object = field(compare=False, repr=False)
 
     @classmethod
     def named(cls, name):
-        return cls(kind="named", name=name.replace("-", "_"))
+        name = name.replace("-", "_")
+        if name not in _FORMULAS:
+            raise BadParams(f"unknown named weight {name!r}")
+        return cls(name.replace("_", "-"), _FORMULAS[name])
 
     @classmethod
     def constant(cls, c):
-        return cls(kind="constant", c=float(c))
+        c = float(c)
+        if not 0 < c < math.inf:
+            raise BadParams(f"constant weight must be finite and > 0, got {c}")
+        return cls(f"const:{_exact(c)}", lambda x, y: c)
 
     @classmethod
     def from_table(cls, entries):
@@ -102,18 +93,31 @@ class WeightSpec:
             if key in items and items[key] != float(v):
                 raise BadParams(f"conflicting table values for pair {key}")
             items[key] = float(v)
-        return cls(kind="table", table=tuple(sorted(items.items())))
+        if not items:
+            raise BadParams("table weight needs at least one entry")
+        items = dict(sorted(items.items()))
+        for (x, y), v in items.items():
+            if x < 1 or y < 1:
+                raise BadParams(f"table degrees must be >= 1, got ({x}, {y})")
+            if not (v > 0):
+                raise NonPositiveValue(f"table value for ({x}, {y}) must be > 0, got {v}")
+            if v == math.inf:
+                raise BadParams(f"table value for ({x}, {y}) must be finite, got {v}")
+
+        def lookup(x, y):
+            try:
+                return items[(x, y) if x <= y else (y, x)]
+            except KeyError:
+                raise MissingTableEntry(x, y) from None
+
+        body = ";".join(f"{x},{y}={_exact(v)}" for (x, y), v in items.items())
+        return cls(f"table:{body}", lookup)
 
     def __str__(self):
-        if self.kind == "named":
-            return self.name.replace("_", "-")
-        if self.kind == "constant":
-            return f"const:{self.c:g}"
-        body = ";".join(f"{x},{y}={v:g}" for (x, y), v in self.table)
-        return f"table:{body}"
+        return self.text
 
-    def __call__(self, x, y):
-        return eval_weight(self, x, y)
+    def __reduce__(self):
+        return parse_weight, (self.text,)
 
 
 def parse_weight(text):
@@ -165,19 +169,12 @@ def parse_weights(text):
 def eval_weight(f, x, y):
     """Evaluate f at a pair of positive integer degrees.
 
-    Symmetric by construction: eval_weight(f, x, y) == eval_weight(f, y, x).
+    Symmetric by construction: eval_weight(f, x, y) == eval_weight(f, y, x);
+    the named formulas join x and y only by sums and products, which commute.
     """
     if x < 1 or y < 1:
         raise BadParams(f"degrees must be >= 1, got ({x}, {y})")
-    if f.kind == "named":
-        return _FORMULAS[f.name](x, y) if x <= y else _FORMULAS[f.name](y, x)
-    if f.kind == "constant":
-        return f.c
-    key = (x, y) if x <= y else (y, x)
-    try:
-        return f._lookup[key]
-    except KeyError:
-        raise MissingTableEntry(x, y) from None
+    return f.func(x, y)
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,16 @@ def test_verify_weight_list_keeps_table_commas(capsys):
     ]
 
 
+def test_verify_labels_tell_nearby_constants_apart(capsys):
+    code, out, err = run(
+        capsys, "verify", "--theorem", "theta-minimal", "--m", "9",
+        "--weights", "const:1.2345678,const:1.2345679",
+    )
+    assert (code, err) == (0, "")
+    labels = [line.split(" m=")[0] for line in out.splitlines()[:2]]
+    assert labels == ["PASS const:1.2345678", "PASS const:1.2345679"]
+
+
 @pytest.mark.parametrize("theorem, m", [("theta-minimal", "6"), ("infty-star-domination", "9")])
 def test_verify_unevaluable_weight_is_a_domain_error(capsys, theorem, m):
     code, out, err = run(

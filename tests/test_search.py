@@ -172,7 +172,6 @@ def _clear_enumeration_caches():
     search._rooted_trees.cache_clear()
     search._rooted_tree_edges.cache_clear()
     search._core.cache_clear()
-    enumerate_connected.cache_clear()
 
 
 def test_cold_enumeration_computes_few_canonical_forms(monkeypatch):
@@ -193,15 +192,15 @@ def test_cold_enumeration_computes_few_canonical_forms(monkeypatch):
 
 
 def test_no_candidate_outlives_its_class():
-    # A cold run builds one Graph per class member and keeps only the cached
-    # canonical representatives.
+    # A cold run builds one Graph per class member and keeps only the
+    # canonical representatives it returns.
     _clear_enumeration_caches()
     gc.collect()
     before = {id(o) for o in gc.get_objects() if isinstance(o, Graph)}
-    enumerate_connected(9, 10)
+    graphs = enumerate_connected(9, 10)
     gc.collect()
     new = {id(o) for o in gc.get_objects() if isinstance(o, Graph)} - before
-    reps = {id(G) for G in enumerate_connected(9, 10)}
+    reps = {id(G) for G in graphs}
     assert len(reps) == 797
     assert new == reps
 

@@ -1,6 +1,9 @@
 """Tests for weight functions: evaluation, parsing, and grid properties."""
 
+import copy
 import math
+import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -193,3 +196,61 @@ def test_table_grid_exceeds_support():
 def test_non_finite_weights_rejected(text):
     with pytest.raises(BadParams, match="finite"):
         parse_weight(text)
+
+
+def _seeded_specs(seed=21, count=30):
+    """(spec, its numbers, its old ``:g`` label) for constants and tables on
+    awkward values and seeded random ones."""
+    rng = random.Random(seed)
+    values = [1.2345678, 1.2345679, 1e-05, 2.0, 0.1, 1 / 3, 123456789.0, 1e20]
+    values += [rng.uniform(1e-3, 1e3) for _ in range(count)]
+    values += [round(rng.uniform(1, 10), rng.randint(0, 9)) for _ in range(count)]
+    out = [(WeightSpec.constant(v), [v], f"const:{v:g}") for v in values]
+    for _ in range(count):
+        pairs = {}
+        for _ in range(rng.randint(1, 5)):
+            pairs[tuple(sorted((rng.randint(1, 5), rng.randint(1, 5))))] = rng.choice(values)
+        body = ";".join(f"{x},{y}={v:g}" for (x, y), v in sorted(pairs.items()))
+        out.append((WeightSpec.from_table(pairs), list(pairs.values()), f"table:{body}"))
+    return out
+
+
+def _grid_values(f):
+    """f on the degree grid [1, 6]^2, None where a table has no entry."""
+    values = []
+    for x in range(1, 7):
+        for y in range(1, 7):
+            try:
+                values.append(eval_weight(f, x, y))
+            except MissingTableEntry:
+                values.append(None)
+    return values
+
+
+def test_labels_read_back_exactly():
+    assert [str(WeightSpec.constant(v)) for v in (1.2345678, 1e-05, 2.0, 0.1)] == [
+        "const:1.2345678", "const:1e-05", "const:2", "const:0.1"]
+    for f, numbers, old in _seeded_specs():
+        assert parse_weight(str(f)) == f
+        # A label whose :g text already read back prints as before.
+        assert (str(f) == old) == all(float(f"{v:g}") == v for v in numbers), (f, old)
+
+
+def test_specs_are_equal_exactly_when_their_labels_are():
+    specs = [f for f, _, _ in _seeded_specs()] + [WeightSpec.named(n) for n in NAMED_WEIGHTS]
+    for f in specs:
+        for g in specs:
+            assert (f == g) == (str(f) == str(g))
+            if f == g:
+                assert hash(f) == hash(g)
+    assert WeightSpec.named("recip_randic") == parse_weight("recip-randic")
+    assert WeightSpec.constant(2) == parse_weight("const:2.0")
+
+
+def test_specs_survive_pickle_and_deepcopy():
+    specs = [f for f, _, _ in _seeded_specs()] + [WeightSpec.named(n) for n in NAMED_WEIGHTS]
+    for f in specs:
+        for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert g == f
+            assert str(g) == str(f)
+            assert _grid_values(g) == _grid_values(f)
