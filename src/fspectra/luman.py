@@ -57,7 +57,7 @@ def _alpha(rho):
 
 
 class IncidenceWeights:
-    """Nonnegative values on (vertex, incident edge) pairs of a host graph.
+    """Finite, nonnegative values on (vertex, incident edge) pairs of a host graph.
 
     Keys are (v, (a, b)) with a < b and v in {a, b}. Construction rejects
     keys that are not incidences of the host graph; completeness is checked
@@ -74,6 +74,8 @@ class IncidenceWeights:
                 raise BadParams(f"({v}, {key}) is not an incidence of the host graph")
             if val < 0:
                 raise BadParams(f"negative incidence value at ({v}, {key})")
+            if not math.isfinite(val):
+                raise BadParams(f"non-finite incidence value at ({v}, {key})")
             vals[(v, key)] = float(val)
         self._values = vals
 
@@ -86,9 +88,6 @@ class IncidenceWeights:
 
     def items(self):
         return self._values.items()
-
-    def __len__(self):
-        return len(self._values)
 
 
 def principal_incidence(G, f):
@@ -168,12 +167,10 @@ def classify_normality(G, f, B, alpha, tol=NORMALITY_TOL, weight_overrides=None)
         edge_slack[(u, v)] = bu * bv / (w * w) - alpha
     vertex_slack = {v: 1.0 - s for v, s in vertex_sum.items()}
 
-    v_vals = list(vertex_slack.values())
-    e_vals = list(edge_slack.values())
-    normal = all(abs(s) <= tol for s in v_vals) and all(abs(s) <= tol for s in e_vals)
-    sub_ok = all(s >= -tol for s in v_vals) and all(s >= -tol for s in e_vals)
-    sup_ok = all(s <= tol for s in v_vals) and all(s <= tol for s in e_vals)
-    if normal:
+    slacks = [*vertex_slack.values(), *edge_slack.values()]
+    sub_ok = all(s >= -tol for s in slacks)
+    sup_ok = all(s <= tol for s in slacks)
+    if sub_ok and sup_ok:
         classification = "normal"
     elif sub_ok:
         classification = "strictly_subnormal"
@@ -182,23 +179,22 @@ def classify_normality(G, f, B, alpha, tol=NORMALITY_TOL, weight_overrides=None)
     else:
         classification = "none"
 
-    consistent = True
-    for cycle in fundamental_cycles(G):
-        log_product = 0.0
-        ok = True
-        for a, b in zip(cycle, cycle[1:]):
-            e = (min(a, b), max(a, b))
-            num = B.value(b, e)
-            den = B.value(a, e)
-            if num <= 0.0 or den <= 0.0:
-                ok = False
-                break
-            log_product += math.log(num) - math.log(den)
-        if not ok or abs(math.expm1(log_product)) > tol:
-            consistent = False
-            break
-
+    consistent = all(_cycle_consistent(B, cycle, tol) for cycle in fundamental_cycles(G))
     return NormalityReport(alpha, classification, consistent, tol, vertex_slack, edge_slack, B)
+
+
+def _cycle_consistent(B, cycle, tol):
+    """True when the ratios B(b, ab) / B(a, ab) around the closed walk
+    ``cycle`` are all positive and multiply to 1 within tol."""
+    log_product = 0.0
+    for a, b in zip(cycle, cycle[1:]):
+        e = (min(a, b), max(a, b))
+        num = B.value(b, e)
+        den = B.value(a, e)
+        if num <= 0.0 or den <= 0.0:
+            return False
+        log_product += math.log(num) - math.log(den)
+    return abs(math.expm1(log_product)) <= tol
 
 
 @dataclass(frozen=True)
@@ -364,6 +360,11 @@ def incidence_from_splits(G, f, alpha, splits=None, modify_short_edges=False):
     cycle ratios consistent. Interior vertex sums come out exactly 1 and
     every edge product exactly alpha * w(e)^2; branch-vertex sums are
     whatever the chosen splits make them, which is the whole point.
+
+    A length-1 path needs ``modify_short_edges=True``: its edge is
+    reweighted to f(d0, 2) and its far end is read as degree 2, so its
+    endpoint pair is (beta(d0) F(l1), F(l2)), with product alpha' * beta(d0),
+    exact because beta(2) = 1.
     """
     paths = internal_paths(G)
     if not paths:
@@ -397,14 +398,8 @@ def incidence_from_splits(G, f, alpha, splits=None, modify_short_edges=False):
                     "length-1 internal path needs modify_short_edges=True; "
                     "the certificate then covers a reweighted edge"
                 )
-            e = edge_seq[0]
-            overrides[e] = eval_weight(f, d0, 2)
-            # With weight f(d0, 2), the alpha-exact endpoint pair is
-            # (beta(d0) F(l1), F(l2)): their product is alpha' * beta(d0).
-            values[(verts[0], e)] = ctx.beta(d0) * ctx.f_theta(l1)
-            values[(verts[1], e)] = ctx.f_theta(l2)
-            continue
-
+            overrides[edge_seq[0]] = eval_weight(f, d0, 2)
+            dl = 2
         c_start, c_end = path_endpoint_values(l, l1, l2, d0, dl, ctx)
         values[(verts[0], edge_seq[0])] = c_start
         values[(verts[-1], edge_seq[-1])] = c_end

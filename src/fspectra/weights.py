@@ -24,11 +24,10 @@ text when that reads back, else as its repr, so ``parse_weight(str(f)) == f``.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import BadParams, MissingTableEntry, NonPositiveValue
-
-PROPERTIES = ("symmetric", "increasing_in_x", "convex_in_x", "Pstar", "Pstarstar")
 
 DEFAULT_MAX_DEGREE = 16
 
@@ -86,9 +85,13 @@ class WeightSpec:
     @classmethod
     def from_table(cls, entries):
         """Build a table spec from a mapping {(x, y): value} or an iterable
-        of ((x, y), value) pairs on unordered degree pairs."""
+        of ((x, y), value) pairs on unordered integer degree pairs."""
         items = {}
         for (x, y), v in entries.items() if hasattr(entries, "items") else entries:
+            try:
+                x, y = operator.index(x), operator.index(y)
+            except TypeError:
+                raise BadParams(f"table degrees must be integers, got ({x!r}, {y!r})") from None
             key = (min(x, y), max(x, y))
             if key in items and items[key] != float(v):
                 raise BadParams(f"conflicting table values for pair {key}")
@@ -193,17 +196,23 @@ class PropertyReport:
     strict: bool = False
 
 
-def _check_increasing(f, max_degree, strict):
+def _symmetric(f, max_degree, strict):
+    for x in range(1, max_degree + 1):
+        for y in range(1, max_degree + 1):
+            if eval_weight(f, x, y) != eval_weight(f, y, x):
+                yield (x, y)
+
+
+def _increasing(f, max_degree, strict):
     for y in range(1, max_degree + 1):
         for x in range(1, max_degree):
             lo, hi = eval_weight(f, x, y), eval_weight(f, x + 1, y)
             bad = (hi <= lo) if strict else (hi < lo - _GRID_EPS)
             if bad:
-                return (x, y)
-    return None
+                yield (x, y)
 
 
-def _check_convex(f, max_degree):
+def _convex(f, max_degree, strict):
     for y in range(1, max_degree + 1):
         for x in range(1, max_degree - 1):
             second = (
@@ -212,21 +221,41 @@ def _check_convex(f, max_degree):
                 + eval_weight(f, x, y)
             )
             if second < -_GRID_EPS:
-                return (x, y)
-    return None
+                yield (x, y)
 
 
 def _same_sum_pairs(max_degree):
-    """Yield ((x1, y1), (x2, y2)) with equal sums and |x1-y1| > |x2-y2|."""
-    by_sum = {}
-    for x in range(1, max_degree + 1):
-        for y in range(1, x + 1):
-            by_sum.setdefault(x + y, []).append((x, y))
-    for pairs in by_sum.values():
-        for x1, y1 in pairs:
-            for x2, y2 in pairs:
-                if abs(x1 - y1) > abs(x2 - y2):
-                    yield (x1, y1), (x2, y2)
+    """Yield (x1, y1, x2, y2) with x1 + y1 = x2 + y2, y1 <= x1, y2 <= x2 and
+    |x1 - y1| > |x2 - y2|, by increasing sum, then x1, then x2."""
+    for total in range(2, 2 * max_degree + 1):
+        xs = range((total + 1) // 2, min(total - 1, max_degree) + 1)
+        for x1 in xs:
+            for x2 in xs:
+                if x1 > x2:
+                    yield x1, total - x1, x2, total - x2
+
+
+def _favours_imbalance(f, max_degree, strict):
+    for x1, y1, x2, y2 in _same_sum_pairs(max_degree):
+        if eval_weight(f, x1, y1) < eval_weight(f, x2, y2) - _GRID_EPS:
+            yield (x1, y1, x2, y2)
+
+
+def _strictly_favours_balance(f, max_degree, strict):
+    for x1, y1, x2, y2 in _same_sum_pairs(max_degree):
+        if eval_weight(f, x1, y1) >= eval_weight(f, x2, y2):
+            yield (x1, y1, x2, y2)
+
+
+# Each property -> the witness checks it chains. A check yields its
+# violations in grid order; the first one found refutes the property.
+_WITNESS_CHECKS = {
+    "symmetric": (_symmetric,),
+    "increasing_in_x": (_increasing,),
+    "convex_in_x": (_convex,),
+    "Pstar": (_increasing, _convex, _favours_imbalance),
+    "Pstarstar": (_increasing, _convex, _strictly_favours_balance),
+}
 
 
 def check_property(f, property, max_degree=DEFAULT_MAX_DEGREE, strict=False):
@@ -239,40 +268,10 @@ def check_property(f, property, max_degree=DEFAULT_MAX_DEGREE, strict=False):
     Degrees in simple graphs are positive integers, so a grid check at the
     default D = 16 covers every pair these weights ever see in practice.
     """
-    if property not in PROPERTIES:
+    if property not in _WITNESS_CHECKS:
         raise BadParams(f"unknown property {property!r}")
     if max_degree < 3:
         raise BadParams("property grid needs max_degree >= 3")
-    grid = (1, max_degree)
-
-    if property == "symmetric":
-        for x in range(1, max_degree + 1):
-            for y in range(1, max_degree + 1):
-                if eval_weight(f, x, y) != eval_weight(f, y, x):
-                    return PropertyReport(property, False, grid, (x, y), strict)
-        return PropertyReport(property, True, grid, None, strict)
-
-    if property == "increasing_in_x":
-        w = _check_increasing(f, max_degree, strict)
-        return PropertyReport(property, w is None, grid, w, strict)
-
-    if property == "convex_in_x":
-        w = _check_convex(f, max_degree)
-        return PropertyReport(property, w is None, grid, w, strict)
-
-    # Pstar / Pstarstar: increasing + convex + the same-sum comparison.
-    w = _check_increasing(f, max_degree, strict)
-    if w is not None:
-        return PropertyReport(property, False, grid, w, strict)
-    w = _check_convex(f, max_degree)
-    if w is not None:
-        return PropertyReport(property, False, grid, w, strict)
-    for (x1, y1), (x2, y2) in _same_sum_pairs(max_degree):
-        a, b = eval_weight(f, x1, y1), eval_weight(f, x2, y2)
-        if property == "Pstar":
-            if a < b - _GRID_EPS:
-                return PropertyReport(property, False, grid, (x1, y1, x2, y2), strict)
-        else:
-            if a >= b:
-                return PropertyReport(property, False, grid, (x1, y1, x2, y2), strict)
-    return PropertyReport(property, True, grid, None, strict)
+    checks = _WITNESS_CHECKS[property]
+    witness = next((w for check in checks for w in check(f, max_degree, strict)), None)
+    return PropertyReport(property, witness is None, (1, max_degree), witness, strict)

@@ -135,6 +135,19 @@ def test_incidence_weights_rejects_aliens():
         IncidenceWeights(G, {(2, (0, 1)): 0.5})
 
 
+@pytest.mark.parametrize(
+    "bad, word", [(math.nan, "non-finite"), (math.inf, "non-finite"),
+                  (-math.inf, "negative"), (-0.5, "negative")]
+)
+def test_incidence_weights_rejects_non_finite_and_negative(bad, word):
+    # A NaN entry once classified as "none" but still "consistent".
+    G = make(parse_family("cycle:4"))
+    values = {(v, e): 0.5 for e in G.edges for v in e}
+    values[(0, (0, 1))] = bad
+    with pytest.raises(BadParams, match=rf"{word} incidence value at \(0, \(0, 1\)\)"):
+        IncidenceWeights(G, values)
+
+
 def test_classify_incomplete_incidence():
     G = make(FamilySpec("path", (3,)))
     B = IncidenceWeights(G, {(0, (0, 1)): 1.0, (1, (0, 1)): 0.5})
@@ -381,6 +394,22 @@ def test_split_certificate_short_edge_flag():
         G, SOMBOR, cert.incidence, alpha, weight_overrides=cert.weight_overrides
     )
     assert abs(report.edge_slack[e]) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["theta:1,2,2", "infty:3,5,1"])
+@pytest.mark.parametrize("split", [(1, 1), (2, 0), (0, 2)])
+def test_length_one_endpoints_read_far_end_as_degree_two(family, split):
+    G = make(parse_family(family))
+    alpha = alpha_of(G, SOMBOR)
+    ctx = FThetaContext.from_alpha(alpha, SOMBOR)
+    paths = internal_paths(G)
+    idx = next(i for i, p in enumerate(paths) if p.length == 1)
+    (u, v), = paths[idx].edge_sequence()
+    start = paths[idx].vertices[0]
+    end = v if start == u else u
+    cert = incidence_from_splits(G, SOMBOR, alpha, splits={idx: split}, modify_short_edges=True)
+    expect = path_endpoint_values(1, *split, G.degree(start), 2, ctx)
+    assert (cert.incidence.value(start, (u, v)), cert.incidence.value(end, (u, v))) == expect
 
 
 def test_split_certificate_needs_pendant_free():

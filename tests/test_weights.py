@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,6 +115,18 @@ def test_table_pairs_are_normalised_and_checked_in_one_place():
             build()
 
 
+def test_table_degrees_are_integers():
+    f = WeightSpec.from_table({(np.int64(3), np.int64(2)): 2.0, (True, 2): 1.0})
+    assert str(f) == "table:1,2=1;2,3=2"
+    assert parse_weight(str(f)) == f
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert g == f
+        assert eval_weight(g, 2, 3) == 2.0
+    for key in [(2.0, 3.0), (2.5, 3), (2, np.float64(3))]:
+        with pytest.raises(BadParams, match="table degrees must be integers"):
+            WeightSpec.from_table({key: 1.0})
+
+
 def test_parse_weights_keeps_table_commas():
     specs = parse_weights("sombor, table:2,2=1;3,2=2,recip-randic,const:2")
     assert [str(f) for f in specs] == ["sombor", "table:2,2=1;2,3=2", "recip-randic", "const:2"]
@@ -175,6 +188,73 @@ def test_recip_randic_fails_convexity():
     f = parse_weight("recip-randic")
     assert not check_property(f, "convex_in_x").holds
     assert not check_property(f, "Pstarstar").holds
+
+
+def _first_violation(f, prop, D, strict):
+    """Brute-force check_property: every violation of each chained check,
+    listed in grid order; the first one found, else None."""
+    def w(x, y):
+        return eval_weight(f, x, y)
+
+    grid = range(1, D + 1)
+    symmetric = [(x, y) for x in grid for y in grid if w(x, y) != w(y, x)]
+    increasing = [
+        (x, y) for y in grid for x in range(1, D)
+        if (w(x + 1, y) <= w(x, y) if strict else w(x + 1, y) < w(x, y) - 1e-12)
+    ]
+    convex = [
+        (x, y) for y in grid for x in range(1, D - 1)
+        if w(x + 2, y) - 2.0 * w(x + 1, y) + w(x, y) < -1e-12
+    ]
+    # Equal-sum pairs, less balanced one first, by sum, then x1, then x2.
+    same_sum = sorted(
+        ((x1, y1, x2, y2) for x1 in grid for y1 in range(1, x1 + 1)
+         for x2 in grid for y2 in range(1, x2 + 1)
+         if x1 + y1 == x2 + y2 and x1 - y1 > x2 - y2),
+        key=lambda p: (p[0] + p[1], p[0], p[2]),
+    )
+    imbalance = [p for p in same_sum if w(p[0], p[1]) < w(p[2], p[3]) - 1e-12]
+    balance = [p for p in same_sum if w(p[0], p[1]) >= w(p[2], p[3])]
+    chains = {
+        "symmetric": [symmetric],
+        "increasing_in_x": [increasing],
+        "convex_in_x": [convex],
+        "Pstar": [increasing, convex, imbalance],
+        "Pstarstar": [increasing, convex, balance],
+    }
+    return next((v for violations in chains[prop] for v in violations), None)
+
+
+def _seeded_grid_table(seed=22, D=8):
+    """Increasing in x (steps >= 2), with noise that can break convexity."""
+    rng = random.Random(seed)
+    return WeightSpec.from_table({
+        (x, y): x * y + x + y + rng.uniform(0.0, 0.5)
+        for x in range(1, D + 1) for y in range(1, x + 1)
+    })
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "prop", ["symmetric", "increasing_in_x", "convex_in_x", "Pstar", "Pstarstar"]
+)
+def test_check_property_matches_brute_force(prop, strict):
+    weights = [WeightSpec.named(n) for n in NAMED_WEIGHTS]
+    weights += [parse_weight("const:2"), _seeded_grid_table()]
+    seen = set()
+    for f in weights:
+        report = check_property(f, prop, max_degree=8, strict=strict)
+        expect = _first_violation(f, prop, 8, strict)
+        assert (report.holds, report.witness) == (expect is None, expect), str(f)
+        assert (report.property, report.grid, report.strict) == (prop, (1, 8), strict)
+        seen.add(None if expect is None else len(expect))
+    if prop in ("Pstar", "Pstarstar"):
+        assert 4 in seen  # some witness comes from the equal-sum comparison
+
+
+def test_raw_asymmetric_weight_refutes_symmetric():
+    report = check_property(WeightSpec("asym", lambda x, y: x), "symmetric", max_degree=8)
+    assert (report.holds, report.witness) == (False, (1, 2))
 
 
 def test_property_grid_too_small():
