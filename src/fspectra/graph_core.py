@@ -55,9 +55,6 @@ class Graph:
     def m(self):
         return len(self.edges)
 
-    def degree(self, v):
-        return len(self.adj[v])
-
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
 
@@ -133,7 +130,7 @@ def base_graph(G):
     """
     if not is_connected(G):
         raise Disconnected("base graph needs a connected graph")
-    if cyclomatic_number(G) < 1:
+    if G.m < G.n:
         raise NoCycle("a tree has no base graph")
     deg = degrees(G)
     alive = [True] * G.n
@@ -287,10 +284,16 @@ def _refine(n, adj):
     return colors
 
 
-def _twin_reps(masks):
-    """Map each vertex to the smallest vertex with the same open or closed
-    neighbourhood mask. An open mask never equals another vertex's closed
-    one, so both kinds share one dict."""
+def twins(masks):
+    """Map each vertex to the smallest vertex of its twin class, given each
+    vertex's neighbourhood mask.
+
+    u and v are twins when they have the same open neighbourhood or the
+    same closed one. An open mask never equals another vertex's closed one,
+    so both kinds share one dict, no vertex has both kinds of twin, the
+    classes partition the vertices, and every permutation inside a class is
+    an automorphism of the graph.
+    """
     rep = list(range(len(masks)))
     first = {}
     for v, mask in enumerate(masks):
@@ -302,17 +305,6 @@ def _twin_reps(masks):
         else:
             first[mask] = first[closed] = v
     return rep
-
-
-def twins(G):
-    """Map each vertex to the smallest vertex of its twin class.
-
-    u and v are twins when they have the same open neighbourhood or the
-    same closed one. No vertex has both kinds of twin, so the classes
-    partition the vertices, and every permutation inside a class is an
-    automorphism of G.
-    """
-    return _twin_reps(G.masks)
 
 
 def canonical_code(n, adj, masks):
@@ -338,7 +330,7 @@ def canonical_code(n, adj, masks):
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
     cells = [by_color[c] for c in sorted(by_color) for _ in by_color[c]]
-    rep = _twin_reps(masks)
+    rep = twins(masks)
     total = n * (n - 1) // 2
     bit = [0] * n  # also the used flags: an assigned vertex has a nonzero bit
     get = bit.__getitem__

@@ -33,16 +33,15 @@ from .errors import (
 )
 from .graph_core import degrees, fundamental_cycles, internal_paths, is_connected
 from .spectral import check_tol, f_spectral_radius
-from .weights import WeightSpec, eval_weight
+from .weights import eval_weight
 
 NORMALITY_TOL = 1e-8
+RECURRENCE_TOL = 1e-10
+SHIFT_TOL = 1e-12
 
 # Relative headroom accepted when alpha' computed from an eigensolver lands
 # a hair above the exact boundary 1/4 (cycles hit the boundary exactly).
 _ALPHA_PRIME_SLACK = 1e-9
-
-# Default weight backing bare-theta contexts; F_theta itself is weight-free.
-_UNIT_WEIGHT = WeightSpec.constant(1.0)
 
 
 def alpha_of(G, f):
@@ -235,10 +234,6 @@ class FThetaContext:
         alpha_prime = (0.5 / math.cosh(theta)) ** 2
         return cls(alpha_prime, float(theta), eval_weight(f, 2, 2), f)
 
-    @property
-    def alpha(self):
-        return self.alpha_prime / (self.f22 * self.f22)
-
     def beta(self, d):
         r = eval_weight(self.weight, d, 2) / self.f22
         return r * r
@@ -248,8 +243,9 @@ class FThetaContext:
         return 0.5 * (1.0 - math.tanh(self.theta) * math.tanh(0.5 * x * self.theta))
 
 
-def check_recurrence(ctx, p, q, window, tol=1e-10):
-    """Verify x_n = F_theta(p+q-2n) solves x_n = 1 - alpha'/x_{n-1}.
+def check_recurrence(ctx, p, q, window):
+    """Verify x_n = F_theta(p+q-2n) solves x_n = 1 - alpha'/x_{n-1} within
+    RECURRENCE_TOL.
 
     The check runs over n in [-window, window]; the sequence never touches
     zero because F_theta maps into (0, 1).
@@ -259,7 +255,7 @@ def check_recurrence(ctx, p, q, window, tol=1e-10):
         prev = ctx.f_theta(p + q - 2 * (n - 1))
         cur = ctx.f_theta(p + q - 2 * n)
         worst = max(worst, abs(cur - (1.0 - ctx.alpha_prime / prev)))
-    return worst <= tol
+    return worst <= RECURRENCE_TOL
 
 
 def path_endpoint_values(l, l1, l2, d0, dl, ctx):
@@ -293,13 +289,11 @@ class InequalityReport:
     doubling_witness: float | None
 
 
-def inequality_oracles(ctx, shift_pairs=None, doubling_grid=None, tol=1e-12):
-    """Evaluate both F_theta inequalities on grids, returning worst margins.
-
-    ``ctx`` may be an FThetaContext or a bare theta value.
+def inequality_oracles(ctx, shift_pairs=None, doubling_grid=None):
+    """Evaluate both F_theta inequalities of the FThetaContext ``ctx`` on
+    grids, returning worst margins. The shift inequality holds when its
+    worst margin is at least -SHIFT_TOL; the doubling one must be positive.
     """
-    if not isinstance(ctx, FThetaContext):
-        ctx = FThetaContext.from_theta(float(ctx), _UNIT_WEIGHT)
     if shift_pairs is None:
         shift_pairs = [(a, b) for a in range(11) for b in range(a + 1)]
     if doubling_grid is None:
@@ -327,9 +321,9 @@ def inequality_oracles(ctx, shift_pairs=None, doubling_grid=None, tol=1e-12):
             doubling_witness = x
 
     return InequalityReport(
-        shift_holds=shift_margin >= -tol,
+        shift_holds=shift_margin >= -SHIFT_TOL,
         shift_margin=shift_margin,
-        shift_witness=shift_witness if shift_margin < -tol else None,
+        shift_witness=shift_witness if shift_margin < -SHIFT_TOL else None,
         doubling_holds=doubling_margin > 0.0,
         doubling_margin=doubling_margin,
         doubling_witness=doubling_witness if doubling_margin <= 0.0 else None,

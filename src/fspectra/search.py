@@ -43,8 +43,8 @@ still keep several candidates, and the dedup by canonical code stays.
 
 Every search scores its candidates once, in batched eigensolves over
 chunks of at most ``CHUNK_BYTES`` of matrices, keeps the extremal value
-and the candidates tied with it (values at most the sum of their
-``perron_values`` error half-widths apart), and reports winners as
+and the candidates tied with it (by ``_tied``: values at most the sum of
+their ``perron_values`` error half-widths apart), and reports winners as
 canonically labeled representatives in canonical order, each written as
 its ``n:bits`` ``graph_core.encoding``, so ``extremal`` refuses an order
 past ``CANONICAL_MAX_VERTICES`` before it lists the class. Each named
@@ -132,11 +132,6 @@ def _plus_edge(adj, masks, u, v):
     masks[u] |= 1 << v
     masks[v] |= 1 << u
     return adj, masks
-
-
-def _classes(n, codes):
-    """One canonically labeled graph per code, in code order."""
-    return tuple(graph_of_code(n, code) for code in sorted(codes))
 
 
 def _neighbour_key(deg, adj, a, b, memo):
@@ -390,7 +385,7 @@ def enumerate_connected(n, m):
         for code in codes:
             G = graph_of_code(n, code)
             present = G.edges
-            rep = twins(G)
+            rep = twins(G.masks)
             sides = _bridge_sides(G)
             tried = set()
             for u in range(n):
@@ -403,7 +398,7 @@ def enumerate_connected(n, m):
                     if _keeps(adj, (u, v), present, sides):
                         grown.add(canonical_code(n, adj, masks))
         codes = grown
-    return _classes(n, codes)
+    return tuple(graph_of_code(n, code) for code in sorted(codes))
 
 
 # Edges minus vertices of the search classes that enumeration lists.
@@ -428,10 +423,10 @@ def class_graphs(class_name, n):
 class SearchReport:
     """Extremal outcome over one enumerated class.
 
-    ``winners`` collects every graph tied with the extremal value (within
-    the sum of the two solve error half-widths) as its canonically labeled
-    representative, sorted by canonical form;
-    ``winner_values`` holds their Perron values in the same order.
+    ``winners`` collects every graph tied with the extremal value (by
+    ``_tied``) as its canonically labeled representative, sorted by
+    canonical form; ``winner_values`` holds their Perron values in the same
+    order.
     ``skipped`` counts candidates a table weight could not evaluate (missing
     degree pairs); they are excluded from the optimum.
     """
@@ -445,7 +440,7 @@ class SearchReport:
     examined: int
     skipped: int
     elapsed: float
-    winner_values: list = field(default_factory=list)
+    winner_values: list
 
 
 def _scored(items, f, graph_of=lambda G: G):
@@ -475,16 +470,22 @@ def _scored(items, f, graph_of=lambda G: G):
     return scored
 
 
+def _tied(a, b):
+    """Whether two (rho, err, ...) triples tie: their rhos differ by at most
+    the sum of their error half-widths. Every tie a search or a check
+    decides is decided here."""
+    return abs(a[0] - b[0]) <= a[1] + b[1]
+
+
 def _best(scored, objective, where):
-    """The extremal (rho, err, item) triple and every triple tied with it:
-    one whose rho differs from the extremal rho by at most the two errs' sum.
+    """The extremal (rho, err, item) triple and every triple tied with it.
 
     Raises BadParams naming ``where`` when f could evaluate none of them.
     """
     if not scored:
         raise BadParams(f"no evaluable graphs in {where}")
     top = (min if objective == "min" else max)(scored, key=lambda t: t[0])
-    return top, [t for t in scored if abs(t[0] - top[0]) <= t[1] + top[1]]
+    return top, [t for t in scored if _tied(t, top)]
 
 
 def extremal(class_name, n, f, objective="min"):
@@ -607,10 +608,10 @@ def _check_theta_infty_equality(rep, f, s_values=(3, 4, 5), t_values=(2, 3, 4)):
         for t in t_values:
             pair = [f_adjacency(make(FamilySpec(k, (s, s, t))), f) for k in ("theta", "infty")]
             rho, _, err = perron_values(np.stack(pair))
-            (a, b), (err_a, err_b) = rho.tolist(), err.tolist()
+            theta, infty = zip(rho.tolist(), err.tolist())
             rep.add(
-                abs(a - b) <= err_a + err_b,
-                f"{f} theta({s},{s},{t})={a:.9f} infty({s},{s},{t})={b:.9f}",
+                _tied(theta, infty),
+                f"{f} theta({s},{s},{t})={theta[0]:.9f} infty({s},{s},{t})={infty[0]:.9f}",
             )
 
 
@@ -638,12 +639,12 @@ def _check_infty_star_domination(rep, f, m_values=(9,)):
         if m < 9:
             raise BadParams("infty-star domination needs size >= 9")
         thetas = _scored(_pendant_free_of_kind("theta", m), f, make)
-        (theta_best, theta_err, _), _ = _best(thetas, "min", f"the theta-type class at m={m}")
-        for rho, err, sp in _scored(_pendant_free_of_kind("infty_star", m), f, make):
-            l1, l2 = sp.params
+        theta, _ = _best(thetas, "min", f"the theta-type class at m={m}")
+        for star in _scored(_pendant_free_of_kind("infty_star", m), f, make):
+            l1, l2 = star[2].params
             rep.add(
-                theta_best + theta_err < rho - err,
-                f"{f} m={m}: best theta {theta_best:.6f} < infty-star({l1},{l2}) {rho:.6f}",
+                theta[0] < star[0] and not _tied(theta, star),
+                f"{f} m={m}: best theta {theta[0]:.6f} < infty-star({l1},{l2}) {star[0]:.6f}",
             )
 
 
@@ -699,9 +700,9 @@ def _check_conjecture_pstarstar(rep, f, class_names=tuple(EXCESS), n_values=(8,)
     for class_name in class_names:
         for n in n_values:
             spec = _CONJECTURED[class_name](n)
-            target = canonical_form(make(spec))
+            target = graph_of_code(*canonical_form(make(spec)))
             report = extremal(class_name, n, f, "max")
-            match = any(canonical_form(G) == target for G in report.winners)
+            match = target in report.winners
             rep.observe(
                 f"{f} {class_name} n={n}: observed max "
                 f"{'matches' if match else 'differs from'} conjectured {spec} "

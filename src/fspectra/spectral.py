@@ -171,11 +171,11 @@ class InterlacingReport:
     max_violation: float = 0.0
 
 
-def interlacing_check(G, e, f, tol=INTERLACING_TOL):
+def interlacing_check(G, e, f):
     """Check the subdivision interlacing inequalities for edge e of G.
 
     The subdivided graph has fresh degrees, so its weights are recomputed,
-    not inherited.
+    not inherited. A violation of at most INTERLACING_TOL counts as none.
     """
     lam = full_spectrum(f_adjacency(G, f))
     H = subdivided(G, e)
@@ -188,4 +188,4 @@ def interlacing_check(G, e, f, tol=INTERLACING_TOL):
             worst = max(worst, th - lam[i - 3])  # need lambda_{i-2} >= theta_i
         if i + 1 <= n:
             worst = max(worst, lam[i] - th)  # need theta_i >= lambda_{i+1}
-    return InterlacingReport(worst <= tol, list(lam), list(theta), worst)
+    return InterlacingReport(worst <= INTERLACING_TOL, list(lam), list(theta), worst)

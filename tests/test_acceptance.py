@@ -191,7 +191,7 @@ def test_criterion_06_interlacing():
         G = random_connected_graph(rng, n, rng.randint(0, 4))
         e = rng.choice(sorted(G.edges))
         f = parse_weight(rng.choice(names))
-        rep = interlacing_check(G, e, f, tol=1e-8)
+        rep = interlacing_check(G, e, f)
         worst = max(worst, rep.max_violation)
         assert rep.holds, (G, e, str(f), rep.max_violation)
         checked += 1
@@ -199,20 +199,23 @@ def test_criterion_06_interlacing():
 
 
 def test_criterion_07_f_theta_machinery():
+    const1 = parse_weight("const:1")
     # recurrence identity over windows of length 17
     for ap in (0.05, 0.1, 0.2, 0.25):
-        ctx = FThetaContext.from_alpha_prime(ap, parse_weight("const:1"))
+        ctx = FThetaContext.from_alpha_prime(ap, const1)
         for p, q in ((0, 0), (1, 5), (3, 3), (-2, 6)):
-            assert check_recurrence(ctx, p, q, 8, tol=1e-10), (ap, p, q)
+            assert check_recurrence(ctx, p, q, 8), (ap, p, q)
     # shift inequality on the stated grid at theta = 0.5
     shift_rep = inequality_oracles(
-        0.5, shift_pairs=[(a, b) for a in range(11) for b in range(a + 1)]
+        FThetaContext.from_theta(0.5, const1),
+        shift_pairs=[(a, b) for a in range(11) for b in range(a + 1)],
     )
     assert shift_rep.shift_holds
     # doubling inequality on the stated theta/x grids
     doubling_ok = True
     for theta in (0.1, 0.66, 2.0):
-        rep = inequality_oracles(theta, doubling_grid=[3 + 0.5 * k for k in range(15)])
+        ctx = FThetaContext.from_theta(theta, const1)
+        rep = inequality_oracles(ctx, doubling_grid=[3 + 0.5 * k for k in range(15)])
         doubling_ok = doubling_ok and rep.doubling_holds and rep.doubling_margin > 0
     report("7 f-theta", doubling_ok, "recurrence windows (17 points) and both grid inequalities")
     assert doubling_ok

@@ -217,6 +217,17 @@ def test_verify_failure_exit_code(capsys):
     assert "FAIL" in out
 
 
+def test_verify_observation_only_exit_code(capsys):
+    # conjecture-pstarstar only observes: no PASS and no FAIL line, exit 0
+    code, out, err = run(
+        capsys, "verify", "--theorem", "conjecture-pstarstar", "--n", "8", "--weights", "sombor"
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 4 and all(line.startswith("OBS sombor ") for line in lines[:3])
+    assert lines[3] == "# theorem=conjecture-pstarstar checks=3 failures=0"
+
+
 def test_verify_weight_list_keeps_table_commas(capsys):
     code, out, err = run(
         capsys,
@@ -360,6 +371,13 @@ def test_verify_near_tied_eigenvalues(capsys):
         # Refused before the class is listed.
         (("extremal", "--class", "pendant-free-bicyclic", "--order", "13", "--weight", "sombor"),
          "canonical form supports at most 12 vertices"),
+        # A range is never listed, so a huge one reaches the theorem's own refusal.
+        (("verify", "--theorem", "main-bicyclic", "--weights", "sombor",
+          "--n", "1..1000000000000000000"),
+         "main theorem instances need order >= 8"),
+        (("verify", "--theorem", "theta-minimal", "--weights", "sombor",
+          "--m", "1..1000000000000000000"),
+         "no theta-type graph has 1 edges"),
     ],
 )
 def test_bad_numeric_arguments_exit_2(capsys, argv, message):

@@ -37,7 +37,7 @@ def test_infty_star_example():
 def test_infty_example():
     G = make(parse_family("infty:3,3,2"))
     assert (G.n, G.m) == (7, 8)
-    hubs = [v for v in range(G.n) if G.degree(v) == 3]
+    hubs = [v for v, d in enumerate(degrees(G)) if d == 3]
     assert hubs == [0, 1]
     # hubs at distance 2 through the connecting path
     common = set(G.adj[0]) & set(G.adj[1])

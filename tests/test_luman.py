@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from fspectra.errors import BadParams, BadSplit, IncompleteIncidence
 from fspectra.families import FamilySpec, make, parse_family
-from fspectra.graph_core import Graph, internal_paths
+from fspectra.graph_core import Graph, degrees, internal_paths
 from fspectra.luman import (
     FThetaContext,
     IncidenceWeights,
@@ -287,7 +287,7 @@ def test_asymmetric_split_installs_exactly():
             (1, 11), (11, 6),            # path of length 2 between 1 and 6
         ],
     )
-    assert G.degree(0) == 3 and G.degree(1) == 4 and G.degree(6) == 3
+    assert [degrees(G)[v] for v in (0, 1, 6)] == [3, 4, 3]
     paths = internal_paths(G)
     target = next(
         i for i, p in enumerate(paths) if not p.closed and p.length == 3
@@ -300,7 +300,7 @@ def test_asymmetric_split_installs_exactly():
         assert abs(report.edge_slack[e]) < 1e-12
     ctx = FThetaContext.from_alpha(alpha, SOMBOR)
     v0 = paths[target].vertices[0]
-    expect = ctx.beta(G.degree(v0)) * ctx.f_theta(4)
+    expect = ctx.beta(degrees(G)[v0]) * ctx.f_theta(4)
     assert cert.incidence.value(v0, paths[target].edge_sequence()[0]) == pytest.approx(expect)
 
 
@@ -346,7 +346,7 @@ def test_split_certificate_supernormal_bound():
         paths = internal_paths(cand)
         open_idx = next(i for i, p in enumerate(paths) if not p.closed)
         p = paths[open_idx]
-        degs_at = [cand.degree(p.vertices[0]), cand.degree(p.vertices[-1])]
+        degs_at = [degrees(cand)[p.vertices[0]], degrees(cand)[p.vertices[-1]]]
         assert degs_at == [3, 3]
         # the hub on the l1-cycle gets F(m - 2*l1), the other F(m - 2*l2)
         l1 = next(q.length for q in paths if q.closed and p.vertices[0] in q.vertices)
@@ -408,7 +408,7 @@ def test_length_one_endpoints_read_far_end_as_degree_two(family, split):
     start = paths[idx].vertices[0]
     end = v if start == u else u
     cert = incidence_from_splits(G, SOMBOR, alpha, splits={idx: split}, modify_short_edges=True)
-    expect = path_endpoint_values(1, *split, G.degree(start), 2, ctx)
+    expect = path_endpoint_values(1, *split, degrees(G)[start], 2, ctx)
     assert (cert.incidence.value(start, (u, v)), cert.incidence.value(end, (u, v))) == expect
 
 
@@ -445,8 +445,8 @@ def test_inequality_grid_validation():
         inequality_oracles(ctx, doubling_grid=[2.0])
 
 
-def test_inequality_accepts_bare_theta():
-    rep = inequality_oracles(0.5)
+def test_inequality_oracles_on_a_theta_context():
+    rep = inequality_oracles(FThetaContext.from_theta(0.5, CONST1))
     assert rep.shift_holds and rep.doubling_holds
     with pytest.raises(BadParams):
         FThetaContext.from_theta(-1.0, CONST1)

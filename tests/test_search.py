@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import math
 import random
 
 import pytest
@@ -25,7 +26,9 @@ from fspectra.graph_core import (
 )
 from fspectra.spectral import f_spectral_radius
 from fspectra.search import (
+    _best,
     _scored,
+    _tied,
     class_graphs,
     enumerate_connected,
     enumerate_pendant_free_bicyclic,
@@ -558,3 +561,30 @@ def test_scored_keeps_input_order():
         assert type(rho) is type(err) is float
         assert rho == pytest.approx(f_spectral_radius(make(sp), f).rho, rel=1e-12)
         assert 0.0 < err <= 1e-12 * max(1.0, rho)
+
+
+def test_tied_boundary_is_the_sum_of_the_half_widths():
+    # Every value here is exact in binary, so the gap is exactly 0.5 = 0.25 + 0.25.
+    a, b = (1.0, 0.25, "a"), (1.5, 0.25, "b")
+    assert _tied(a, b) and _tied(b, a)
+    past = (math.nextafter(1.5, math.inf), 0.25, "past")
+    assert not _tied(a, past) and not _tied(past, a)
+    assert _tied(a, (1.0, 0.0, "same"))
+
+
+def test_best_returns_exactly_the_tied_triples():
+    scored = [
+        (2.0, 0.25, "a"),
+        (1.5, 0.25, "b"),
+        (1.0, 0.25, "c"),
+        (math.nextafter(1.5, math.inf), 0.25, "d"),
+        (1.25, 0.0, "e"),
+    ]
+    top, ties = _best(scored, "min", "here")
+    assert top == scored[2]
+    assert [t[2] for t in ties] == ["b", "c", "e"]
+    top, ties = _best(scored, "max", "here")
+    assert top == scored[0]
+    assert [t[2] for t in ties] == ["a", "b", "d"]
+    with pytest.raises(BadParams, match="^no evaluable graphs in here$"):
+        _best([], "min", "here")
