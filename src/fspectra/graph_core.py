@@ -18,8 +18,10 @@ from .errors import BadParams, Disconnected, EdgeNotFound, NoCycle, SizeLimit
 
 CANONICAL_MAX_VERTICES = 12
 INDUCED_MAX_VERTICES = 16
-# Largest order read from a file or built from a family spec: a dense
-# matrix of this order takes 32 MB.
+# Largest order read from a file or built from a family spec. Single-graph
+# Perron solves run on the edge list, but stacks (``perron_values``) and
+# spectra (``full_spectrum``, ``interlacing_check``) still take the dense
+# n x n matrix of ``f_adjacency``, 32 MB at this order.
 GRAPH_MAX_ORDER = 2000
 
 

@@ -1,10 +1,10 @@
 """Each graph is solved once per query: reports and certificates reuse the
 Perron data they already have instead of solving again.
 
-Every Perron solve goes through ``spectral.spectral_radius`` (one matrix)
-or ``spectral.perron_values`` (a stack, as class searches use it), so
-counting the matrices they receive counts eigensolves whichever module asks
-for them.
+Every Perron solve goes through ``spectral._power_iteration`` (one graph or
+matrix, from ``f_spectral_radius`` or ``spectral_radius``) or
+``spectral.perron_values`` (a stack, as class searches use it), so counting
+the matrices they receive counts eigensolves whichever module asks for them.
 """
 
 import pytest
@@ -21,11 +21,11 @@ from fspectra.weights import parse_weight
 @pytest.fixture
 def solves(monkeypatch):
     calls = []
-    real = spectral.spectral_radius
+    real = spectral._power_iteration
 
-    def counted(M, *args, **kwargs):
-        calls.append(M.shape[0])
-        return real(M, *args, **kwargs)
+    def counted(rows, cols, vals, n, *args):
+        calls.append(n)
+        return real(rows, cols, vals, n, *args)
 
     real_batch = spectral.perron_values
 
@@ -33,7 +33,7 @@ def solves(monkeypatch):
         calls.extend([stack.shape[1]] * stack.shape[0])
         return real_batch(stack, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "spectral_radius", counted)
+    monkeypatch.setattr(spectral, "_power_iteration", counted)
     for module in (spectral, search):
         monkeypatch.setattr(module, "perron_values", counted_batch)
     return calls

@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from fspectra.errors import BadParams, NoConvergence, SizeLimit
+from fspectra import spectral
+from fspectra.errors import BadParams, MissingTableEntry, NoConvergence, SizeLimit
 from fspectra.families import FamilySpec, make, parse_family
 from fspectra.graph_core import Graph, is_connected
 from fspectra.spectral import (
@@ -274,3 +275,43 @@ def test_solvers_reject_bad_tol(tol):
         spectral_radius(M, tol=tol)
     with pytest.raises(BadParams):
         perron_values(M[None], tol=tol)
+
+
+@pytest.mark.parametrize("weight", ["sombor", "zagreb2", "abc", "const:1.5"])
+@pytest.mark.parametrize(
+    "family",
+    ["path:90", "star:250", "theta:60,60,61", "infty:3,3,43", "double-star:100,100",
+     "c3:40,40,40", "sn-plus-e:150", "cycle:200"],
+)
+def test_edge_list_solve_matches_the_matrix_solve(family, weight):
+    # Both solvers list the entries row-major, so they agree bit for bit.
+    G, f = make(parse_family(family)), parse_weight(weight)
+    res = f_spectral_radius(G, f)
+    ref = spectral_radius(f_adjacency(G, f))
+    assert res.iterations == ref.iterations
+    assert res.rho == ref.rho
+    assert np.array_equal(res.vector, ref.vector)
+    assert res.vector.min() > 0.0
+
+
+def test_single_solve_builds_no_dense_matrix(monkeypatch):
+    def refuse(G, f):
+        raise AssertionError("f_adjacency called")
+
+    monkeypatch.setattr(spectral, "f_adjacency", refuse)
+    res = f_spectral_radius(make(parse_family("star:2000")), parse_weight("sombor"))
+    assert f"{res.rho:.6f}" == "89375.656630"
+    assert res.vector.min() > 0.0
+
+
+@pytest.mark.parametrize(
+    "family", ["infty-star:3,4", "sn-plus-e:6", "double-star:3,4", "c3:2,3,4", "star:5"]
+)
+def test_edge_list_solve_names_the_missing_pair_as_f_adjacency_does(family):
+    # Many degree pairs are missing; both walk G.edges and name the first.
+    G, f = make(parse_family(family)), parse_weight("table:2,2=1")
+    with pytest.raises(MissingTableEntry) as want:
+        f_adjacency(G, f)
+    with pytest.raises(MissingTableEntry) as got:
+        f_spectral_radius(G, f)
+    assert str(got.value) == str(want.value)
