@@ -37,7 +37,6 @@ _EXPORTS = {
         "base_graph",
         "canonical_form",
         "contains_induced",
-        "cyclomatic_number",
         "degrees",
         "format_graph_text",
         "internal_paths",
@@ -74,7 +73,6 @@ _EXPORTS = {
         "full_spectrum",
         "interlacing_check",
         "perron_values",
-        "spectral_radius",
     ),
     "transforms": ("KelmansResult", "best_cycle_subdivision", "kelmans"),
     "weights": ("PropertyReport", "WeightSpec", "check_property", "eval_weight", "parse_weight"),

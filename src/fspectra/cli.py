@@ -16,7 +16,13 @@ from . import search
 from .errors import FspectraError
 from .families import identify_pendant_free_bicyclic, make, parse_family
 from .graph_core import format_graph_text, read_graph_file, subdivided, write_graph_file
-from .spectral import DEFAULT_TOL, f_adjacency, f_spectral_radius, full_spectrum
+from .spectral import (
+    DEFAULT_TOL,
+    check_spectrum_order,
+    f_adjacency,
+    f_spectral_radius,
+    full_spectrum,
+)
 from .weights import parse_weight, parse_weights
 
 
@@ -136,6 +142,7 @@ def _cmd_rho(args):
 def _cmd_spectrum(args):
     G = _load_graph(args)
     f = parse_weight(args.weight)
+    check_spectrum_order(G.n)
     for lam in full_spectrum(f_adjacency(G, f)):
         print(f"{lam:.6f}")
     return 0

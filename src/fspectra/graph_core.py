@@ -116,13 +116,6 @@ def is_connected(G):
     return seen_count == G.n
 
 
-def cyclomatic_number(G):
-    """|E| - |V| + 1 for a connected graph (0 = tree, 1 = unicyclic, ...)."""
-    if not is_connected(G):
-        raise Disconnected("cyclomatic number needs a connected graph")
-    return G.m - G.n + 1
-
-
 def base_graph(G):
     """Strip pendant vertices repeatedly; relabel the survivors 0..k-1.
 

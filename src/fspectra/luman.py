@@ -24,7 +24,7 @@ shaped graphs possible.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BadParams,
@@ -133,9 +133,9 @@ class NormalityReport:
     classification: str
     consistent: bool
     tol: float
-    vertex_slack: dict = field(default_factory=dict)
-    edge_slack: dict = field(default_factory=dict)
-    incidence: IncidenceWeights | None = None
+    vertex_slack: dict
+    edge_slack: dict
+    incidence: IncidenceWeights
 
 
 def classify_normality(G, f, B, alpha, tol=NORMALITY_TOL, weight_overrides=None):

@@ -552,13 +552,6 @@ class TheoremReport:
     theorem: str
     checks: list = field(default_factory=list)
 
-    @property
-    def passed(self):
-        """None when no line is PASS or FAIL (observational conjecture runs
-        never assert), else whether no line is FAIL."""
-        statuses = {c.status for c in self.checks}
-        return None if statuses <= {"OBS"} else "FAIL" not in statuses
-
     def add(self, ok, text):
         self.checks.append(CheckLine("PASS" if ok else "FAIL", text))
 

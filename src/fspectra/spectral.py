@@ -2,17 +2,18 @@
 
 Class searches score a whole stack of same-order matrices with one call of
 LAPACK's symmetric eigensolver (``perron_values``). A single graph's Perron
-value comes from power iteration on A + r_k I, r_k the step's Rayleigh
-quotient: the iterate stays positive, so 0 < r_k <= rho and every other
-eigenvalue lambda, -rho included, shrinks by |lambda + r_k| / (rho + r_k) < 1
-per step. Each step touches only the nonzero entries, so it costs O(m) on a
-graph of m edges: ``f_spectral_radius`` lists them from the graph's edges,
-evaluating f once per distinct degree pair and building no n x n matrix,
-and ``spectral_radius`` reads them off a given matrix. Both solvers accept
-rho by the same relative residual bound, the power iteration on its
-positive vector and the batched solve on each signed unit eigenvector, and
-the batched solve returns an error half-width with each rho. Full spectra
-go through LAPACK's symmetric eigensolver.
+value (``f_spectral_radius``) comes from power iteration on A + r_k I, r_k
+the step's Rayleigh quotient: the iterate stays positive, so 0 < r_k <= rho
+and every other eigenvalue lambda, -rho included, shrinks by
+|lambda + r_k| / (rho + r_k) < 1 per step. Each step touches only the
+nonzero entries, listed from the graph's edges with f evaluated once per
+distinct degree pair, so it costs O(m) on a graph of m edges and no n x n
+matrix is built. Both solvers accept rho by the same relative residual
+bound, the power iteration on its positive vector and the batched solve on
+each signed unit eigenvector, and the batched solve returns an error
+half-width with each rho. Full spectra go through LAPACK's symmetric
+eigensolver, and refuse an order above ``FULL_SPECTRUM_MAX_ORDER`` before
+any matrix is built.
 """
 
 import math
@@ -34,6 +35,12 @@ def check_tol(tol):
     """Raise BadParams unless the tolerance is finite and >= 0."""
     if not 0 <= tol < math.inf:
         raise BadParams(f"tol must be finite and >= 0, got {tol}")
+
+
+def check_spectrum_order(n):
+    """Raise SizeLimit unless a full spectrum of order n is supported."""
+    if n > FULL_SPECTRUM_MAX_ORDER:
+        raise SizeLimit(f"full spectrum supports order <= {FULL_SPECTRUM_MAX_ORDER}")
 
 
 def f_adjacency(G, f):
@@ -85,37 +92,17 @@ class SpectralResult:
     tol: float
 
 
-def spectral_radius(M, tol=DEFAULT_TOL, max_iterations=MAX_ITERATIONS):
-    """Largest eigenvalue of a symmetric nonnegative matrix by power iteration.
-
-    Each step maps x to Mx + rho_k x, rho_k = x.Mx / x.x its Rayleigh quotient.
-    ``tol`` is relative: iteration stops once max|Mx - rho*x| <= tol * max(1, rho)
-    with x normalized to unit maximum entry. Deterministic for fixed input.
-    For a connected underlying graph the returned vector is strictly positive.
-    A matrix with a non-finite entry or row sum is rejected with BadParams,
-    and an iteration that overflows (a non-finite rho or residual) raises
-    NoConvergence at once. The steps run on M's nonzero entries, so each
-    costs O(nonzeros), not O(n^2).
-    """
-    check_tol(tol)
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise BadParams("matrix must be square")
-    rows, cols = np.nonzero(M)
-    return _power_iteration(rows, cols, M[rows, cols], M.shape[0], tol, max_iterations)
-
-
-def _power_iteration(rows, cols, vals, n, tol, max_iterations):
-    """``spectral_radius`` of the n x n matrix with entry vals[k] at
-    (rows[k], cols[k]) and zeros elsewhere. Each step sums a row's entries
-    in the order they are listed."""
+def _power_iteration(rows, cols, vals, n, tol):
+    """Perron data of the n x n matrix with entry vals[k] at (rows[k], cols[k])
+    and zeros elsewhere, by at most MAX_ITERATIONS steps. Each step sums a
+    row's entries in the order they are listed."""
     if n == 0:
         raise BadParams("matrix must be nonempty")
     with np.errstate(over="ignore", invalid="ignore"):
         _require_finite(np.bincount(rows, vals, n), vals)
         x = np.ones(n)
         residual = 0.0
-        for iteration in range(1, max_iterations + 1):
+        for iteration in range(1, MAX_ITERATIONS + 1):
             x /= x.max()
             y = np.bincount(rows, vals * x[cols], n)
             rho = float(x @ y) / float(x @ x)
@@ -128,7 +115,7 @@ def _power_iteration(rows, cols, vals, n, tol, max_iterations):
                 return SpectralResult(rho, x, residual, iteration, tol)
             y += rx
             x = y
-    raise NoConvergence(max_iterations, residual)
+    raise NoConvergence(MAX_ITERATIONS, residual)
 
 
 def perron_values(stack, tol=DEFAULT_TOL):
@@ -145,7 +132,7 @@ def perron_values(stack, tol=DEFAULT_TOL):
     tol * max(1, rho). The returned vectors themselves are not checked:
     when the top two eigenvalues nearly coincide, |v| can be far from an
     eigenvector while rho is accurate. A stack with a non-finite entry or
-    row sum is rejected with BadParams, as in ``spectral_radius``.
+    row sum is rejected with BadParams, as in ``f_spectral_radius``.
     """
     check_tol(tol)
     stack = np.asarray(stack, dtype=float)
@@ -173,16 +160,24 @@ def perron_values(stack, tol=DEFAULT_TOL):
 
 
 def f_spectral_radius(G, f, tol=DEFAULT_TOL):
-    """Perron data of the f-adjacency matrix of G, as ``spectral_radius`` of
-    ``f_adjacency(G, f)`` gives it, solved on G's edge list: no n x n
-    matrix is built."""
+    """Largest eigenvalue of the f-adjacency matrix of G by power iteration
+    on G's edge list.
+
+    Each step maps x to Mx + rho_k x, rho_k = x.Mx / x.x its Rayleigh quotient.
+    ``tol`` is relative: iteration stops once max|Mx - rho*x| <= tol * max(1, rho)
+    with x normalized to unit maximum entry. Deterministic for fixed input.
+    For a connected graph the returned vector is strictly positive. Weights
+    with a non-finite value or row sum are rejected with BadParams, and an
+    iteration that overflows (a non-finite rho or residual) raises
+    NoConvergence at once.
+    """
     us, vs, w = _edge_weights(G, f)
     check_tol(tol)
     rows, cols, vals = np.concatenate((us, vs)), np.concatenate((vs, us)), np.concatenate((w, w))
-    # Row-major, as np.nonzero lists a matrix's entries, so both solvers sum
-    # each row in the same order and agree bit for bit.
+    # Row-major with columns ascending, so each row is summed in column
+    # order and the result does not depend on the edge set's hash order.
     order = np.lexsort((cols, rows))
-    return _power_iteration(rows[order], cols[order], vals[order], G.n, tol, MAX_ITERATIONS)
+    return _power_iteration(rows[order], cols[order], vals[order], G.n, tol)
 
 
 def full_spectrum(M):
@@ -190,8 +185,7 @@ def full_spectrum(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise BadParams("matrix must be square")
-    if M.shape[0] > FULL_SPECTRUM_MAX_ORDER:
-        raise SizeLimit(f"full spectrum supports order <= {FULL_SPECTRUM_MAX_ORDER}")
+    check_spectrum_order(M.shape[0])
     return np.linalg.eigvalsh(M)[::-1].copy()
 
 
@@ -215,6 +209,7 @@ def interlacing_check(G, e, f):
     The subdivided graph has fresh degrees, so its weights are recomputed,
     not inherited. A violation of at most INTERLACING_TOL counts as none.
     """
+    check_spectrum_order(G.n + 1)
     lam = full_spectrum(f_adjacency(G, f))
     H = subdivided(G, e)
     theta = full_spectrum(f_adjacency(H, f))

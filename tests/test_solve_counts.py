@@ -1,10 +1,10 @@
 """Each graph is solved once per query: reports and certificates reuse the
 Perron data they already have instead of solving again.
 
-Every Perron solve goes through ``spectral._power_iteration`` (one graph or
-matrix, from ``f_spectral_radius`` or ``spectral_radius``) or
-``spectral.perron_values`` (a stack, as class searches use it), so counting
-the matrices they receive counts eigensolves whichever module asks for them.
+Every Perron solve goes through ``spectral._power_iteration`` (one graph,
+from ``f_spectral_radius``) or ``spectral.perron_values`` (a stack, as
+class searches use it), so counting the matrices they receive counts
+eigensolves whichever module asks for them.
 """
 
 import pytest

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from fspectra import spectral
+from fspectra import cli, spectral
 from fspectra.errors import BadParams, MissingTableEntry, NoConvergence, SizeLimit
 from fspectra.families import FamilySpec, make, parse_family
 from fspectra.graph_core import Graph, is_connected
@@ -16,7 +16,6 @@ from fspectra.spectral import (
     full_spectrum,
     interlacing_check,
     perron_values,
-    spectral_radius,
 )
 from fspectra.search import class_graphs
 from fspectra.weights import eval_weight, parse_weight
@@ -76,38 +75,43 @@ def test_spectral_result_contract():
 
 
 def test_spectral_radius_deterministic():
-    M = f_adjacency(make(parse_family("infty:3,4,2")), parse_weight("zagreb2"))
-    a = spectral_radius(M)
-    b = spectral_radius(M)
-    assert a.rho == b.rho
-    assert a.iterations == b.iterations
-    assert np.array_equal(a.vector, b.vector)
+    # Built from the reversed edge list, this graph's edge set iterates in
+    # another order, and a row of three or more entries summed in that order
+    # rounds differently.
+    edges = [(0, 1), (0, 3), (0, 4), (0, 7), (1, 2), (1, 4), (1, 7), (1, 10),
+             (2, 5), (3, 9), (4, 10), (5, 6), (5, 8), (5, 9), (9, 10)]
+    f = parse_weight("sombor")
+    a = f_spectral_radius(Graph(11, edges), f)
+    for again in (Graph(11, edges), Graph(11, edges[::-1])):
+        b = f_spectral_radius(again, f)
+        assert a.rho == b.rho
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.vector, b.vector)
 
 
-def test_spectral_radius_no_convergence():
-    M = f_adjacency(make(FamilySpec("path", (3,))), CONST1)
+def test_spectral_radius_no_convergence(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 1)
     with pytest.raises(NoConvergence) as exc:
-        spectral_radius(M, max_iterations=1)
+        f_spectral_radius(make(FamilySpec("path", (3,))), CONST1)
     assert exc.value.iterations == 1
 
 
-def test_spectral_radius_rejects_overflow_before_iterating():
+def test_spectral_radius_rejects_overflow_before_iterating(monkeypatch):
     # Row sums of 2e308 overflow to inf and must be refused before the first
-    # step; max_iterations keeps a regression from running the full budget.
-    M = f_adjacency(make(parse_family("cycle:5")), parse_weight("const:1e308"))
+    # step; the step cap keeps a regression from running the full budget.
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 10)
     with pytest.raises(BadParams, match="finite"):
-        spectral_radius(M, max_iterations=10)
-    M = np.array([[0.0, math.nan], [math.nan, 0.0]])
+        f_spectral_radius(make(parse_family("cycle:5")), parse_weight("const:1e308"))
     with pytest.raises(BadParams, match="finite"):
-        spectral_radius(M, max_iterations=10)
+        perron_values(np.array([[[0.0, math.nan], [math.nan, 0.0]]]))
 
 
-def test_spectral_radius_stops_when_an_iterate_overflows():
+def test_spectral_radius_stops_when_an_iterate_overflows(monkeypatch):
     # Every row sum 2e307 is finite, but x.(Mx) = 1e309 is not: rho must not
     # come back as inf, and the loop must stop at the first such iterate.
-    M = f_adjacency(make(parse_family("cycle:50")), parse_weight("const:1e307"))
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 10)
     with pytest.raises(NoConvergence) as exc:
-        spectral_radius(M, max_iterations=10)
+        f_spectral_radius(make(parse_family("cycle:50")), parse_weight("const:1e307"))
     assert exc.value.iterations == 1
 
 
@@ -121,9 +125,9 @@ HUB_STEPS = {"star:250": 10, "double-star:100,100": 20, "sn-plus-e:150": 40}
     "family", [*HUB_STEPS, "c3:40,40,40", "theta:20,20,21", "path:90", "cycle:12"]
 )
 def test_spectral_radius_agrees_with_perron_values(family, weight):
-    M = f_adjacency(make(parse_family(family)), parse_weight(weight))
-    res = spectral_radius(M)
-    rho, _, errors = perron_values(M[None])
+    G, f = make(parse_family(family)), parse_weight(weight)
+    res = f_spectral_radius(G, f)
+    rho, _, errors = perron_values(f_adjacency(G, f)[None])
     assert abs(res.rho - rho[0]) <= errors[0]
     assert res.vector.min() > 0.0
     assert res.iterations <= HUB_STEPS.get(family, math.inf)
@@ -154,10 +158,11 @@ def test_full_spectrum_size_limit():
 
 def test_rho_matches_max_of_spectrum():
     rng = random.Random(2023)
+    f = parse_weight("zagreb1")
     for _ in range(25):
         G = random_connected_graph(rng, rng.randint(2, 9), rng.randint(0, 5))
-        M = f_adjacency(G, parse_weight("zagreb1"))
-        assert spectral_radius(M).rho == pytest.approx(full_spectrum(M)[0], abs=1e-8)
+        rho = f_spectral_radius(G, f).rho
+        assert rho == pytest.approx(full_spectrum(f_adjacency(G, f))[0], abs=1e-8)
 
 
 def test_proper_subgraph_monotone():
@@ -175,6 +180,19 @@ def test_proper_subgraph_monotone():
         f = rng.choice(fws)
         assert f_spectral_radius(H, f).rho < f_spectral_radius(G, f).rho
         done += 1
+
+
+def test_spectra_refuse_large_orders_before_building_a_matrix(monkeypatch, capsys):
+    def refuse(G, f):
+        raise AssertionError("f_adjacency called")
+
+    monkeypatch.setattr(spectral, "f_adjacency", refuse)
+    monkeypatch.setattr(cli, "f_adjacency", refuse)
+    # path:64 passes, but its subdivision has order 65.
+    with pytest.raises(SizeLimit, match="full spectrum supports order <= 64"):
+        interlacing_check(make(parse_family("path:64")), (0, 1), CONST1)
+    assert cli.main(["spectrum", "--family", "path:2000", "--weight", "sombor"]) == 2
+    assert capsys.readouterr().err == "error: full spectrum supports order <= 64\n"
 
 
 def test_interlacing_c3_example():
@@ -222,8 +240,8 @@ def test_perron_values_agree_with_power_iteration(class_name, weight):
     rho, vectors, errors = perron_values(stack)
     assert rho.shape == errors.shape == (len(graphs),)
     assert vectors.shape == (len(graphs), 8)
-    for i, M in enumerate(stack):
-        ref = spectral_radius(M)
+    for i, G in enumerate(graphs):
+        ref = f_spectral_radius(G, f)
         assert abs(rho[i] - ref.rho) <= 1e-12 * max(1.0, ref.rho), graphs[i]
         assert errors[i] <= 1e-12 * max(1.0, rho[i])
         assert vectors[i].max() == 1.0
@@ -231,9 +249,9 @@ def test_perron_values_agree_with_power_iteration(class_name, weight):
 
 
 def test_perron_values_matches_single_matrix_contract():
-    M = f_adjacency(make(parse_family("theta:3,3,2")), parse_weight("sombor"))
-    rho, vectors, errors = perron_values(M[None])
-    ref = spectral_radius(M)
+    G, f = make(parse_family("theta:3,3,2")), parse_weight("sombor")
+    rho, vectors, errors = perron_values(f_adjacency(G, f)[None])
+    ref = f_spectral_radius(G, f)
     assert rho[0] == pytest.approx(ref.rho, rel=1e-12)
     assert np.allclose(vectors[0], ref.vector, atol=1e-9)
     assert abs(rho[0] - ref.rho) <= errors[0]
@@ -270,11 +288,11 @@ def test_perron_values_accepts_a_near_tied_top_pair():
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
 def test_solvers_reject_bad_tol(tol):
-    M = f_adjacency(make(parse_family("cycle:5")), parse_weight("sombor"))
+    G, f = make(parse_family("cycle:5")), parse_weight("sombor")
     with pytest.raises(BadParams):
-        spectral_radius(M, tol=tol)
+        f_spectral_radius(G, f, tol=tol)
     with pytest.raises(BadParams):
-        perron_values(M[None], tol=tol)
+        perron_values(f_adjacency(G, f)[None], tol=tol)
 
 
 @pytest.mark.parametrize("weight", ["sombor", "zagreb2", "abc", "const:1.5"])
@@ -284,13 +302,12 @@ def test_solvers_reject_bad_tol(tol):
      "c3:40,40,40", "sn-plus-e:150", "cycle:200"],
 )
 def test_edge_list_solve_matches_the_matrix_solve(family, weight):
-    # Both solvers list the entries row-major, so they agree bit for bit.
+    # The edge list stands for f_adjacency's matrix: the solve's residual
+    # bound holds on that matrix too, up to the rounding of a dense product.
     G, f = make(parse_family(family)), parse_weight(weight)
     res = f_spectral_radius(G, f)
-    ref = spectral_radius(f_adjacency(G, f))
-    assert res.iterations == ref.iterations
-    assert res.rho == ref.rho
-    assert np.array_equal(res.vector, ref.vector)
+    M = f_adjacency(G, f)
+    assert abs(M @ res.vector - res.rho * res.vector).max() <= 2 * res.tol * max(1.0, res.rho)
     assert res.vector.min() > 0.0
 
 
