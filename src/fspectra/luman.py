@@ -52,7 +52,10 @@ def alpha_of(G, f):
 def _alpha(rho):
     if rho <= 0:
         raise BadParams("alpha is undefined for a graph with rho = 0")
-    return rho ** -2
+    try:
+        return rho ** -2
+    except OverflowError:
+        raise BadParams(f"alpha = rho^-2 is not a finite float for rho = {rho:.6g}") from None
 
 
 class IncidenceWeights:

@@ -2,20 +2,25 @@
 
 Class searches score a whole stack of same-order matrices with one call of
 LAPACK's symmetric eigensolver (``perron_values``). A single graph's Perron
-value (``f_spectral_radius``) comes from power iteration on A + r_k I, r_k
-the step's Rayleigh quotient: the iterate stays positive, so 0 < r_k <= rho
-and every other eigenvalue lambda, -rho included, shrinks by
-|lambda + r_k| / (rho + r_k) < 1 per step. Each step touches only the
-nonzero entries, listed from the graph's edges with f evaluated once per
-distinct degree pair, so it costs O(m) on a graph of m edges and no n x n
-matrix is built. Both solvers accept rho by the same relative residual
-bound, the power iteration on its positive vector and the batched solve on
-each signed unit eigenvector, and the batched solve returns an error
-half-width with each rho. Full spectra go through LAPACK's symmetric
-eigensolver, and refuse an order above ``FULL_SPECTRUM_MAX_ORDER`` before
-any matrix is built.
+value (``f_spectral_radius``) comes from power iteration on A + r I, r the
+Rayleigh quotient at the last check: the iterate stays positive, so
+0 < r <= rho and every other eigenvalue lambda, -rho included, shrinks by
+|lambda + r| / (rho + r) < 1 per step. Most steps are plain: one gather,
+one multiply and one ``np.bincount`` over the entries of (A + r I) / (2r),
+whose Perron factor (rho + r) / (2r) stays near 1, so they need no
+normalization. Check steps, on a schedule that grows by one plain step per
+check, normalize, refresh r and test the residual. Every step touches only
+the nonzero entries, listed from the graph's edges with f evaluated once
+per distinct degree pair, so it costs O(m) on a graph of m edges and no
+n x n matrix is built. The power iteration accepts rho once its residual
+on the positive vector is at most tol * rho, at any scale; the batched
+solve accepts each signed unit eigenvector's residual up to
+tol * max(1, rho) and returns an error half-width with each rho. Full
+spectra go through LAPACK's symmetric eigensolver, and refuse an order
+above ``FULL_SPECTRUM_MAX_ORDER`` before any matrix is built.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,16 +98,34 @@ class SpectralResult:
 
 
 def _power_iteration(rows, cols, vals, n, tol):
-    """Perron data of the n x n matrix with entry vals[k] at (rows[k], cols[k])
-    and zeros elsewhere, by at most MAX_ITERATIONS steps. Each step sums a
-    row's entries in the order they are listed."""
+    """Perron data of the n x n matrix M with entry vals[k] at (rows[k], cols[k])
+    and zeros elsewhere, by at most MAX_ITERATIONS steps of either kind.
+
+    A check step normalizes x to unit maximum, takes rho = x.Mx / x.x and
+    the residual max|Mx - rho x|, returns once that is at most tol * rho,
+    and otherwise maps x to Mx + rho x. The k-th check is followed by k
+    plain steps x <- (M + rho I)x / (2 rho), with no normalization and no
+    residual, so checks fall at steps 1, 3, 6, 10, ... and a result only
+    ever comes from a check. Each step sums a row's entries in column order,
+    so the result does not depend on the order the entries are listed in.
+    """
     if n == 0:
         raise BadParams("matrix must be nonempty")
     with np.errstate(over="ignore", invalid="ignore"):
         _require_finite(np.bincount(rows, vals, n), vals)
+        # The plain steps' entries, the listed ones and n diagonal ones,
+        # row-major with columns ascending; the check steps use the listed ones.
+        diagonal = np.arange(n)
+        plain_rows, plain_cols = np.concatenate((rows, diagonal)), np.concatenate((cols, diagonal))
+        order = np.lexsort((plain_cols, plain_rows))
+        plain_rows, plain_cols = plain_rows[order], plain_cols[order]
+        listed = order < len(vals)
+        rows, cols, vals = plain_rows[listed], plain_cols[listed], vals[order[listed]]
+        plain_vals = np.full(len(order), 0.5)
         x = np.ones(n)
-        residual = 0.0
-        for iteration in range(1, MAX_ITERATIONS + 1):
+        step = 0
+        for checks in itertools.count(1):
+            step += 1
             x /= x.max()
             y = np.bincount(rows, vals * x[cols], n)
             rho = float(x @ y) / float(x @ x)
@@ -110,12 +133,18 @@ def _power_iteration(rows, cols, vals, n, tol):
             d = y - rx
             residual = float(abs(d).max())
             if not math.isfinite(residual):
-                raise NoConvergence(iteration, residual)
-            if residual <= tol * max(1.0, abs(rho)):
-                return SpectralResult(rho, x, residual, iteration, tol)
+                raise NoConvergence(step, residual)
+            if residual <= tol * rho:
+                return SpectralResult(rho, x, residual, step, tol)
+            if step == MAX_ITERATIONS:
+                raise NoConvergence(step, residual)
             y += rx
             x = y
-    raise NoConvergence(MAX_ITERATIONS, residual)
+            plain_vals[listed] = vals / (2 * rho)
+            plain = min(checks, MAX_ITERATIONS - step - 1)
+            for _ in range(plain):
+                x = np.bincount(plain_rows, plain_vals * x[plain_cols], n)
+            step += plain
 
 
 def perron_values(stack, tol=DEFAULT_TOL):
@@ -163,21 +192,22 @@ def f_spectral_radius(G, f, tol=DEFAULT_TOL):
     """Largest eigenvalue of the f-adjacency matrix of G by power iteration
     on G's edge list.
 
-    Each step maps x to Mx + rho_k x, rho_k = x.Mx / x.x its Rayleigh quotient.
-    ``tol`` is relative: iteration stops once max|Mx - rho*x| <= tol * max(1, rho)
-    with x normalized to unit maximum entry. Deterministic for fixed input.
-    For a connected graph the returned vector is strictly positive. Weights
-    with a non-finite value or row sum are rejected with BadParams, and an
-    iteration that overflows (a non-finite rho or residual) raises
-    NoConvergence at once.
+    A check step maps x, normalized to unit maximum entry, to Mx + rho_k x,
+    rho_k = x.Mx / x.x its Rayleigh quotient, and stops once
+    max|Mx - rho_k x| <= tol * rho_k; ``tol`` is relative at every scale, so
+    rho(c f) = c rho(f) up to rounding. The k-th check is followed by k plain
+    steps x <- (M + rho_k I)x / (2 rho_k), so checks fall at steps 1, 3, 6,
+    10, ... and ``iterations`` counts both kinds. Deterministic for fixed
+    input. For a connected graph the returned vector is strictly positive.
+    Weights with a non-finite value or row sum are rejected with BadParams,
+    and an iterate that overflows (a non-finite rho or residual at a check)
+    raises NoConvergence at once.
     """
     us, vs, w = _edge_weights(G, f)
     check_tol(tol)
-    rows, cols, vals = np.concatenate((us, vs)), np.concatenate((vs, us)), np.concatenate((w, w))
-    # Row-major with columns ascending, so each row is summed in column
-    # order and the result does not depend on the edge set's hash order.
-    order = np.lexsort((cols, rows))
-    return _power_iteration(rows[order], cols[order], vals[order], G.n, tol)
+    return _power_iteration(
+        np.concatenate((us, vs)), np.concatenate((vs, us)), np.concatenate((w, w)), G.n, tol
+    )
 
 
 def full_spectrum(M):

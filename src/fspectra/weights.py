@@ -11,8 +11,9 @@ positive real. The built-in named functions are
     recip_randic  sqrt(x * y)
 
 Weights may also be a finite positive constant or an explicit table of
-finite positive values on unordered degree pairs. The string grammar
-accepted by :func:`parse_weight`, and as a comma-separated list by
+finite positive values on unordered degree pairs; a constant or table value
+below the smallest normal float (about 2.2e-308) is refused. The string
+grammar accepted by :func:`parse_weight`, and as a comma-separated list by
 :func:`parse_weights`, is
 
     abc | randic | sombor | zagreb1 | zagreb2 | recip-randic
@@ -25,6 +26,7 @@ text when that reads back, else as its repr, so ``parse_weight(str(f)) == f``.
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 from .errors import BadParams, MissingTableEntry, NonPositiveValue
@@ -51,6 +53,15 @@ def _exact(v):
     """v as ``:g`` text when that reads back to v, else as its repr."""
     text = f"{v:g}"
     return text if float(text) == v else repr(v)
+
+
+def _require_normal(what, v):
+    """Raise BadParams for a subnormal v > 0: a Perron value of that size
+    cannot be resolved to a relative tolerance."""
+    if v < sys.float_info.min:
+        raise BadParams(
+            f"{what} must be >= {sys.float_info.min!r}, the smallest normal float, got {v!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -80,6 +91,7 @@ class WeightSpec:
         c = float(c)
         if not 0 < c < math.inf:
             raise BadParams(f"constant weight must be finite and > 0, got {c}")
+        _require_normal("constant weight", c)
         return cls(f"const:{_exact(c)}", lambda x, y: c)
 
     @classmethod
@@ -104,6 +116,7 @@ class WeightSpec:
                 raise BadParams(f"table degrees must be >= 1, got ({x}, {y})")
             if not (v > 0):
                 raise NonPositiveValue(f"table value for ({x}, {y}) must be > 0, got {v}")
+            _require_normal(f"table value for ({x}, {y})", v)
             if v == math.inf:
                 raise BadParams(f"table value for ({x}, {y}) must be finite, got {v}")
 

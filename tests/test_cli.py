@@ -378,6 +378,9 @@ def test_verify_near_tied_eigenvalues(capsys):
         (("verify", "--theorem", "theta-minimal", "--weights", "sombor",
           "--m", "1..1000000000000000000"),
          "no theta-type graph has 1 edges"),
+        # rho = 2.2e-300 is found, but alpha = rho^-2 is past the largest float.
+        (("certify", "--family", "theta:3,3,40", "--weight", "const:1e-300"),
+         "alpha = rho^-2 is not a finite float"),
     ],
 )
 def test_bad_numeric_arguments_exit_2(capsys, argv, message):

@@ -96,6 +96,39 @@ def test_spectral_radius_no_convergence(monkeypatch):
     assert exc.value.iterations == 1
 
 
+@pytest.mark.parametrize("cap", [2, 8, 10])
+def test_step_cap_counts_plain_steps(monkeypatch, cap):
+    # Checks fall at steps 1, 3, 6, 10; a run of plain steps is cut short so
+    # that the last step the cap allows is a check, and no result comes
+    # from a plain step.
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", cap)
+    with pytest.raises(NoConvergence) as exc:
+        f_spectral_radius(make(parse_family("path:50")), CONST1)
+    assert exc.value.iterations == cap
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e-9, 1e-12, 1e-300])
+@pytest.mark.parametrize("weight", ["const:{}", "table:2,2={};2,3={}"])
+def test_spectral_radius_is_scale_free(weight, c):
+    # rho(c f) = c rho(f): the stopping rule is relative at every scale.
+    G = make(parse_family("theta:3,3,40"))
+    ref = f_spectral_radius(G, parse_weight(weight.format(1, 2))).rho
+    scaled = f_spectral_radius(G, parse_weight(weight.format(c, 2 * c))).rho
+    assert scaled / c == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "weight, rho",
+    [("table:2,2=1e-150;2,3=1e150;3,3=1", 1.732050807568877e150),
+     ("table:2,2=1e150;2,3=1e-150;3,3=1", 1.9938346674662567e150)],
+)
+def test_spectral_radius_with_entries_300_orders_apart(weight, rho):
+    # Plain steps divide by 2 rho_k, so no entry of theirs overflows either.
+    res = f_spectral_radius(make(parse_family("theta:3,3,40")), parse_weight(weight))
+    assert res.rho == pytest.approx(rho, rel=1e-12)
+    assert res.vector.min() > 0.0
+
+
 def test_spectral_radius_rejects_overflow_before_iterating(monkeypatch):
     # Row sums of 2e308 overflow to inf and must be refused before the first
     # step; the step cap keeps a regression from running the full budget.
@@ -122,7 +155,9 @@ HUB_STEPS = {"star:250": 10, "double-star:100,100": 20, "sn-plus-e:150": 40}
 
 @pytest.mark.parametrize("weight", ["sombor", "zagreb1", "const:1.5"])
 @pytest.mark.parametrize(
-    "family", [*HUB_STEPS, "c3:40,40,40", "theta:20,20,21", "path:90", "cycle:12"]
+    "family",
+    [*HUB_STEPS, "c3:40,40,40", "theta:20,20,21", "path:90", "cycle:12",
+     "path:200", "theta:60,60,61", "infty:3,3,43"],
 )
 def test_spectral_radius_agrees_with_perron_values(family, weight):
     G, f = make(parse_family(family)), parse_weight(weight)

@@ -278,6 +278,14 @@ def test_non_finite_weights_rejected(text):
         parse_weight(text)
 
 
+@pytest.mark.parametrize("text", ["const:1e-320", "table:2,2=1;3,2=1e-310"])
+def test_subnormal_weights_rejected(text):
+    # A subnormal rho cannot meet a relative residual bound: tol * rho
+    # underflows, and the solve would run its whole step budget.
+    with pytest.raises(BadParams, match="smallest normal float"):
+        parse_weight(text)
+
+
 def _seeded_specs(seed=21, count=30):
     """(spec, its numbers, its old ``:g`` label) for constants and tables on
     awkward values and seeded random ones."""
