@@ -2,14 +2,20 @@
 
 Class searches score a whole stack of same-order matrices with one call of
 LAPACK's symmetric eigensolver (``perron_values``). A single graph's Perron
-value (``f_spectral_radius``) comes from power iteration on A + r I, r the
-Rayleigh quotient at the last check: the iterate stays positive, so
-0 < r <= rho and every other eigenvalue lambda, -rho included, shrinks by
-|lambda + r| / (rho + r) < 1 per step. Most steps are plain: one gather,
-one multiply and one ``np.bincount`` over the entries of (A + r I) / (2r),
-whose Perron factor (rho + r) / (2r) stays near 1, so they need no
-normalization. Check steps, on a schedule that grows by one plain step per
-check, normalize, refresh r and test the residual. Every step touches only
+value (``f_spectral_radius``) comes from power iteration on A + s I. At
+each check, r is the Rayleigh quotient and s, the shift, lies in (0, r]:
+the iterate stays positive, so 0 < r <= rho, and every other eigenvalue
+lambda, -rho included, shrinks by |lambda + s| / (rho + s) < 1 per step.
+The check brackets the gap rho - lambda_2 from outside, rho by its
+Collatz-Wielandt upper bound and lambda_2 by a Ritz value below it, and
+takes s as half that bracket, capped at r. Then lambda_2 and -rho shrink
+alike, by about 1 - (rho - lambda_2) / rho per step on a small gap, where
+s = r gives 1 - (rho - lambda_2) / (2 rho): a long path needs half the
+steps. Most steps are plain: one gather, one multiply and one
+``np.bincount`` over the entries of (A + s I) / (r + s), whose Perron
+factor (rho + s) / (r + s) stays near 1, so they need no normalization.
+Check steps, on a schedule that grows by one plain step per check,
+normalize, refresh r and s and test the residual. Every step touches only
 the nonzero entries, listed from the graph's edges with f evaluated once
 per distinct degree pair, so it costs O(m) on a graph of m edges and no
 n x n matrix is built. The power iteration accepts rho once its residual
@@ -97,17 +103,45 @@ class SpectralResult:
     tol: float
 
 
+def _safe_shift(rows, cols, vals, x, y, d, rho, residual):
+    """Shift s of the steps after a check, in (0, rho], at least (rho - lambda_2) / 2.
+
+    x is the check's iterate, y = Mx, rho = x.y / x.x and d = y - rho x, with
+    max|d| = residual > 0. Two bounds bracket the gap: rho_up = max y_v / x_v
+    over the entries with x_v > 0 is the Collatz-Wielandt upper bound on rho,
+    and theta, the lower Ritz value of M on span{x, d}, is at most lambda_2 by
+    Cauchy interlacing. In the orthonormal basis x / |x|, d / |d| that
+    restriction is [[rho, |d| / |x|], [|d| / |x|, e.Me / e.e]], e = d / residual,
+    so every term is scale-free. Then s = (rho_up - theta) / 2, capped at rho,
+    shrinks every other eigenvalue in [-rho, lambda_2] by at most
+    (lambda_2 + s) / (rho + s) < 1 per step; a small gap lambda_2 = rho - delta
+    shrinks by about 1 - delta / rho, against 1 - delta / (2 rho) for s = rho.
+    A value outside (0, rho), as when a bound overflows, falls back to rho.
+    """
+    e = d / residual
+    ee = float(e @ e)
+    c = float(e @ np.bincount(rows, vals * e[cols], len(x))) / ee
+    b = residual * math.sqrt(ee / float(x @ x))
+    theta = (rho + c) / 2 - math.hypot((rho - c) / 2, b)
+    positive = x > 0
+    rho_up = float((y[positive] / x[positive]).max())
+    shift = (rho_up - theta) / 2
+    return shift if 0 < shift < rho else rho
+
+
 def _power_iteration(rows, cols, vals, n, tol):
     """Perron data of the n x n matrix M with entry vals[k] at (rows[k], cols[k])
     and zeros elsewhere, by at most MAX_ITERATIONS steps of either kind.
 
     A check step normalizes x to unit maximum, takes rho = x.Mx / x.x and
     the residual max|Mx - rho x|, returns once that is at most tol * rho,
-    and otherwise maps x to Mx + rho x. The k-th check is followed by k
-    plain steps x <- (M + rho I)x / (2 rho), with no normalization and no
-    residual, so checks fall at steps 1, 3, 6, 10, ... and a result only
-    ever comes from a check. Each step sums a row's entries in column order,
-    so the result does not depend on the order the entries are listed in.
+    and otherwise takes the shift s of ``_safe_shift``, 0 < s <= rho and
+    s >= (rho - lambda_2) / 2 up to its fallback, and maps x to Mx + s x.
+    The k-th check is followed by k plain steps x <- (M + s I)x / (rho + s),
+    with no normalization and no residual, so checks fall at steps 1, 3, 6,
+    10, ... and a result only ever comes from a check. Each step sums a
+    row's entries in column order, so the result does not depend on the
+    order the entries are listed in.
     """
     if n == 0:
         raise BadParams("matrix must be nonempty")
@@ -120,8 +154,9 @@ def _power_iteration(rows, cols, vals, n, tol):
         order = np.lexsort((plain_cols, plain_rows))
         plain_rows, plain_cols = plain_rows[order], plain_cols[order]
         listed = order < len(vals)
+        on_diagonal = ~listed
         rows, cols, vals = plain_rows[listed], plain_cols[listed], vals[order[listed]]
-        plain_vals = np.full(len(order), 0.5)
+        plain_vals = np.empty(len(order))
         x = np.ones(n)
         step = 0
         for checks in itertools.count(1):
@@ -129,8 +164,7 @@ def _power_iteration(rows, cols, vals, n, tol):
             x /= x.max()
             y = np.bincount(rows, vals * x[cols], n)
             rho = float(x @ y) / float(x @ x)
-            rx = rho * x
-            d = y - rx
+            d = y - rho * x
             residual = float(abs(d).max())
             if not math.isfinite(residual):
                 raise NoConvergence(step, residual)
@@ -138,9 +172,11 @@ def _power_iteration(rows, cols, vals, n, tol):
                 return SpectralResult(rho, x, residual, step, tol)
             if step == MAX_ITERATIONS:
                 raise NoConvergence(step, residual)
-            y += rx
+            shift = _safe_shift(rows, cols, vals, x, y, d, rho, residual)
+            y += shift * x
             x = y
-            plain_vals[listed] = vals / (2 * rho)
+            plain_vals[listed] = vals / (rho + shift)
+            plain_vals[on_diagonal] = shift / (rho + shift)
             plain = min(checks, MAX_ITERATIONS - step - 1)
             for _ in range(plain):
                 x = np.bincount(plain_rows, plain_vals * x[plain_cols], n)
@@ -192,12 +228,15 @@ def f_spectral_radius(G, f, tol=DEFAULT_TOL):
     """Largest eigenvalue of the f-adjacency matrix of G by power iteration
     on G's edge list.
 
-    A check step maps x, normalized to unit maximum entry, to Mx + rho_k x,
-    rho_k = x.Mx / x.x its Rayleigh quotient, and stops once
-    max|Mx - rho_k x| <= tol * rho_k; ``tol`` is relative at every scale, so
-    rho(c f) = c rho(f) up to rounding. The k-th check is followed by k plain
-    steps x <- (M + rho_k I)x / (2 rho_k), so checks fall at steps 1, 3, 6,
-    10, ... and ``iterations`` counts both kinds. Deterministic for fixed
+    A check step takes x, normalized to unit maximum entry, its Rayleigh
+    quotient rho_k = x.Mx / x.x, and stops once max|Mx - rho_k x| <= tol * rho_k;
+    ``tol`` is relative at every scale, so rho(c f) = c rho(f) up to rounding.
+    Otherwise it maps x to Mx + s_k x, where the shift s_k in (0, rho_k] is
+    half the gap between an upper bound on rho (Collatz-Wielandt) and a lower
+    bound on lambda_2 (a Ritz value), so the slowest other eigenvalue and
+    -rho shrink alike. The k-th check is followed by k plain steps
+    x <- (M + s_k I)x / (rho_k + s_k), so checks fall at steps 1, 3, 6, 10,
+    ... and ``iterations`` counts both kinds. Deterministic for fixed
     input. For a connected graph the returned vector is strictly positive.
     Weights with a non-finite value or row sum are rejected with BadParams,
     and an iterate that overflows (a non-finite rho or residual at a check)

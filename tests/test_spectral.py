@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -151,13 +152,18 @@ def test_spectral_radius_stops_when_an_iterate_overflows(monkeypatch):
 # Step ceilings for the max-side extremal shapes, whose max row sum is many
 # times rho; a path or theta family takes hundreds to thousands of steps.
 HUB_STEPS = {"star:250": 10, "double-star:100,100": 20, "sn-plus-e:150": 40}
+# Step ceilings for small gaps rho - lambda_2, which the shift after each
+# check halves: about 1 - delta / rho per step, not 1 - delta / (2 rho).
+SMALL_GAP_STEPS = {("path:240", "zagreb1"): 30_000, ("theta:3,3,200", "sombor"): 115}
 
 
 @pytest.mark.parametrize("weight", ["sombor", "zagreb1", "const:1.5"])
 @pytest.mark.parametrize(
     "family",
     [*HUB_STEPS, "c3:40,40,40", "theta:20,20,21", "path:90", "cycle:12",
-     "path:200", "theta:60,60,61", "infty:3,3,43"],
+     "path:200", "theta:60,60,61", "infty:3,3,43", "path:240", "theta:3,3,200",
+     # Odd cycles put lambda_n near -rho.
+     "theta:100,100,101"],
 )
 def test_spectral_radius_agrees_with_perron_values(family, weight):
     G, f = make(parse_family(family)), parse_weight(weight)
@@ -166,6 +172,30 @@ def test_spectral_radius_agrees_with_perron_values(family, weight):
     assert abs(res.rho - rho[0]) <= errors[0]
     assert res.vector.min() > 0.0
     assert res.iterations <= HUB_STEPS.get(family, math.inf)
+    assert res.iterations <= SMALL_GAP_STEPS.get((family, weight), math.inf)
+
+
+def test_small_gap_path_converges_within_25000_steps(monkeypatch):
+    # Under the shift s = rho, path:200's slowest mode shrinks by about
+    # 1 - delta / (2 rho) per step, which takes 39,903 steps; a shift near
+    # (rho - lambda_2) / 2 needs about half of them.
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 25_000)
+    res = f_spectral_radius(make(parse_family("path:200")), parse_weight("sombor"))
+    assert res.rho == pytest.approx(5.656155742988, rel=1e-11)
+
+
+def test_shift_bound_skips_zero_entries():
+    # The isolated vertex's entry underflows to 0; its 0 / 0 must not enter
+    # the Collatz-Wielandt bound, or the shift falls back to rho and the
+    # solve takes about twice the steps of path:200 alone.
+    f = parse_weight("sombor")
+    path = f_spectral_radius(make(parse_family("path:200")), f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = f_spectral_radius(Graph(201, [(i, i + 1) for i in range(199)]), f)
+    assert res.vector[200] == 0.0
+    assert res.rho == pytest.approx(path.rho, rel=1e-12)
+    assert res.iterations <= path.iterations + 1_000
 
 
 def test_full_spectrum_known_values():
