@@ -2,31 +2,46 @@
 
 Class searches score a whole stack of same-order matrices with one call of
 LAPACK's symmetric eigensolver (``perron_values``). A single graph's Perron
-value (``f_spectral_radius``) comes from power iteration on A + s I. At
-each check, r is the Rayleigh quotient and s, the shift, lies in (0, r]:
-the iterate stays positive, so 0 < r <= rho, and every other eigenvalue
-lambda, -rho included, shrinks by |lambda + s| / (rho + s) < 1 per step.
-The check brackets the gap rho - lambda_2 from outside, rho by its
-Collatz-Wielandt upper bound and lambda_2 by a Ritz value below it, and
-takes s as half that bracket, capped at r. Then lambda_2 and -rho shrink
-alike, by about 1 - (rho - lambda_2) / rho per step on a small gap, where
-s = r gives 1 - (rho - lambda_2) / (2 rho): a long path needs half the
-steps. Most steps are plain: one gather, one multiply and one
-``np.bincount`` over the entries of (A + s I) / (r + s), whose Perron
-factor (rho + s) / (r + s) stays near 1, so they need no normalization.
-Check steps, on a schedule that grows by one plain step per check,
-normalize, refresh r and s and test the residual. Every step touches only
-the nonzero entries, listed from the graph's edges with f evaluated once
-per distinct degree pair, so it costs O(m) on a graph of m edges and no
-n x n matrix is built. The power iteration accepts rho once its residual
-on the positive vector is at most tol * rho, at any scale; the batched
-solve accepts each signed unit eigenvector's residual up to
-tol * max(1, rho) and returns an error half-width with each rho. Full
-spectra go through LAPACK's symmetric eigensolver, and refuse an order
-above ``FULL_SPECTRUM_MAX_ORDER`` before any matrix is built.
+value (``f_spectral_radius``) comes from power iteration on M + s I, M the
+f-adjacency matrix. At each check, r is the Rayleigh quotient and s, the
+shift, lies in (0, r]: the iterate stays positive, so 0 < r <= rho, and
+every other eigenvalue lambda, -rho included, shrinks by
+|lambda + s| / (rho + s) < 1 per step. The check brackets the gap
+rho - lambda_2 from outside, rho by its Collatz-Wielandt upper bound and
+lambda_2 by a Ritz value below it, and takes s as half that bracket, capped
+at r. Then lambda_2 and -rho shrink alike, by about 1 - (rho - lambda_2) / rho
+per step on a small gap, where s = r gives 1 - (rho - lambda_2) / (2 rho):
+a long path needs half the steps. Most steps are plain: one gather, one
+multiply and one ``np.bincount`` over the entries of (M + s I) / (r + s),
+whose Perron factor (rho + s) / (r + s) stays near 1, so they need no
+normalization. Check steps, on a schedule that grows by one plain step per
+check, normalize, refresh r and s and test the residual. Every step touches
+only the nonzero entries, listed from the graph's edges with f evaluated
+once per distinct degree pair, so it costs O(m) on a graph of m edges and
+no n x n matrix is built.
+
+A long path's gap is O(rho / n^2), so it needs O(n^2) steps. A path, like
+every tree, is bipartite, and then M is [[0, C], [C^T, 0]] up to the order
+of the vertices: rho is the largest singular value of C, and A = C C^T on one
+side U has Perron value rho^2 and its other eigenvalues sigma_i^2 >= 0,
+none near -rho^2. So the first check that does not accept at step 4n or
+later tries to fold: if a BFS two-colours the graph, and the side W
+opposite U has sum_W d_w^2 <= 4m, the number of products A's entries are
+summed from, the same loop runs on A. A path's A has about 1.5 n entries
+against 3 n for M + s I, and each step on A shrinks lambda_2 as two steps
+on M do. The vector is lifted back by x_W = C^T x_U / sqrt(rho_A), which
+keeps it positive, and is accepted only by the check on M. A solve that
+converges sooner, an odd cycle and a costly fold leave the loop on M
+exactly as it was.
+
+The power iteration accepts rho once its residual on the positive vector
+is at most tol * rho, at any scale; the batched solve accepts each signed
+unit eigenvector's residual up to tol * max(1, rho) and returns an error
+half-width with each rho. Full spectra go through LAPACK's symmetric
+eigensolver, and refuse an order above ``FULL_SPECTRUM_MAX_ORDER`` before
+any matrix is built.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -103,7 +118,115 @@ class SpectralResult:
     tol: float
 
 
-def _safe_shift(rows, cols, vals, x, y, d, rho, residual):
+class _Operator:
+    """A symmetric nonnegative n x n matrix M with entry vals[k] at
+    (rows[k], cols[k]) and zeros elsewhere.
+
+    Its entries, and those of the plain steps' (M + s I) / (r + s), which
+    add n diagonal ones, are kept row-major with columns ascending, so each
+    product sums a row in column order whatever order the entries came in.
+    """
+
+    def __init__(self, rows, cols, vals, n):
+        diagonal = np.arange(n)
+        plain_rows, plain_cols = np.concatenate((rows, diagonal)), np.concatenate((cols, diagonal))
+        order = np.lexsort((plain_cols, plain_rows))
+        self.plain_rows, self.plain_cols = plain_rows[order], plain_cols[order]
+        self.listed = order < len(vals)
+        self.on_diagonal = ~self.listed
+        self.rows, self.cols = self.plain_rows[self.listed], self.plain_cols[self.listed]
+        self.vals = vals[order[self.listed]]
+        self.plain_vals = np.empty(len(order))
+        self.n = n
+
+    def __matmul__(self, x):
+        return np.bincount(self.rows, self.vals * x[self.cols], self.n)
+
+    def plain_steps(self, x, rho, shift, count):
+        """x after count steps x <- (M + shift I) x / (rho + shift)."""
+        self.plain_vals[self.listed] = self.vals / (rho + shift)
+        self.plain_vals[self.on_diagonal] = shift / (rho + shift)
+        for _ in range(count):
+            x = np.bincount(self.plain_rows, self.plain_vals * x[self.plain_cols], self.n)
+        return x
+
+
+def _two_colouring(M):
+    """Side 0 or 1 of each vertex of M's graph, by a BFS per component, or
+    None if some entry joins two vertices of one side (an odd cycle)."""
+    start = np.searchsorted(M.rows, np.arange(M.n + 1)).tolist()
+    neighbours = M.cols.tolist()
+    side = [-1] * M.n
+    for root in range(M.n):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        queue = [root]
+        for u in queue:
+            for w in neighbours[start[u]:start[u + 1]]:
+                if side[w] < 0:
+                    side[w] = 1 - side[u]
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return None
+    return np.array(side)
+
+
+class _Fold:
+    """A = C C^T on one side U of a bipartite M, whose U x W block is C.
+
+    Built from M's entries divided by the largest one, which keeps products
+    of tiny or huge weights in range, A has Perron value (rho / scale)^2 and
+    M's Perron vector restricted to U. A is nonnegative and positive
+    semidefinite, so none of its eigenvalues lies near -rho^2. Its entry
+    (u, u') sums M[u, w] M[w, u'] over the w in W next to both, from one
+    join of M's entries over the sum_W d_w^2 pairs that share a w, stored
+    row-major with columns ascending like every ``_Operator``.
+    """
+
+    def __init__(self, M, W, degree):
+        self.M, self.W = M, W
+        self.U = np.flatnonzero(~W)
+        self.scale = float(M.vals.max())
+        index = np.empty(M.n, dtype=np.intp)
+        index[self.U] = np.arange(len(self.U))
+        # M's entries in rows w in W, grouped by w: entry k pairs with each
+        # entry of its group, first[k] to first[k] + counts[k] - 1.
+        from_w = W[M.rows]
+        r, c, v = M.rows[from_w], index[M.cols[from_w]], M.vals[from_w] / self.scale
+        first = np.searchsorted(r, r)
+        counts = degree[r]
+        i = np.repeat(np.arange(len(r)), counts)
+        j = np.repeat(first, counts) + np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+        keys, inverse = np.unique(c[i] * len(self.U) + c[j], return_inverse=True)
+        rows, cols = np.divmod(keys, len(self.U))
+        self.A = _Operator(rows, cols, np.bincount(inverse, v[i] * v[j]), len(self.U))
+
+    @classmethod
+    def of(cls, M):
+        """The fold of M onto the side U whose opposite side W has the smaller
+        sum_W d_w^2, or None if M's graph is not bipartite or that sum, the
+        number of pairs the join makes, exceeds 4m."""
+        side = _two_colouring(M)
+        if side is None:
+            return None
+        degree = np.bincount(M.rows, minlength=M.n)
+        cost = [int((degree[side == s] ** 2).sum()) for s in (0, 1)]
+        w_side = int(cost[1] <= cost[0])
+        if cost[w_side] > 2 * len(M.rows):
+            return None
+        return cls(M, side == w_side, degree)
+
+    def lift(self, x_u, mu):
+        """M's vector from A's x_u with Rayleigh quotient mu: x_W = C^T x_U / sqrt(mu),
+        with C^T x_U read off M applied to x_u padded with zeros."""
+        x = np.zeros(self.M.n)
+        x[self.U] = x_u
+        x[self.W] = (self.M @ x)[self.W] / (self.scale * math.sqrt(mu))
+        return x
+
+
+def _safe_shift(M, x, y, d, rho, residual):
     """Shift s of the steps after a check, in (0, rho], at least (rho - lambda_2) / 2.
 
     x is the check's iterate, y = Mx, rho = x.y / x.x and d = y - rho x, with
@@ -120,7 +243,7 @@ def _safe_shift(rows, cols, vals, x, y, d, rho, residual):
     """
     e = d / residual
     ee = float(e @ e)
-    c = float(e @ np.bincount(rows, vals * e[cols], len(x))) / ee
+    c = float(e @ (M @ e)) / ee
     b = residual * math.sqrt(ee / float(x @ x))
     theta = (rho + c) / 2 - math.hypot((rho - c) / 2, b)
     positive = x > 0
@@ -139,47 +262,55 @@ def _power_iteration(rows, cols, vals, n, tol):
     s >= (rho - lambda_2) / 2 up to its fallback, and maps x to Mx + s x.
     The k-th check is followed by k plain steps x <- (M + s I)x / (rho + s),
     with no normalization and no residual, so checks fall at steps 1, 3, 6,
-    10, ... and a result only ever comes from a check. Each step sums a
-    row's entries in column order, so the result does not depend on the
-    order the entries are listed in.
+    10, ... and a result only ever comes from a check on M.
+
+    The first check that does not accept at step 4n or later tries the fold
+    of ``_Fold``: if M's graph is bipartite and the fold costs at most 4m
+    pairs, the same loop runs on A = C C^T from x restricted to U, with the
+    schedule restarted, until A's residual is at most tol / 4 times its
+    Rayleigh quotient rho_A. Then x_W = C^T x_U / sqrt(rho_A) lifts x back,
+    and the loop goes on on M from the lifted vector, with its next check
+    first: that check accepts or the M loop continues. Otherwise the loop
+    goes on on M as if nothing had been tried. ``iterations`` counts the
+    steps on M and on A.
     """
     if n == 0:
         raise BadParams("matrix must be nonempty")
     with np.errstate(over="ignore", invalid="ignore"):
         _require_finite(np.bincount(rows, vals, n), vals)
-        # The plain steps' entries, the listed ones and n diagonal ones,
-        # row-major with columns ascending; the check steps use the listed ones.
-        diagonal = np.arange(n)
-        plain_rows, plain_cols = np.concatenate((rows, diagonal)), np.concatenate((cols, diagonal))
-        order = np.lexsort((plain_cols, plain_rows))
-        plain_rows, plain_cols = plain_rows[order], plain_cols[order]
-        listed = order < len(vals)
-        on_diagonal = ~listed
-        rows, cols, vals = plain_rows[listed], plain_cols[listed], vals[order[listed]]
-        plain_vals = np.empty(len(order))
+        M = A = _Operator(rows, cols, vals, n)
+        fold_at, limit = 4 * n, MAX_ITERATIONS
         x = np.ones(n)
-        step = 0
-        for checks in itertools.count(1):
+        step = checks = 0
+        while True:
+            checks += 1
             step += 1
             x /= x.max()
-            y = np.bincount(rows, vals * x[cols], n)
+            y = A @ x
             rho = float(x @ y) / float(x @ x)
             d = y - rho * x
             residual = float(abs(d).max())
             if not math.isfinite(residual):
                 raise NoConvergence(step, residual)
-            if residual <= tol * rho:
+            if A is not M:
+                if residual <= tol / 4 * rho or step == limit:
+                    x, A, checks, limit = fold.lift(x, rho), M, 0, MAX_ITERATIONS
+                    continue
+            elif residual <= tol * rho:
                 return SpectralResult(rho, x, residual, step, tol)
-            if step == MAX_ITERATIONS:
+            elif step == limit:
                 raise NoConvergence(step, residual)
-            shift = _safe_shift(rows, cols, vals, x, y, d, rho, residual)
+            elif fold_at <= step < limit - 1:
+                fold_at = math.inf
+                fold = _Fold.of(M)
+                if fold is not None:
+                    # A's steps stop one short of the cap, for the lift's check on M.
+                    x, A, checks, limit = x[fold.U], fold.A, 0, MAX_ITERATIONS - 1
+                    continue
+            shift = _safe_shift(A, x, y, d, rho, residual)
             y += shift * x
-            x = y
-            plain_vals[listed] = vals / (rho + shift)
-            plain_vals[on_diagonal] = shift / (rho + shift)
-            plain = min(checks, MAX_ITERATIONS - step - 1)
-            for _ in range(plain):
-                x = np.bincount(plain_rows, plain_vals * x[plain_cols], n)
+            plain = min(checks, limit - step - 1)
+            x = A.plain_steps(y, rho, shift, plain)
             step += plain
 
 
@@ -236,9 +367,17 @@ def f_spectral_radius(G, f, tol=DEFAULT_TOL):
     bound on lambda_2 (a Ritz value), so the slowest other eigenvalue and
     -rho shrink alike. The k-th check is followed by k plain steps
     x <- (M + s_k I)x / (rho_k + s_k), so checks fall at steps 1, 3, 6, 10,
-    ... and ``iterations`` counts both kinds. Deterministic for fixed
-    input. For a connected graph the returned vector is strictly positive.
-    Weights with a non-finite value or row sum are rejected with BadParams,
+    ... and ``iterations`` counts both kinds.
+
+    A solve still unconverged at its first check at step 4n or later, on a
+    bipartite graph whose side W has sum_W d_w^2 <= 4m, finishes on the fold
+    A = C C^T over the other side U, where M = [[0, C], [C^T, 0]]: half the
+    vertices, and no eigenvalue near -rho^2. Its vector is lifted back and
+    accepted only by the check on M (``_power_iteration``); ``iterations``
+    then counts the steps on A too. Any other solve never leaves M.
+
+    Deterministic for fixed input. For a connected graph the returned vector
+    is strictly positive. Weights with a non-finite value or row sum are rejected with BadParams,
     and an iterate that overflows (a non-finite rho or residual at a check)
     raises NoConvergence at once.
     """

@@ -4,7 +4,9 @@ Perron data they already have instead of solving again.
 Every Perron solve goes through ``spectral._power_iteration`` (one graph,
 from ``f_spectral_radius``) or ``spectral.perron_values`` (a stack, as
 class searches use it), so counting the matrices they receive counts
-eigensolves whichever module asks for them.
+eigensolves whichever module asks for them. A single-graph solve that folds
+onto C C^T runs both loops inside its one ``_power_iteration`` call, so it
+still counts once.
 """
 
 import pytest
@@ -134,3 +136,20 @@ def test_cli_certify_solves_once(solves, capsys):
     assert main(["certify", "--family", "theta:3,3,2", "--weight", "sombor"]) == 0
     assert "classification normal" in capsys.readouterr().out
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("family", ["theta:3,3,2", "path:90"])
+def test_certify_solves_once_whether_or_not_it_folds(solves, folds, family):
+    # Both pass the fold's budget of 4n steps; theta:3,3,2 has odd cycles,
+    # so its fold is refused and it goes on on M.
+    alpha, report = certify(make(parse_family(family)), parse_weight("sombor"))
+    assert len(solves) == 1
+    assert [fold is not None for fold in folds] == [family == "path:90"]
+    assert alpha > 0
+
+
+def test_cli_rho_solves_once_when_it_folds(solves, folds, capsys):
+    assert main(["rho", "--family", "path:200", "--weight", "sombor"]) == 0
+    assert "rho 5.656156" in capsys.readouterr().out
+    assert len(solves) == 1
+    assert len(folds) == 1 and folds[0] is not None

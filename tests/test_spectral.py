@@ -97,11 +97,12 @@ def test_spectral_radius_no_convergence(monkeypatch):
     assert exc.value.iterations == 1
 
 
-@pytest.mark.parametrize("cap", [2, 8, 10])
+@pytest.mark.parametrize("cap", [2, 8, 10, 300])
 def test_step_cap_counts_plain_steps(monkeypatch, cap):
     # Checks fall at steps 1, 3, 6, 10; a run of plain steps is cut short so
     # that the last step the cap allows is a check, and no result comes
-    # from a plain step.
+    # from a plain step. Past the fold at step 4n = 200, the steps on A stop
+    # one short of the cap, so the last step is the lifted vector's check.
     monkeypatch.setattr(spectral, "MAX_ITERATIONS", cap)
     with pytest.raises(NoConvergence) as exc:
         f_spectral_radius(make(parse_family("path:50")), CONST1)
@@ -154,7 +155,12 @@ def test_spectral_radius_stops_when_an_iterate_overflows(monkeypatch):
 HUB_STEPS = {"star:250": 10, "double-star:100,100": 20, "sn-plus-e:150": 40}
 # Step ceilings for small gaps rho - lambda_2, which the shift after each
 # check halves: about 1 - delta / rho per step, not 1 - delta / (2 rho).
-SMALL_GAP_STEPS = {("path:240", "zagreb1"): 30_000, ("theta:3,3,200", "sombor"): 115}
+# Paths also fold after 4n steps, each A step worth about two steps on M.
+SMALL_GAP_STEPS = {
+    ("path:240", "zagreb1"): 18_000,
+    ("path:200", "sombor"): 13_000,
+    ("theta:3,3,200", "sombor"): 115,
+}
 
 
 @pytest.mark.parametrize("weight", ["sombor", "zagreb1", "const:1.5"])
@@ -196,6 +202,93 @@ def test_shift_bound_skips_zero_entries():
     assert res.vector[200] == 0.0
     assert res.rho == pytest.approx(path.rho, rel=1e-12)
     assert res.iterations <= path.iterations + 1_000
+
+
+def _with_path(G, v, length):
+    """G with a path of ``length`` new edges hung on its vertex v."""
+    path = [v, *range(G.n, G.n + length)]
+    return Graph(G.n + length, [*G.edges, *zip(path, path[1:])])
+
+
+C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+BUILT = {
+    "spider:60,60,61": lambda: _with_path(make(parse_family("path:121")), 60, 61),
+    "c4-between-paths:70,70": lambda: _with_path(_with_path(C4, 0, 70), 2, 70),
+    "path:150+chord:0,2": lambda: Graph(150, [*make(parse_family("path:150")).edges, (0, 2)]),
+    "double-star:60,60+path:150": lambda: _with_path(make(parse_family("double-star:60,60")), 119, 150),
+}
+
+
+def _graph(name):
+    return BUILT[name]() if name in BUILT else make(parse_family(name))
+
+
+def _weight(name):
+    return _total_table(3) if name == "table" else parse_weight(name)
+
+
+# Bipartite graphs that pass the budget of 4n steps. The branch vertex of the
+# spider or of the paths on C4 localizes the Perron vector under sombor,
+# zagreb1 and const:1.5, whose edges grow heavier at degree 3: the gap stays
+# large and they converge in at most 435 steps. Under a weight that does not
+# grow with degree their gap is a path's.
+FLAT = "table:1,2=2;2,2=2;2,3=1.5"
+FOLDED = [
+    *((family, weight) for family in ("path:90", "path:200", "path:240")
+      for weight in ("sombor", "zagreb1", "const:1.5", "table")),
+    *((name, weight) for name in ("spider:60,60,61", "c4-between-paths:70,70")
+      for weight in ("randic", FLAT)),
+]
+
+
+@pytest.mark.parametrize("name, weight", FOLDED)
+def test_folded_solve_agrees_with_the_matrix(monkeypatch, folds, name, weight):
+    lifted = []
+    lift = spectral._Fold.lift
+
+    def spy(fold, *args):
+        lifted.append(lift(fold, *args))
+        return lifted[-1]
+
+    monkeypatch.setattr(spectral._Fold, "lift", spy)
+    G, f = _graph(name), _weight(weight)
+    res = f_spectral_radius(G, f)
+    assert len(folds) == 1 and folds[0] is not None
+    # A's tolerance of tol / 4 lets the lifted vector pass the check on M at once.
+    assert len(lifted) == 1
+    assert np.array_equal(res.vector, lifted[0] / lifted[0].max())
+    M = f_adjacency(G, f)
+    rho = perron_values(M[None])[0][0]
+    assert abs(res.rho - rho) <= 1e-12 * rho
+    assert res.vector.min() > 0.0
+    assert abs(M @ res.vector - res.rho * res.vector).max() <= 2 * res.tol * max(1.0, res.rho)
+
+
+@pytest.mark.parametrize(
+    "name, weight, iterations, rho",
+    [("path:150+chord:0,2", "table:1,2=1;2,2=1;2,3=0.5", 18_336, 1.9995506480921699),
+     ("double-star:60,60+path:150", "table:1,60=0.1;60,60=0.1;2,60=0.5;2,2=1;1,2=1",
+      20_100, 1.9995737984364776)],
+)
+def test_refused_fold_leaves_the_solve_unchanged(folds, name, weight, iterations, rho):
+    # Both pass the budget. The chord closes a triangle, and the hubs' d^2
+    # of 3,600 each, on both sides, exceed 4m: both keep iterating on M,
+    # with the step counts and values of the solver before the fold.
+    res = f_spectral_radius(_graph(name), parse_weight(weight))
+    assert folds == [None]
+    assert res.iterations == iterations
+    assert res.rho == pytest.approx(rho, rel=1e-15)
+
+
+def test_folded_solve_does_not_depend_on_edge_order(folds):
+    edges, f = sorted(_graph("c4-between-paths:70,70").edges), parse_weight("randic")
+    G, H = Graph(144, edges), Graph(144, edges[::-1])
+    assert list(G.edges) != list(H.edges)
+    a, b = f_spectral_radius(G, f), f_spectral_radius(H, f)
+    assert len(folds) == 2 and None not in folds
+    assert a.rho == b.rho
+    assert a.iterations == b.iterations
+    assert np.array_equal(a.vector, b.vector)
 
 
 def test_full_spectrum_known_values():
