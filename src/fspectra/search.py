@@ -54,7 +54,6 @@ any other range. The checks on pendant-free bicyclic graphs score family
 specs and compare spec strings, so they run up to ``GRAPH_MAX_ORDER``.
 """
 
-import inspect
 import math
 import time
 from dataclasses import dataclass, field
@@ -732,7 +731,10 @@ def verify_theorem(theorem, weights, **ranges):
     check = _CHECKS.get(theorem)
     if check is None:
         raise BadParams(f"unknown theorem id {theorem!r}")
-    reads = list(inspect.signature(check).parameters)[2:]
+    # The check's parameters after those a partial binds, then rep and f.
+    bound = len(getattr(check, "args", ()))
+    code = getattr(check, "func", check).__code__
+    reads = code.co_varnames[bound + 2:code.co_argcount]
     if not ranges.keys() <= set(reads):
         given = ", ".join(sorted(ranges))
         raise BadParams(f"theorem {theorem} reads {', '.join(reads)}; it was given {given}")

@@ -3,15 +3,16 @@
 Class searches score a whole stack of same-order matrices with one call of
 LAPACK's symmetric eigensolver (``perron_values``). A single graph's Perron
 value (``f_spectral_radius``) comes from power iteration on M + s I, M the
-f-adjacency matrix. At each check, r is the Rayleigh quotient and s, the
-shift, lies in (0, r]: the iterate stays positive, so 0 < r <= rho, and
-every other eigenvalue lambda, -rho included, shrinks by
-|lambda + s| / (rho + s) < 1 per step. The check brackets the gap
-rho - lambda_2 from outside, rho by its Collatz-Wielandt upper bound and
-lambda_2 by a Ritz value below it, and takes s as half that bracket, capped
-at r. Then lambda_2 and -rho shrink alike, by about 1 - (rho - lambda_2) / rho
-per step on a small gap, where s = r gives 1 - (rho - lambda_2) / (2 rho):
-a long path needs half the steps. Most steps are plain: one gather, one
+f-adjacency matrix. At each check, r is the Rayleigh quotient and the
+shift s = -(theta + L) / 2 centres on 0 a bracket [L, theta] of every
+eigenvalue but rho: theta is a Ritz value below lambda_2 and L a floor of
+the spectrum, so every other eigenvalue lambda shrinks by
+|lambda + s| / (rho + s) < 1 per step. On M, L = -rho_up, minus rho's
+Collatz-Wielandt upper bound, and s, capped at r, lies in (0, r]: M + s I
+is nonnegative, so the iterate stays positive and 0 < r <= rho. Then
+lambda_2 and -rho shrink alike, by about 1 - (rho - lambda_2) / rho per
+step on a small gap, where s = r gives 1 - (rho - lambda_2) / (2 rho): a
+long path needs half the steps. Most steps are plain: one gather, one
 multiply and one ``np.bincount`` over the entries of (M + s I) / (r + s),
 whose Perron factor (rho + s) / (r + s) stays near 1, so they need no
 normalization. Check steps, on a schedule that grows by one plain step per
@@ -28,18 +29,22 @@ none near -rho^2. So the first check that does not accept at step 4n or
 later tries to fold: if a BFS two-colours the graph, and the side W
 opposite U has sum_W d_w^2 <= 4m, the number of products A's entries are
 summed from, the same loop runs on A. A path's A has about 1.5 n entries
-against 3 n for M + s I, and each step on A shrinks lambda_2 as two steps
-on M do. The vector is lifted back by x_W = C^T x_U / sqrt(rho_A), which
-keeps it positive, and is accepted only by the check on M. A solve that
-converges sooner, an odd cycle and a costly fold leave the loop on M
-exactly as it was.
+against 3 n for M + s I. A's spectrum has floor 0, not -rho^2, so its shift
+is s = -theta / 2 <= 0, half a Ritz lower bound theta on lambda_2(A): it
+maps [0, lambda_2] into about [-lambda_2 / 2, lambda_2 / 2]; each step on A
+shrinks lambda_2 as four steps on M do. A + s I can have negative diagonal
+entries, so A's iterate, and the vector lifted back from it by
+x_W = C^T x_U / sqrt(rho_A), can have negative ones. The lifted vector is
+accepted only by the check on M, which accepts no vector with a negative
+entry. A solve that converges sooner, an odd cycle and a costly fold leave
+the loop on M exactly as it was.
 
-The power iteration accepts rho once its residual on the positive vector
-is at most tol * rho, at any scale; the batched solve accepts each signed
-unit eigenvector's residual up to tol * max(1, rho) and returns an error
-half-width with each rho. Full spectra go through LAPACK's symmetric
-eigensolver, and refuse an order above ``FULL_SPECTRUM_MAX_ORDER`` before
-any matrix is built.
+The power iteration accepts rho once its residual on a vector with no
+negative entry is at most tol * rho, at any scale; the batched solve
+accepts each signed unit eigenvector's residual up to tol * max(1, rho)
+and returns an error half-width with each rho. Full spectra go through
+LAPACK's symmetric eigensolver, and refuse an order above
+``FULL_SPECTRUM_MAX_ORDER`` before any matrix is built.
 """
 
 import math
@@ -226,30 +231,39 @@ class _Fold:
         return x
 
 
-def _safe_shift(M, x, y, d, rho, residual):
-    """Shift s of the steps after a check, in (0, rho], at least (rho - lambda_2) / 2.
+def _safe_shift(M, x, y, d, rho, residual, psd):
+    """Shift s of the steps after a check: s = -(theta + L) / 2, which centres
+    the bracket [L, theta] of every eigenvalue but the Perron value on 0.
 
     x is the check's iterate, y = Mx, rho = x.y / x.x and d = y - rho x, with
-    max|d| = residual > 0. Two bounds bracket the gap: rho_up = max y_v / x_v
-    over the entries with x_v > 0 is the Collatz-Wielandt upper bound on rho,
-    and theta, the lower Ritz value of M on span{x, d}, is at most lambda_2 by
-    Cauchy interlacing. In the orthonormal basis x / |x|, d / |d| that
-    restriction is [[rho, |d| / |x|], [|d| / |x|, e.Me / e.e]], e = d / residual,
-    so every term is scale-free. Then s = (rho_up - theta) / 2, capped at rho,
-    shrinks every other eigenvalue in [-rho, lambda_2] by at most
-    (lambda_2 + s) / (rho + s) < 1 per step; a small gap lambda_2 = rho - delta
-    shrinks by about 1 - delta / rho, against 1 - delta / (2 rho) for s = rho.
-    A value outside (0, rho), as when a bound overflows, falls back to rho.
+    max|d| = residual > 0. theta, the lower Ritz value of M on span{x, d}, is
+    at most lambda_2 by Cauchy interlacing. In the orthonormal basis
+    x / |x|, d / |d| that restriction is [[rho, |d| / |x|], [|d| / |x|, e.Me / e.e]],
+    e = d / residual, so every term is scale-free. With L at most M's least
+    eigenvalue, every other eigenvalue lambda in [L, lambda_2] then has
+    |lambda + s| <= lambda_2 + s < rho + s.
+
+    On M, L = -rho_up, with rho_up = max y_v / x_v over the entries with
+    x_v > 0 the Collatz-Wielandt upper bound on rho, and s = (rho_up - theta) / 2
+    is capped at rho: a small gap lambda_2 = rho - delta shrinks by about
+    1 - delta / rho per step, against 1 - delta / (2 rho) for s = rho. A
+    positive semidefinite M (``psd``, the fold A) has L = 0, and
+    s = -theta / 2 in (-rho / 2, 0] shrinks it by about 1 - 2 delta / rho,
+    against 1 - delta / rho for s = 0. A shift outside those ranges, as when
+    a bound overflows, falls back to rho on M and to 0 on A.
     """
     e = d / residual
     ee = float(e @ e)
     c = float(e @ (M @ e)) / ee
     b = residual * math.sqrt(ee / float(x @ x))
     theta = (rho + c) / 2 - math.hypot((rho - c) / 2, b)
-    positive = x > 0
-    rho_up = float((y[positive] / x[positive]).max())
-    shift = (rho_up - theta) / 2
-    return shift if 0 < shift < rho else rho
+    if psd:
+        floor, low, cap = 0.0, -rho / 2, 0.0
+    else:
+        positive = x > 0
+        floor, low, cap = -float((y[positive] / x[positive]).max()), 0.0, rho
+    shift = -(theta + floor) / 2
+    return shift if low < shift < cap else cap
 
 
 def _power_iteration(rows, cols, vals, n, tol):
@@ -257,9 +271,10 @@ def _power_iteration(rows, cols, vals, n, tol):
     and zeros elsewhere, by at most MAX_ITERATIONS steps of either kind.
 
     A check step normalizes x to unit maximum, takes rho = x.Mx / x.x and
-    the residual max|Mx - rho x|, returns once that is at most tol * rho,
-    and otherwise takes the shift s of ``_safe_shift``, 0 < s <= rho and
-    s >= (rho - lambda_2) / 2 up to its fallback, and maps x to Mx + s x.
+    the residual max|Mx - rho x|, returns once that is at most tol * rho
+    and x has no negative entry, and otherwise takes the shift s of
+    ``_safe_shift``, 0 < s <= rho and s >= (rho - lambda_2) / 2 up to its
+    fallback, and maps x to Mx + s x.
     The k-th check is followed by k plain steps x <- (M + s I)x / (rho + s),
     with no normalization and no residual, so checks fall at steps 1, 3, 6,
     10, ... and a result only ever comes from a check on M.
@@ -267,12 +282,14 @@ def _power_iteration(rows, cols, vals, n, tol):
     The first check that does not accept at step 4n or later tries the fold
     of ``_Fold``: if M's graph is bipartite and the fold costs at most 4m
     pairs, the same loop runs on A = C C^T from x restricted to U, with the
-    schedule restarted, until A's residual is at most tol / 4 times its
-    Rayleigh quotient rho_A. Then x_W = C^T x_U / sqrt(rho_A) lifts x back,
-    and the loop goes on on M from the lifted vector, with its next check
-    first: that check accepts or the M loop continues. Otherwise the loop
-    goes on on M as if nothing had been tried. ``iterations`` counts the
-    steps on M and on A.
+    schedule restarted and the shift -lambda_2(A) / 2 <= s <= 0 of A's
+    floor 0, until A's residual is at most tol / 4 times its Rayleigh
+    quotient rho_A. Then x_W = C^T x_U / sqrt(rho_A) lifts x back, and the
+    loop goes on on M from the lifted vector, with its next check first:
+    that check accepts, or, on a large residual or a negative entry left by
+    A's negative shifts, the M loop continues. Otherwise the loop goes on on
+    M as if nothing had been tried. ``iterations`` counts the steps on M and
+    on A.
     """
     if n == 0:
         raise BadParams("matrix must be nonempty")
@@ -296,7 +313,7 @@ def _power_iteration(rows, cols, vals, n, tol):
                 if residual <= tol / 4 * rho or step == limit:
                     x, A, checks, limit = fold.lift(x, rho), M, 0, MAX_ITERATIONS
                     continue
-            elif residual <= tol * rho:
+            elif residual <= tol * rho and x.min() >= 0:
                 return SpectralResult(rho, x, residual, step, tol)
             elif step == limit:
                 raise NoConvergence(step, residual)
@@ -307,7 +324,7 @@ def _power_iteration(rows, cols, vals, n, tol):
                     # A's steps stop one short of the cap, for the lift's check on M.
                     x, A, checks, limit = x[fold.U], fold.A, 0, MAX_ITERATIONS - 1
                     continue
-            shift = _safe_shift(A, x, y, d, rho, residual)
+            shift = _safe_shift(A, x, y, d, rho, residual, A is not M)
             y += shift * x
             plain = min(checks, limit - step - 1)
             x = A.plain_steps(y, rho, shift, plain)
@@ -372,9 +389,11 @@ def f_spectral_radius(G, f, tol=DEFAULT_TOL):
     A solve still unconverged at its first check at step 4n or later, on a
     bipartite graph whose side W has sum_W d_w^2 <= 4m, finishes on the fold
     A = C C^T over the other side U, where M = [[0, C], [C^T, 0]]: half the
-    vertices, and no eigenvalue near -rho^2. Its vector is lifted back and
-    accepted only by the check on M (``_power_iteration``); ``iterations``
-    then counts the steps on A too. Any other solve never leaves M.
+    vertices, and no eigenvalue below 0, so its shift s_k in
+    [-lambda_2(A) / 2, 0] is minus half a lower bound on lambda_2(A). Its
+    vector is lifted back and accepted only by the check on M, and only
+    with no negative entry (``_power_iteration``); ``iterations`` then
+    counts the steps on A too. Any other solve never leaves M.
 
     Deterministic for fixed input. For a connected graph the returned vector
     is strictly positive. Weights with a non-finite value or row sum are rejected with BadParams,

@@ -155,10 +155,12 @@ def test_spectral_radius_stops_when_an_iterate_overflows(monkeypatch):
 HUB_STEPS = {"star:250": 10, "double-star:100,100": 20, "sn-plus-e:150": 40}
 # Step ceilings for small gaps rho - lambda_2, which the shift after each
 # check halves: about 1 - delta / rho per step, not 1 - delta / (2 rho).
-# Paths also fold after 4n steps, each A step worth about two steps on M.
+# Paths also fold after 4n steps onto A = C C^T, whose shift -theta / 2 <= 0
+# shrinks A's gap by about 1 - 2 delta_A / rho_A per step, each step worth
+# about four steps on M.
 SMALL_GAP_STEPS = {
-    ("path:240", "zagreb1"): 18_000,
-    ("path:200", "sombor"): 13_000,
+    ("path:240", "zagreb1"): 9_500,
+    ("path:200", "sombor"): 7_000,
     ("theta:3,3,200", "sombor"): 115,
 }
 
@@ -262,6 +264,56 @@ def test_folded_solve_agrees_with_the_matrix(monkeypatch, folds, name, weight):
     assert abs(res.rho - rho) <= 1e-12 * rho
     assert res.vector.min() > 0.0
     assert abs(M @ res.vector - res.rho * res.vector).max() <= 2 * res.tol * max(1.0, res.rho)
+
+
+@pytest.mark.parametrize("name, weight", FOLDED)
+def test_shifts_on_the_fold_stay_in_its_psd_range(monkeypatch, folds, name, weight):
+    # A is positive semidefinite and theta <= lambda_2(A), so each shift
+    # -theta / 2 on A lies in [-lambda_2 / 2, 0], up to rounding in theta.
+    shifts = []
+    safe_shift = spectral._safe_shift
+
+    def spy(M, *args):
+        shift = safe_shift(M, *args)
+        if args[-1]:
+            shifts.append(shift)
+        return shift
+
+    monkeypatch.setattr(spectral, "_safe_shift", spy)
+    f_spectral_radius(_graph(name), _weight(weight))
+    A = folds[0].A
+    dense = np.zeros((A.n, A.n))
+    dense[A.rows, A.cols] = A.vals
+    *_, lam2, rho = np.linalg.eigvalsh(dense)
+    assert shifts and max(shifts) < 0
+    assert min(shifts) >= -lam2 / 2 - 1e-12 * rho
+
+
+# The smallest entry of path:90's Perron vector is at an end, and the
+# residual catches its sign. The end entries under TINY_ENDS are about
+# 1e-22, so only the sign check does.
+TINY_ENDS = "table:1,2=1e-20;2,2=1"
+
+
+@pytest.mark.parametrize("name, weight", [("path:90", "sombor"), ("path:200", TINY_ENDS)])
+def test_lifted_vector_with_a_negative_entry_is_not_accepted(monkeypatch, folds, name, weight):
+    lift = spectral._Fold.lift
+    lifted = []
+
+    def negated(fold, *args):
+        x = lift(fold, *args)
+        x[np.argmin(abs(x))] *= -1
+        lifted.append(x)
+        return x
+
+    monkeypatch.setattr(spectral._Fold, "lift", negated)
+    G, f = _graph(name), _weight(weight)
+    res = f_spectral_radius(G, f)
+    assert len(folds) == 1 and folds[0] is not None
+    assert len(lifted) == 1 and lifted[0].min() < 0
+    assert res.vector.min() > 0.0
+    rho = perron_values(f_adjacency(G, f)[None])[0][0]
+    assert abs(res.rho - rho) <= 1e-12 * rho
 
 
 @pytest.mark.parametrize(
