@@ -3,13 +3,15 @@
 Subcommands: rho, spectrum, certify, subdivide, kelmans, enumerate,
 extremal, verify. Numeric output uses 6 decimal places (round-half-even,
 Python's default float formatting). Exit codes: 0 success, 1 verification
-failure, 2 usage or domain error.
+failure, 2 usage or domain error; a reader that closes the pipe early does
+not change them.
 
 ``certify`` and ``kelmans`` import their modules when they run, so the
 other subcommands never load ``luman`` or ``transforms``.
 """
 
 import argparse
+import os
 import sys
 
 from . import search
@@ -224,11 +226,13 @@ def _cmd_verify(args):
     if args.classes:
         ranges["class_names"] = [c.strip() for c in args.classes.split(",")]
     report = search.verify_theorem(args.theorem, weights, **ranges)
+    fails = sum(1 for c in report.checks if c.status == "FAIL")
+    # Set before printing: main returns it if the reader closes the pipe early.
+    args.status = 1 if fails else 0
     for line in report.checks:
         print(f"{line.status} {line.text}")
-    fails = sum(1 for c in report.checks if c.status == "FAIL")
     print(f"# theorem={report.theorem} checks={len(report.checks)} failures={fails}")
-    return 1 if fails else 0
+    return args.status
 
 
 _DISPATCH = {
@@ -250,7 +254,13 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _DISPATCH[args.command](args)
+        status = _DISPATCH[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed early: send what is left to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return getattr(args, "status", 0)
     except (FspectraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,50 +1,52 @@
 """Weighted adjacency matrices, Perron values, and full spectra.
 
-Class searches score a whole stack of same-order matrices with one call of
-LAPACK's symmetric eigensolver (``perron_values``). A single graph's Perron
-value (``f_spectral_radius``) comes from power iteration on M + s I, M the
-f-adjacency matrix. At each check, r is the Rayleigh quotient and the
-shift s = -(theta + L) / 2 centres on 0 a bracket [L, theta] of every
-eigenvalue but rho: theta is a Ritz value below lambda_2 and L a floor of
-the spectrum, so every other eigenvalue lambda shrinks by
-|lambda + s| / (rho + s) < 1 per step. On M, L = -rho_up, minus rho's
-Collatz-Wielandt upper bound, and s, capped at r, lies in (0, r]: M + s I
-is nonnegative, so the iterate stays positive and 0 < r <= rho. Then
-lambda_2 and -rho shrink alike, by about 1 - (rho - lambda_2) / rho per
-step on a small gap, where s = r gives 1 - (rho - lambda_2) / (2 rho): a
-long path needs half the steps. Most steps are plain: one gather, one
-multiply and one ``np.bincount`` over the entries of (M + s I) / (r + s),
-whose Perron factor (rho + s) / (r + s) stays near 1, so they need no
-normalization. Check steps, on a schedule that grows by one plain step per
-check, normalize, refresh r and s and test the residual. Every step touches
-only the nonzero entries, listed from the graph's edges with f evaluated
-once per distinct degree pair, so it costs O(m) on a graph of m edges and
-no n x n matrix is built.
+Class searches score a stack of same-order matrices with one call of
+LAPACK's symmetric eigensolver (``perron_values``). Full spectra also go
+through LAPACK, and refuse an order above ``FULL_SPECTRUM_MAX_ORDER`` before
+any matrix is built.
 
-A long path's gap is O(rho / n^2), so it needs O(n^2) steps. A path, like
-every tree, is bipartite, and then M is [[0, C], [C^T, 0]] up to the order
-of the vertices: rho is the largest singular value of C, and A = C C^T on one
-side U has Perron value rho^2 and its other eigenvalues sigma_i^2 >= 0,
-none near -rho^2. So the first check that does not accept at step 4n or
-later tries to fold: if a BFS two-colours the graph, and the side W
-opposite U has sum_W d_w^2 <= 4m, the number of products A's entries are
-summed from, the same loop runs on A. A path's A has about 1.5 n entries
-against 3 n for M + s I. A's spectrum has floor 0, not -rho^2, so its shift
-is s = -theta / 2 <= 0, half a Ritz lower bound theta on lambda_2(A): it
-maps [0, lambda_2] into about [-lambda_2 / 2, lambda_2 / 2]; each step on A
-shrinks lambda_2 as four steps on M do. A + s I can have negative diagonal
-entries, so A's iterate, and the vector lifted back from it by
-x_W = C^T x_U / sqrt(rho_A), can have negative ones. The lifted vector is
-accepted only by the check on M, which accepts no vector with a negative
-entry. A solve that converges sooner, an odd cycle and a costly fold leave
-the loop on M exactly as it was.
+A single graph's Perron value (``f_spectral_radius``) comes from power
+iteration on M, its f-adjacency matrix, listed from the graph's edges with f
+evaluated once per distinct degree pair: a step costs O(m) and no n x n
+matrix is built. M is first scaled by the power of two that puts its
+largest entry in [1/2, 1), which is exact, so that no product of tiny or
+huge weights underflows or overflows; rho and the residual are scaled back.
 
-The power iteration accepts rho once its residual on a vector with no
-negative entry is at most tol * rho, at any scale; the batched solve
-accepts each signed unit eigenvector's residual up to tol * max(1, rho)
-and returns an error half-width with each rho. Full spectra go through
-LAPACK's symmetric eigensolver, and refuse an order above
-``FULL_SPECTRUM_MAX_ORDER`` before any matrix is built.
+A check step (``_checks``) normalizes x to unit maximum, takes the Rayleigh
+quotient r = x.Mx / x.x and the residual max|Mx - r x|, and maps x to
+Mx + s x. The k-th check is followed by k plain steps
+x <- (M + s I) x / (r + s), one gather, multiply and ``np.bincount`` each,
+unnormalized since their Perron factor (rho + s) / (r + s) stays near 1. So
+checks fall at steps 1, 3, 6, 10, ..., cut so that the last allowed step is
+a check. The shift s = -(theta + L) / 2 (``_safe_shift``) centres on 0 a
+bracket [L, theta] of every eigenvalue but rho, theta a Ritz value at most
+lambda_2 and L a floor of the spectrum, so each other eigenvalue lambda
+shrinks by |lambda + s| / (rho + s) < 1 per step. On M, L is minus rho's
+Collatz-Wielandt upper bound and s lies in (0, r]: M + s I is nonnegative,
+and a small gap lambda_2 = rho - delta shrinks by about 1 - delta / rho per
+step, where s = r gives 1 - delta / (2 rho).
+
+A long path's gap is O(rho / n^2), so it needs O(n^2) steps. On a bipartite
+graph M is [[0, C], [C^T, 0]] up to the order of the vertices, and
+A = C C^T on one side U (``_Fold``) has Perron value rho^2, M's Perron
+vector restricted to U, and other eigenvalues sigma_i^2 >= 0, none near
+-rho^2. So a solve runs in up to three stages:
+
+1. Checks on M from x = 1, until one accepts or the first one at step 4n or
+   later does not.
+2. If a BFS two-colours the graph and the side W opposite U has
+   sum_W d_w^2 <= 4m, the number of products A's entries are summed from,
+   checks on A from x restricted to U, until A's residual is at most
+   tol / 4 times its Rayleigh quotient rho_A or the run reaches step
+   MAX_ITERATIONS - 1. A is positive semidefinite, so L = 0 and
+   s = -theta / 2 <= 0: a step on A, with about half the entries of
+   M + s I on a path, shrinks lambda_2 as about four steps on M do.
+3. Checks on M again, on a fresh schedule, from the vector lifted back by
+   x_W = C^T x_U / sqrt(rho_A).
+
+A refused fold leaves stage 1's run going on. A check on M accepts r once
+its residual is at most tol * r and x has no negative entry: A + s I can
+have negative diagonal entries, so a lifted vector can have negative ones.
 """
 
 import math
@@ -120,17 +122,13 @@ class SpectralResult:
     vector: np.ndarray
     residual: float
     iterations: int
-    tol: float
 
 
 class _Operator:
     """A symmetric nonnegative n x n matrix M with entry vals[k] at
-    (rows[k], cols[k]) and zeros elsewhere.
-
-    Its entries, and those of the plain steps' (M + s I) / (r + s), which
-    add n diagonal ones, are kept row-major with columns ascending, so each
-    product sums a row in column order whatever order the entries came in.
-    """
+    (rows[k], cols[k]) and zeros elsewhere, kept, like the plain steps'
+    (M + s I) / (r + s), row-major with columns ascending: each product sums
+    a row in column order whatever order the entries came in."""
 
     def __init__(self, rows, cols, vals, n):
         diagonal = np.arange(n)
@@ -178,16 +176,11 @@ def _two_colouring(M):
 
 
 class _Fold:
-    """A = C C^T on one side U of a bipartite M, whose U x W block is C.
-
-    Built from M's entries divided by the largest one, which keeps products
-    of tiny or huge weights in range, A has Perron value (rho / scale)^2 and
-    M's Perron vector restricted to U. A is nonnegative and positive
-    semidefinite, so none of its eigenvalues lies near -rho^2. Its entry
-    (u, u') sums M[u, w] M[w, u'] over the w in W next to both, from one
-    join of M's entries over the sum_W d_w^2 pairs that share a w, stored
-    row-major with columns ascending like every ``_Operator``.
-    """
+    """A = C C^T on one side U of a bipartite M, whose U x W block is C,
+    built from M's entries divided by the largest one, so that its Perron
+    value is (rho / scale)^2. Its entry (u, u') sums M[u, w] M[w, u'] over
+    the w in W next to both, from one join of M's entries over the
+    sum_W d_w^2 pairs that share a w."""
 
     def __init__(self, M, W, degree):
         self.M, self.W = M, W
@@ -232,25 +225,16 @@ class _Fold:
 
 
 def _safe_shift(M, x, y, d, rho, residual, psd):
-    """Shift s of the steps after a check: s = -(theta + L) / 2, which centres
-    the bracket [L, theta] of every eigenvalue but the Perron value on 0.
+    """Shift s = -(theta + L) / 2 of the steps after a check.
 
     x is the check's iterate, y = Mx, rho = x.y / x.x and d = y - rho x, with
     max|d| = residual > 0. theta, the lower Ritz value of M on span{x, d}, is
     at most lambda_2 by Cauchy interlacing. In the orthonormal basis
     x / |x|, d / |d| that restriction is [[rho, |d| / |x|], [|d| / |x|, e.Me / e.e]],
-    e = d / residual, so every term is scale-free. With L at most M's least
-    eigenvalue, every other eigenvalue lambda in [L, lambda_2] then has
-    |lambda + s| <= lambda_2 + s < rho + s.
-
-    On M, L = -rho_up, with rho_up = max y_v / x_v over the entries with
-    x_v > 0 the Collatz-Wielandt upper bound on rho, and s = (rho_up - theta) / 2
-    is capped at rho: a small gap lambda_2 = rho - delta shrinks by about
-    1 - delta / rho per step, against 1 - delta / (2 rho) for s = rho. A
-    positive semidefinite M (``psd``, the fold A) has L = 0, and
-    s = -theta / 2 in (-rho / 2, 0] shrinks it by about 1 - 2 delta / rho,
-    against 1 - delta / rho for s = 0. A shift outside those ranges, as when
-    a bound overflows, falls back to rho on M and to 0 on A.
+    e = d / residual, so every term is scale-free. The floor L is
+    -max y_v / x_v over x_v > 0 (Collatz-Wielandt), or 0 on a positive
+    semidefinite M (``psd``). s is kept in (0, rho) on M, falling back to
+    rho, and in (-rho / 2, 0) on a psd M, falling back to 0.
     """
     e = d / residual
     ee = float(e @ e)
@@ -266,88 +250,85 @@ def _safe_shift(M, x, y, d, rho, residual, psd):
     return shift if low < shift < cap else cap
 
 
+def _checks(A, x, step, limit, psd):
+    """The check steps of the power iteration on A from x, after ``step``
+    steps: yields (step, x, rho, residual) at each, x scaled to unit maximum,
+    rho = x.Ax / x.x and residual = max|Ax - rho x|, and raises NoConvergence
+    on a non-finite residual. Plain steps are cut so that step ``limit`` is a
+    check; ``psd`` is ``_safe_shift``'s. A yielded x is never changed.
+    """
+    checks = 0
+    while True:
+        checks += 1
+        step += 1
+        x /= x.max()
+        y = A @ x
+        rho = float(x @ y) / float(x @ x)
+        d = y - rho * x
+        residual = float(abs(d).max())
+        if not math.isfinite(residual):
+            raise NoConvergence(step, residual)
+        yield step, x, rho, residual
+        shift = _safe_shift(A, x, y, d, rho, residual, psd)
+        y += shift * x
+        plain = min(checks, limit - step - 1)
+        x = A.plain_steps(y, rho, shift, plain)
+        step += plain
+
+
+def _stages(M, tol):
+    """Every check on M of a solve, through the three stages of the module
+    docstring; a check at step MAX_ITERATIONS is the last."""
+    run = _checks(M, np.ones(M.n), 0, MAX_ITERATIONS, False)
+    for check in run:
+        yield check
+        step, x = check[:2]
+        if step >= 4 * M.n:
+            break
+    fold = _Fold.of(M) if step < MAX_ITERATIONS - 1 else None
+    if fold is None:
+        yield from run
+        return
+    for step, x_u, rho, residual in _checks(fold.A, x[fold.U], step, MAX_ITERATIONS - 1, True):
+        if residual <= tol / 4 * rho or step == MAX_ITERATIONS - 1:
+            break
+    yield from _checks(M, fold.lift(x_u, rho), step, MAX_ITERATIONS, False)
+
+
 def _power_iteration(rows, cols, vals, n, tol):
     """Perron data of the n x n matrix M with entry vals[k] at (rows[k], cols[k])
-    and zeros elsewhere, by at most MAX_ITERATIONS steps of either kind.
-
-    A check step normalizes x to unit maximum, takes rho = x.Mx / x.x and
-    the residual max|Mx - rho x|, returns once that is at most tol * rho
-    and x has no negative entry, and otherwise takes the shift s of
-    ``_safe_shift``, 0 < s <= rho and s >= (rho - lambda_2) / 2 up to its
-    fallback, and maps x to Mx + s x.
-    The k-th check is followed by k plain steps x <- (M + s I)x / (rho + s),
-    with no normalization and no residual, so checks fall at steps 1, 3, 6,
-    10, ... and a result only ever comes from a check on M.
-
-    The first check that does not accept at step 4n or later tries the fold
-    of ``_Fold``: if M's graph is bipartite and the fold costs at most 4m
-    pairs, the same loop runs on A = C C^T from x restricted to U, with the
-    schedule restarted and the shift -lambda_2(A) / 2 <= s <= 0 of A's
-    floor 0, until A's residual is at most tol / 4 times its Rayleigh
-    quotient rho_A. Then x_W = C^T x_U / sqrt(rho_A) lifts x back, and the
-    loop goes on on M from the lifted vector, with its next check first:
-    that check accepts, or, on a large residual or a negative entry left by
-    A's negative shifts, the M loop continues. Otherwise the loop goes on on
-    M as if nothing had been tried. ``iterations`` counts the steps on M and
-    on A.
+    and zeros elsewhere, from the first check on M whose residual is at most
+    tol * rho and whose vector has no negative entry. ``iterations`` counts
+    every step, of either kind and on either operator; NoConvergence is
+    raised at MAX_ITERATIONS steps or on a non-finite residual.
     """
     if n == 0:
         raise BadParams("matrix must be nonempty")
     with np.errstate(over="ignore", invalid="ignore"):
         _require_finite(np.bincount(rows, vals, n), vals)
-        M = A = _Operator(rows, cols, vals, n)
-        fold_at, limit = 4 * n, MAX_ITERATIONS
-        x = np.ones(n)
-        step = checks = 0
-        while True:
-            checks += 1
-            step += 1
-            x /= x.max()
-            y = A @ x
-            rho = float(x @ y) / float(x @ x)
-            d = y - rho * x
-            residual = float(abs(d).max())
-            if not math.isfinite(residual):
-                raise NoConvergence(step, residual)
-            if A is not M:
-                if residual <= tol / 4 * rho or step == limit:
-                    x, A, checks, limit = fold.lift(x, rho), M, 0, MAX_ITERATIONS
-                    continue
-            elif residual <= tol * rho and x.min() >= 0:
-                return SpectralResult(rho, x, residual, step, tol)
-            elif step == limit:
-                raise NoConvergence(step, residual)
-            elif fold_at <= step < limit - 1:
-                fold_at = math.inf
-                fold = _Fold.of(M)
-                if fold is not None:
-                    # A's steps stop one short of the cap, for the lift's check on M.
-                    x, A, checks, limit = x[fold.U], fold.A, 0, MAX_ITERATIONS - 1
-                    continue
-            shift = _safe_shift(A, x, y, d, rho, residual, A is not M)
-            y += shift * x
-            plain = min(checks, limit - step - 1)
-            x = A.plain_steps(y, rho, shift, plain)
-            step += plain
+        e = math.frexp(vals.max(initial=0.0))[1]
+        M = _Operator(rows, cols, np.ldexp(vals, -e), n)
+        for step, x, rho, residual in _stages(M, tol):
+            if residual <= tol * rho and x.min() >= 0:
+                return SpectralResult(math.ldexp(rho, e), x, math.ldexp(residual, e), step)
+            if step == MAX_ITERATIONS:
+                raise NoConvergence(step, math.ldexp(residual, e))
 
 
-def perron_values(stack, tol=DEFAULT_TOL):
+def perron_values(stack):
     """Perron data of every matrix in a (k, n, n) stack, from one LAPACK call.
 
     Each matrix must be symmetric and nonnegative. Returns (rho, vectors,
     errors): rho[i] is the largest eigenvalue of stack[i], vectors[i] the
-    absolute value of its eigenvector scaled to unit maximum entry, and
-    errors[i] = ||Mv - rho*v||_2 + n*eps*(max row sum) an error half-width
-    for rho[i], with v the signed unit eigenvector: by Weyl's inequality
-    some eigenvalue lies within ||Mv - rho*v||_2 of rho, and the second
-    term bounds the rounding in that residual. NoConvergence (counting the
-    direct solve as one iteration) is raised if any such residual exceeds
-    tol * max(1, rho). The returned vectors themselves are not checked:
-    when the top two eigenvalues nearly coincide, |v| can be far from an
-    eigenvector while rho is accurate. A stack with a non-finite entry or
-    row sum is rejected with BadParams, as in ``f_spectral_radius``.
+    absolute value of its eigenvector v, signed and of unit norm, scaled to
+    unit maximum entry, and errors[i] = ||Mv - rho*v||_2 + n*eps*(max row sum)
+    an error half-width for rho[i] (Weyl's inequality, plus a bound on the
+    residual's rounding). NoConvergence (counting the direct solve as one
+    iteration) is raised if a residual exceeds DEFAULT_TOL * max(1, rho). The
+    vectors themselves are not checked: when the top two eigenvalues nearly
+    coincide, |v| can be far from an eigenvector while rho is accurate. A
+    non-finite entry or row sum is rejected with BadParams.
     """
-    check_tol(tol)
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise BadParams("stack must have shape (k, n, n)")
@@ -364,7 +345,7 @@ def perron_values(stack, tol=DEFAULT_TOL):
     scale = np.maximum(1.0, np.abs(rho))
     resid = (stack @ v[:, :, None])[:, :, 0] - rho[:, None] * v
     signed = np.linalg.norm(resid / scale[:, None], axis=1)
-    missed = signed > tol
+    missed = signed > DEFAULT_TOL
     if missed.any():
         raise NoConvergence(1, float((signed * scale)[missed].max()))
     x = np.abs(v)
@@ -374,31 +355,15 @@ def perron_values(stack, tol=DEFAULT_TOL):
 
 def f_spectral_radius(G, f, tol=DEFAULT_TOL):
     """Largest eigenvalue of the f-adjacency matrix of G by power iteration
-    on G's edge list.
+    on G's edge list (module docstring).
 
-    A check step takes x, normalized to unit maximum entry, its Rayleigh
-    quotient rho_k = x.Mx / x.x, and stops once max|Mx - rho_k x| <= tol * rho_k;
-    ``tol`` is relative at every scale, so rho(c f) = c rho(f) up to rounding.
-    Otherwise it maps x to Mx + s_k x, where the shift s_k in (0, rho_k] is
-    half the gap between an upper bound on rho (Collatz-Wielandt) and a lower
-    bound on lambda_2 (a Ritz value), so the slowest other eigenvalue and
-    -rho shrink alike. The k-th check is followed by k plain steps
-    x <- (M + s_k I)x / (rho_k + s_k), so checks fall at steps 1, 3, 6, 10,
-    ... and ``iterations`` counts both kinds.
-
-    A solve still unconverged at its first check at step 4n or later, on a
-    bipartite graph whose side W has sum_W d_w^2 <= 4m, finishes on the fold
-    A = C C^T over the other side U, where M = [[0, C], [C^T, 0]]: half the
-    vertices, and no eigenvalue below 0, so its shift s_k in
-    [-lambda_2(A) / 2, 0] is minus half a lower bound on lambda_2(A). Its
-    vector is lifted back and accepted only by the check on M, and only
-    with no negative entry (``_power_iteration``); ``iterations`` then
-    counts the steps on A too. Any other solve never leaves M.
-
-    Deterministic for fixed input. For a connected graph the returned vector
-    is strictly positive. Weights with a non-finite value or row sum are rejected with BadParams,
-    and an iterate that overflows (a non-finite rho or residual at a check)
-    raises NoConvergence at once.
+    It stops once max|Mx - rho x| <= tol * rho, x at unit maximum entry;
+    ``tol`` is relative at every scale, so rho(c f) = c rho(f) up to
+    rounding. ``iterations`` counts every step taken. Deterministic for
+    fixed input, whatever the order of G's edges. For a connected graph the
+    returned vector is strictly positive. Weights with a non-finite value or
+    row sum are rejected with BadParams; NoConvergence is raised after
+    MAX_ITERATIONS steps or on a non-finite residual.
     """
     us, vs, w = _edge_weights(G, f)
     check_tol(tol)
@@ -438,14 +403,7 @@ def interlacing_check(G, e, f):
     """
     check_spectrum_order(G.n + 1)
     lam = full_spectrum(f_adjacency(G, f))
-    H = subdivided(G, e)
-    theta = full_spectrum(f_adjacency(H, f))
-    n = G.n
-    worst = 0.0
-    for i in range(1, n + 2):
-        th = theta[i - 1]
-        if i - 2 >= 1:
-            worst = max(worst, th - lam[i - 3])  # need lambda_{i-2} >= theta_i
-        if i + 1 <= n:
-            worst = max(worst, lam[i] - th)  # need theta_i >= lambda_{i+1}
+    theta = full_spectrum(f_adjacency(subdivided(G, e), f))
+    # theta_i - lambda_{i-2} and lambda_{i+1} - theta_i, each at most 0 where it holds.
+    worst = float(np.concatenate((theta[2:] - lam[:-1], lam[1:] - theta[:-2])).max(initial=0.0))
     return InterlacingReport(worst <= INTERLACING_TOL, list(lam), list(theta), worst)

@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import fspectra
 from fspectra.cli import main
 from fspectra.graph_core import parse_graph_text
 
@@ -422,3 +427,25 @@ def test_enumerate_order_ceiling(capsys):
         code, out, err = run(capsys, "enumerate", *argv)
         assert (code, out) == (2, "")
         assert "enumeration supports order <= 12" in err
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [(("certify", "--family", "theta:60,60,61", "--weight", "sombor"), 0),
+     (("verify", "--theorem", "infty-star-domination", "--weights", "randic", "--m", "9..10"), 1)],
+)
+def test_a_reader_that_closes_early_keeps_the_exit_status(argv, status):
+    # As `fspectra ... | head -n 1`: the reader takes one line and closes the
+    # pipe, which the CLI may still be writing to. 20 runs, 4 at a time.
+    path = [os.path.dirname(os.path.dirname(fspectra.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for _ in range(5):
+        with contextlib.ExitStack() as stack:
+            procs = [stack.enter_context(subprocess.Popen(
+                [sys.executable, "-m", "fspectra.cli", *argv], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)) for _ in range(4)]
+            for proc in procs:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                assert first != b""
+                assert (proc.wait(timeout=60), proc.stderr.read()) == (status, b"")

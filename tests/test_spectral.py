@@ -69,7 +69,7 @@ def test_spectral_radius_k2():
 
 def test_spectral_result_contract():
     res = f_spectral_radius(make(parse_family("theta:3,3,2")), parse_weight("sombor"))
-    assert res.residual <= res.tol * max(1.0, res.rho)
+    assert res.residual <= spectral.DEFAULT_TOL * max(1.0, res.rho)
     assert res.vector.max() == pytest.approx(1.0)
     assert res.vector.min() > 0.0
     assert res.iterations >= 1
@@ -141,13 +141,13 @@ def test_spectral_radius_rejects_overflow_before_iterating(monkeypatch):
         perron_values(np.array([[[0.0, math.nan], [math.nan, 0.0]]]))
 
 
-def test_spectral_radius_stops_when_an_iterate_overflows(monkeypatch):
-    # Every row sum 2e307 is finite, but x.(Mx) = 1e309 is not: rho must not
-    # come back as inf, and the loop must stop at the first such iterate.
+def test_spectral_radius_solves_where_unscaled_iterates_overflow(monkeypatch):
+    # Every row sum 2e307 is finite, but x.(Mx) = 1e309 is not. The solve
+    # scales M by a power of two first, so no iterate overflows.
     monkeypatch.setattr(spectral, "MAX_ITERATIONS", 10)
-    with pytest.raises(NoConvergence) as exc:
-        f_spectral_radius(make(parse_family("cycle:50")), parse_weight("const:1e307"))
-    assert exc.value.iterations == 1
+    res = f_spectral_radius(make(parse_family("cycle:50")), parse_weight("const:1e307"))
+    assert res.rho == 2e307
+    assert res.iterations == 1
 
 
 # Step ceilings for the max-side extremal shapes, whose max row sum is many
@@ -263,7 +263,7 @@ def test_folded_solve_agrees_with_the_matrix(monkeypatch, folds, name, weight):
     rho = perron_values(M[None])[0][0]
     assert abs(res.rho - rho) <= 1e-12 * rho
     assert res.vector.min() > 0.0
-    assert abs(M @ res.vector - res.rho * res.vector).max() <= 2 * res.tol * max(1.0, res.rho)
+    assert abs(M @ res.vector - res.rho * res.vector).max() <= 2 * spectral.DEFAULT_TOL * max(1.0, res.rho)
 
 
 @pytest.mark.parametrize("name, weight", FOLDED)
@@ -330,6 +330,17 @@ def test_refused_fold_leaves_the_solve_unchanged(folds, name, weight, iterations
     assert folds == [None]
     assert res.iterations == iterations
     assert res.rho == pytest.approx(rho, rel=1e-15)
+
+
+def test_tiny_weights_leave_no_zero_in_the_perron_vector():
+    # The path's entries fall to about 8e-91 under const:1, so under
+    # const:1e-300 their products with the weight underflow unless M is
+    # scaled first.
+    G = _graph("double-star:60,60+path:150")
+    ref = f_spectral_radius(G, CONST1)
+    res = f_spectral_radius(G, parse_weight("const:1e-300"))
+    assert res.vector.min() > 0.0
+    assert res.rho / 1e-300 == pytest.approx(ref.rho, rel=1e-12)
 
 
 def test_folded_solve_does_not_depend_on_edge_order(folds):
@@ -420,6 +431,18 @@ def test_interlacing_more_examples():
     assert interlacing_check(t222, sorted(t222.edges)[0], parse_weight("randic")).holds
 
 
+def _loop_violation(lam, theta):
+    """The largest violation of lambda_{i-2} >= theta_i >= lambda_{i+1}, i = 1..n+1,
+    floored at 0, one index at a time."""
+    n, worst = len(lam), 0.0
+    for i in range(1, n + 2):
+        if i - 2 >= 1:
+            worst = max(worst, theta[i - 1] - lam[i - 3])
+        if i + 1 <= n:
+            worst = max(worst, lam[i] - theta[i - 1])
+    return worst
+
+
 def test_interlacing_random_sample():
     rng = random.Random(606)
     names = ["sombor", "randic", "zagreb1", "zagreb2", "const:1"]
@@ -428,6 +451,7 @@ def test_interlacing_random_sample():
         e = rng.choice(sorted(G.edges))
         rep = interlacing_check(G, e, parse_weight(rng.choice(names)))
         assert rep.holds, (G, e)
+        assert rep.max_violation == _loop_violation(rep.lam, rep.theta)
 
 
 def _total_table(max_degree):
@@ -467,10 +491,11 @@ def test_perron_values_matches_single_matrix_contract():
     assert abs(rho[0] - ref.rho) <= errors[0]
 
 
-def test_perron_values_no_convergence():
+def test_perron_values_no_convergence(monkeypatch):
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
     M = f_adjacency(make(parse_family("infty:3,4,2")), parse_weight("zagreb2"))
     with pytest.raises(NoConvergence) as exc:
-        perron_values(np.stack([M, M]), tol=1e-300)
+        perron_values(np.stack([M, M]))
     assert exc.value.iterations == 1
     assert exc.value.residual > 0.0
 
@@ -498,11 +523,8 @@ def test_perron_values_accepts_a_near_tied_top_pair():
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
 def test_solvers_reject_bad_tol(tol):
-    G, f = make(parse_family("cycle:5")), parse_weight("sombor")
     with pytest.raises(BadParams):
-        f_spectral_radius(G, f, tol=tol)
-    with pytest.raises(BadParams):
-        perron_values(f_adjacency(G, f)[None], tol=tol)
+        f_spectral_radius(make(parse_family("cycle:5")), parse_weight("sombor"), tol=tol)
 
 
 @pytest.mark.parametrize("weight", ["sombor", "zagreb2", "abc", "const:1.5"])
@@ -517,7 +539,7 @@ def test_edge_list_solve_matches_the_matrix_solve(family, weight):
     G, f = make(parse_family(family)), parse_weight(weight)
     res = f_spectral_radius(G, f)
     M = f_adjacency(G, f)
-    assert abs(M @ res.vector - res.rho * res.vector).max() <= 2 * res.tol * max(1.0, res.rho)
+    assert abs(M @ res.vector - res.rho * res.vector).max() <= 2 * spectral.DEFAULT_TOL * max(1.0, res.rho)
     assert res.vector.min() > 0.0
 
 
