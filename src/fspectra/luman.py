@@ -106,13 +106,18 @@ def _principal(G, f):
     """(alpha(G), principal incidence of G), from one solve.
 
     Connectivity is checked before solving: on a disconnected graph the
-    Perron vector is not positive and the solve need not converge.
+    Perron vector is not positive and the solve need not converge. A Perron
+    entry whose exact value lies below the double range reads 0, and is
+    refused before any division.
     """
     if not is_connected(G):
         raise BadParams("principal incidence needs a connected graph")
     res = f_spectral_radius(G, f)
     alpha = _alpha(res.rho)
     x = res.vector
+    zero = int(x.argmin())
+    if x[zero] == 0:
+        raise BadParams(f"principal incidence needs a positive Perron vector, but vertex {zero}'s entry reads 0")
     degs = degrees(G)
     values = {}
     for u, v in G.edges:

@@ -14,39 +14,41 @@ huge weights underflows or overflows; rho and the residual are scaled back.
 
 A check step (``_checks``) normalizes x to unit maximum, takes the Rayleigh
 quotient r = x.Mx / x.x and the residual max|Mx - r x|, and maps x to
-Mx + s x. The k-th check is followed by k plain steps
-x <- (M + s I) x / (r + s), one gather, multiply and ``np.bincount`` each,
-unnormalized since their Perron factor (rho + s) / (r + s) stays near 1. So
+Mx + r x. The k-th check is followed by k plain steps
+x <- (M + r I) x / (2 r), one gather, multiply and ``np.bincount`` each,
+unnormalized since their Perron factor (rho + r) / (2 r) stays near 1. So
 checks fall at steps 1, 3, 6, 10, ..., cut so that the last allowed step is
-a check. The shift s = -(theta + L) / 2 (``_safe_shift``) centres on 0 a
-bracket [L, theta] of every eigenvalue but rho, theta a Ritz value at most
-lambda_2 and L a floor of the spectrum, so each other eigenvalue lambda
-shrinks by |lambda + s| / (rho + s) < 1 per step. On M, L is minus rho's
-Collatz-Wielandt upper bound and s lies in (0, r]: M + s I is nonnegative,
-and a small gap lambda_2 = rho - delta shrinks by about 1 - delta / rho per
-step, where s = r gives 1 - delta / (2 rho).
+a check. M + r I is nonnegative, and each other eigenvalue lambda shrinks by
+|lambda + r| / (rho + r) per step: -rho at once, and a small gap
+lambda_2 = rho - delta by about 1 - delta / (2 rho).
 
-A long path's gap is O(rho / n^2), so it needs O(n^2) steps. On a bipartite
-graph M is [[0, C], [C^T, 0]] up to the order of the vertices, and
-A = C C^T on one side U (``_Fold``) has Perron value rho^2, M's Perron
-vector restricted to U, and other eigenvalues sigma_i^2 >= 0, none near
--rho^2. So a solve runs in up to three stages:
+A long path's gap is O(rho / n^2), so it would need O(n^2) steps. Instead,
+its vertices of degree at most 2 are eliminated from lambda I - M (Hoffman
+and Smith's series reduction, the generalized Lu-Man method's algebra),
+which leaves a small kernel K. So a solve runs in up to three stages:
 
 1. Checks on M from x = 1, until one accepts or the first one at step 4n or
    later does not.
-2. If a BFS two-colours the graph and the side W opposite U has
-   sum_W d_w^2 <= 4m, the number of products A's entries are summed from,
-   checks on A from x restricted to U, until A's residual is at most
-   tol / 4 times its Rayleigh quotient rho_A or the run reaches step
-   MAX_ITERATIONS - 1. A is positive semidefinite, so L = 0 and
-   s = -theta / 2 <= 0: a step on A, with about half the entries of
-   M + s I on a path, shrinks lambda_2 as about four steps on M do.
-3. Checks on M again, on a fresh schedule, from the vector lifted back by
-   x_W = C^T x_U / sqrt(rho_A).
+2. The reduction (``_series``), rooted at that check's largest entry,
+   removes every other vertex of current degree at most 2, first in, first
+   out; a fill edge joins its two neighbours and counts in their degrees. It
+   is refused if more than KERNEL_MAX vertices are left. At a trial lambda
+   (``_evaluate``), each removed v in turn has pivot p_v = lambda - w_vv and
+   adds w_va w_vb / p_v to w_ab for each pair a, b of its neighbours at
+   removal, a = b included. The least eigenpair (phi, u) of the kernel's
+   Schur complement lambda I - W_KK gives x_K = |u| and, in reverse order,
+   x_v = sum_a w_va x_a / p_v. As x.(lambda I - M)x = phi, lambda - phi / |x|^2
+   is x's Rayleigh quotient and the Newton point of phi, which is increasing
+   and concave above the removed block's Perron value. From lambda = r, each
+   evaluation steps there, or, if a pivot is not positive, halfway to the
+   check's Collatz-Wielandt bound max (Mx)_v / x_v, until a step is at most
+   tol / 16 times lambda. A non-finite x, or 100 evaluations, refuse it.
+3. Checks on M again, on a fresh schedule, from the reduced vector.
 
-A refused fold leaves stage 1's run going on. A check on M accepts r once
-its residual is at most tol * r and x has no negative entry: A + s I can
-have negative diagonal entries, so a lifted vector can have negative ones.
+A refused reduction leaves stage 1's run going on. A check on M accepts r
+once its residual is at most tol * r. No stage makes a negative entry, as
+M + r I is nonnegative and back-substitution multiplies positive numbers
+only; an entry whose exact value lies below the double range reads 0.
 """
 
 import math
@@ -60,6 +62,7 @@ from .weights import eval_weight
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 10 ** 6
+KERNEL_MAX = 64
 FULL_SPECTRUM_MAX_ORDER = 64
 INTERLACING_TOL = 1e-8
 
@@ -127,7 +130,7 @@ class SpectralResult:
 class _Operator:
     """A symmetric nonnegative n x n matrix M with entry vals[k] at
     (rows[k], cols[k]) and zeros elsewhere, kept, like the plain steps'
-    (M + s I) / (r + s), row-major with columns ascending: each product sums
+    (M + r I) / (2 r), row-major with columns ascending: each product sums
     a row in column order whatever order the entries came in."""
 
     def __init__(self, rows, cols, vals, n):
@@ -136,171 +139,136 @@ class _Operator:
         order = np.lexsort((plain_cols, plain_rows))
         self.plain_rows, self.plain_cols = plain_rows[order], plain_cols[order]
         self.listed = order < len(vals)
-        self.on_diagonal = ~self.listed
         self.rows, self.cols = self.plain_rows[self.listed], self.plain_cols[self.listed]
         self.vals = vals[order[self.listed]]
-        self.plain_vals = np.empty(len(order))
+        self.plain_vals = np.full(len(order), 0.5)
         self.n = n
 
     def __matmul__(self, x):
         return np.bincount(self.rows, self.vals * x[self.cols], self.n)
 
-    def plain_steps(self, x, rho, shift, count):
-        """x after count steps x <- (M + shift I) x / (rho + shift)."""
-        self.plain_vals[self.listed] = self.vals / (rho + shift)
-        self.plain_vals[self.on_diagonal] = shift / (rho + shift)
+    def plain_steps(self, x, rho, count):
+        """x after count steps x <- (M + rho I) x / (2 rho)."""
+        self.plain_vals[self.listed] = self.vals / (2 * rho)
         for _ in range(count):
             x = np.bincount(self.plain_rows, self.plain_vals * x[self.plain_cols], self.n)
         return x
 
 
-def _two_colouring(M):
-    """Side 0 or 1 of each vertex of M's graph, by a BFS per component, or
-    None if some entry joins two vertices of one side (an odd cycle)."""
-    start = np.searchsorted(M.rows, np.arange(M.n + 1)).tolist()
-    neighbours = M.cols.tolist()
-    side = [-1] * M.n
-    for root in range(M.n):
-        if side[root] >= 0:
-            continue
-        side[root] = 0
-        queue = [root]
-        for u in queue:
-            for w in neighbours[start[u]:start[u + 1]]:
-                if side[w] < 0:
-                    side[w] = 1 - side[u]
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return None
-    return np.array(side)
-
-
-class _Fold:
-    """A = C C^T on one side U of a bipartite M, whose U x W block is C,
-    built from M's entries divided by the largest one, so that its Perron
-    value is (rho / scale)^2. Its entry (u, u') sums M[u, w] M[w, u'] over
-    the w in W next to both, from one join of M's entries over the
-    sum_W d_w^2 pairs that share a w."""
-
-    def __init__(self, M, W, degree):
-        self.M, self.W = M, W
-        self.U = np.flatnonzero(~W)
-        self.scale = float(M.vals.max())
-        index = np.empty(M.n, dtype=np.intp)
-        index[self.U] = np.arange(len(self.U))
-        # M's entries in rows w in W, grouped by w: entry k pairs with each
-        # entry of its group, first[k] to first[k] + counts[k] - 1.
-        from_w = W[M.rows]
-        r, c, v = M.rows[from_w], index[M.cols[from_w]], M.vals[from_w] / self.scale
-        first = np.searchsorted(r, r)
-        counts = degree[r]
-        i = np.repeat(np.arange(len(r)), counts)
-        j = np.repeat(first, counts) + np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-        keys, inverse = np.unique(c[i] * len(self.U) + c[j], return_inverse=True)
-        rows, cols = np.divmod(keys, len(self.U))
-        self.A = _Operator(rows, cols, np.bincount(inverse, v[i] * v[j]), len(self.U))
-
-    @classmethod
-    def of(cls, M):
-        """The fold of M onto the side U whose opposite side W has the smaller
-        sum_W d_w^2, or None if M's graph is not bipartite or that sum, the
-        number of pairs the join makes, exceeds 4m."""
-        side = _two_colouring(M)
-        if side is None:
-            return None
-        degree = np.bincount(M.rows, minlength=M.n)
-        cost = [int((degree[side == s] ** 2).sum()) for s in (0, 1)]
-        w_side = int(cost[1] <= cost[0])
-        if cost[w_side] > 2 * len(M.rows):
-            return None
-        return cls(M, side == w_side, degree)
-
-    def lift(self, x_u, mu):
-        """M's vector from A's x_u with Rayleigh quotient mu: x_W = C^T x_U / sqrt(mu),
-        with C^T x_U read off M applied to x_u padded with zeros."""
-        x = np.zeros(self.M.n)
-        x[self.U] = x_u
-        x[self.W] = (self.M @ x)[self.W] / (self.scale * math.sqrt(mu))
-        return x
-
-
-def _safe_shift(M, x, y, d, rho, residual, psd):
-    """Shift s = -(theta + L) / 2 of the steps after a check.
-
-    x is the check's iterate, y = Mx, rho = x.y / x.x and d = y - rho x, with
-    max|d| = residual > 0. theta, the lower Ritz value of M on span{x, d}, is
-    at most lambda_2 by Cauchy interlacing. In the orthonormal basis
-    x / |x|, d / |d| that restriction is [[rho, |d| / |x|], [|d| / |x|, e.Me / e.e]],
-    e = d / residual, so every term is scale-free. The floor L is
-    -max y_v / x_v over x_v > 0 (Collatz-Wielandt), or 0 on a positive
-    semidefinite M (``psd``). s is kept in (0, rho) on M, falling back to
-    rho, and in (-rho / 2, 0) on a psd M, falling back to 0.
-    """
-    e = d / residual
-    ee = float(e @ e)
-    c = float(e @ (M @ e)) / ee
-    b = residual * math.sqrt(ee / float(x @ x))
-    theta = (rho + c) / 2 - math.hypot((rho - c) / 2, b)
-    if psd:
-        floor, low, cap = 0.0, -rho / 2, 0.0
-    else:
-        positive = x > 0
-        floor, low, cap = -float((y[positive] / x[positive]).max()), 0.0, rho
-    shift = -(theta + floor) / 2
-    return shift if low < shift < cap else cap
-
-
-def _checks(A, x, step, limit, psd):
-    """The check steps of the power iteration on A from x, after ``step``
+def _checks(M, x, step):
+    """The check steps of the power iteration on M from x, after ``step``
     steps: yields (step, x, rho, residual) at each, x scaled to unit maximum,
-    rho = x.Ax / x.x and residual = max|Ax - rho x|, and raises NoConvergence
-    on a non-finite residual. Plain steps are cut so that step ``limit`` is a
-    check; ``psd`` is ``_safe_shift``'s. A yielded x is never changed.
+    rho = x.Mx / x.x and residual = max|Mx - rho x|, and raises NoConvergence
+    on a non-finite residual. Plain steps are cut so that step
+    MAX_ITERATIONS is a check. A yielded x is never changed.
     """
     checks = 0
     while True:
         checks += 1
         step += 1
         x /= x.max()
-        y = A @ x
+        y = M @ x
         rho = float(x @ y) / float(x @ x)
-        d = y - rho * x
-        residual = float(abs(d).max())
+        residual = float(abs(y - rho * x).max())
         if not math.isfinite(residual):
             raise NoConvergence(step, residual)
         yield step, x, rho, residual
-        shift = _safe_shift(A, x, y, d, rho, residual, psd)
-        y += shift * x
-        plain = min(checks, limit - step - 1)
-        x = A.plain_steps(y, rho, shift, plain)
+        plain = min(checks, MAX_ITERATIONS - step - 1)
+        x = M.plain_steps(y + rho * x, rho, plain)
         step += plain
+
+
+def _series(M, root):
+    """The series reduction of M's graph rooted at ``root``: the removed
+    vertices in order, each with its neighbours at removal, and the kernel,
+    or None if the kernel has more than KERNEL_MAX vertices."""
+    start = np.searchsorted(M.rows, np.arange(M.n + 1)).tolist()
+    cols = M.cols.tolist()
+    adjacent = [set(cols[start[v]:start[v + 1]]) for v in range(M.n)]
+    queue = [v for v in range(M.n) if v != root and len(adjacent[v]) <= 2]
+    queued = set(queue)
+    removed = []
+    for v in queue:
+        near = sorted(adjacent[v])
+        removed.append((v, near))
+        for a in near:
+            adjacent[a].discard(v)
+            adjacent[a].update(b for b in near if b != a)
+            if a != root and a not in queued and len(adjacent[a]) <= 2:
+                queued.add(a)
+                queue.append(a)
+    if M.n - len(removed) > KERNEL_MAX:
+        return None
+    return removed, [v for v in range(M.n) if v not in queued]
+
+
+def _evaluate(weights, removed, kernel, lam):
+    """(phi, x) of the reduction at lam from M's entries as one dict per
+    vertex, or None if a pivot is not positive."""
+    w = [dict(row) for row in weights]
+    pivots = []
+    for v, near in removed:
+        p = lam - w[v].get(v, 0.0)
+        if not p > 0:
+            return None
+        pivots.append(p)
+        for a in near:
+            for b in near:
+                w[a][b] = w[a].get(b, 0.0) + w[v][a] * w[v][b] / p
+    S = lam * np.eye(len(kernel)) - [[w[a].get(b, 0.0) for b in kernel] for a in kernel]
+    phi, u = np.linalg.eigh(S)
+    x = dict(zip(kernel, abs(u[:, 0]).tolist()))
+    for (v, near), p in zip(reversed(removed), reversed(pivots)):
+        x[v] = sum(w[v][a] * x[a] for a in near) / p
+    return float(phi[0]), np.array([x[v] for v in range(len(w))])
+
+
+def _reduced(M, x, rho, tol):
+    """Stage 2 from a check's x and Rayleigh quotient rho: the reduced
+    vector, or None where the reduction is refused."""
+    series = _series(M, int(np.argmax(x)))
+    if series is None:
+        return None
+    weights = [{} for _ in range(M.n)]
+    for r, c, value in zip(M.rows.tolist(), M.cols.tolist(), M.vals.tolist()):
+        weights[r][c] = value
+    y, positive = M @ x, x > 0
+    upper = float((y[positive] / x[positive]).max())
+    lam = rho
+    for _ in range(100):
+        evaluated = _evaluate(weights, *series, lam)
+        if evaluated is None:
+            lam = (lam + upper) / 2
+            continue
+        phi, z = evaluated
+        if not np.isfinite(z).all():
+            return None
+        step = phi / float(z @ z)
+        lam -= step
+        if abs(step) <= tol / 16 * lam:
+            return z
+    return None
 
 
 def _stages(M, tol):
     """Every check on M of a solve, through the three stages of the module
     docstring; a check at step MAX_ITERATIONS is the last."""
-    run = _checks(M, np.ones(M.n), 0, MAX_ITERATIONS, False)
+    run = _checks(M, np.ones(M.n), 0)
     for check in run:
         yield check
-        step, x = check[:2]
+        step, x, rho = check[:3]
         if step >= 4 * M.n:
             break
-    fold = _Fold.of(M) if step < MAX_ITERATIONS - 1 else None
-    if fold is None:
-        yield from run
-        return
-    for step, x_u, rho, residual in _checks(fold.A, x[fold.U], step, MAX_ITERATIONS - 1, True):
-        if residual <= tol / 4 * rho or step == MAX_ITERATIONS - 1:
-            break
-    yield from _checks(M, fold.lift(x_u, rho), step, MAX_ITERATIONS, False)
+    x = _reduced(M, x, rho, tol)
+    yield from run if x is None else _checks(M, x, step)
 
 
 def _power_iteration(rows, cols, vals, n, tol):
     """Perron data of the n x n matrix M with entry vals[k] at (rows[k], cols[k])
     and zeros elsewhere, from the first check on M whose residual is at most
-    tol * rho and whose vector has no negative entry. ``iterations`` counts
-    every step, of either kind and on either operator; NoConvergence is
-    raised at MAX_ITERATIONS steps or on a non-finite residual.
+    tol * rho. ``iterations`` counts the power steps of stages 1 and 3, of
+    either kind; NoConvergence is raised at MAX_ITERATIONS steps or on a
+    non-finite residual.
     """
     if n == 0:
         raise BadParams("matrix must be nonempty")
@@ -309,7 +277,7 @@ def _power_iteration(rows, cols, vals, n, tol):
         e = math.frexp(vals.max(initial=0.0))[1]
         M = _Operator(rows, cols, np.ldexp(vals, -e), n)
         for step, x, rho, residual in _stages(M, tol):
-            if residual <= tol * rho and x.min() >= 0:
+            if residual <= tol * rho:
                 return SpectralResult(math.ldexp(rho, e), x, math.ldexp(residual, e), step)
             if step == MAX_ITERATIONS:
                 raise NoConvergence(step, math.ldexp(residual, e))
@@ -355,14 +323,16 @@ def perron_values(stack):
 
 def f_spectral_radius(G, f, tol=DEFAULT_TOL):
     """Largest eigenvalue of the f-adjacency matrix of G by power iteration
-    on G's edge list (module docstring).
+    on G's edge list, with series reduction for slow solves (module docstring).
 
     It stops once max|Mx - rho x| <= tol * rho, x at unit maximum entry;
     ``tol`` is relative at every scale, so rho(c f) = c rho(f) up to
-    rounding. ``iterations`` counts every step taken. Deterministic for
-    fixed input, whatever the order of G's edges. For a connected graph the
-    returned vector is strictly positive. Weights with a non-finite value or
-    row sum are rejected with BadParams; NoConvergence is raised after
+    rounding. ``iterations`` counts the power steps of stages 1 and 3, not
+    the reduction's evaluations. Deterministic for fixed input, whatever the
+    order of G's edges. For a connected graph the returned vector is
+    nonnegative, and positive except where the exact Perron entry lies below
+    the double range: such an entry reads 0. Weights with a non-finite value
+    or row sum are rejected with BadParams; NoConvergence is raised after
     MAX_ITERATIONS steps or on a non-finite residual.
     """
     us, vs, w = _edge_weights(G, f)

@@ -12,17 +12,18 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 
 @pytest.fixture
-def folds(monkeypatch):
-    """Each fold a single-graph solve tries, in order: the ``spectral._Fold``
-    it ran on, or None where the fold was refused."""
+def reductions(monkeypatch):
+    """Each series reduction a single-graph solve tries, in order: a copy of
+    the vector it gave, or None where it was refused."""
     from fspectra import spectral
 
     tried = []
-    real = spectral._Fold.of
+    real = spectral._reduced
 
-    def of(M):
-        tried.append(real(M))
-        return tried[-1]
+    def reduced(*args):
+        x = real(*args)
+        tried.append(None if x is None else x.copy())
+        return x
 
-    monkeypatch.setattr(spectral._Fold, "of", of)
+    monkeypatch.setattr(spectral, "_reduced", reduced)
     return tried

@@ -408,6 +408,26 @@ def test_class_search_rejects_overflowing_row_sums(capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_rho_on_a_long_infty_under_randic_is_one(capsys):
+    # rho = 1 exactly under randic on a connected graph. The odd cycles put
+    # lambda_n near -1 and the long path puts lambda_2 near 1; the series
+    # reduction ends the solve after 4n steps.
+    code, out, err = run(capsys, "rho", "--family", "infty:3,3,1500", "--weight", "randic")
+    assert (code, out, err) == (0, "rho 1.000000\n", "")
+
+
+def test_certify_refuses_a_perron_entry_below_the_double_range(capsys):
+    # The short paths' interior entries of theta:3,3,40 under this table are
+    # about 1e-602: they read 0, and the principal incidence would divide by them.
+    argv = ("certify", "--family", "theta:3,3,40", "--weight", "table:2,2=1e150;2,3=1e-150;3,3=1")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: principal incidence needs a positive Perron vector, but vertex 2's entry reads 0\n"
+    assert caught == []
+
+
 def test_abc_on_k2_is_exactly_zero_and_has_no_alpha(capsys):
     # abc(1,1) = sqrt((1 + 1 - 2) / 1) = 0, so the matrix of K_2 is zero:
     # rho = 0 is exact, and alpha = 1/rho does not exist.

@@ -105,6 +105,14 @@ def test_principal_incidence_rejects_zero_rho():
         principal_incidence(Graph(2, [(0, 1)]), parse_weight("abc"))
 
 
+def test_principal_incidence_rejects_a_zero_perron_entry():
+    # Vertices 2..5, inside theta:3,3,40's short paths, have Perron entries
+    # near 1e-602 under this table, which read 0.
+    G = make(parse_family("theta:3,3,40"))
+    with pytest.raises(BadParams, match="^principal incidence needs a positive Perron vector, but vertex 2's"):
+        principal_incidence(G, parse_weight("table:2,2=1e150;2,3=1e-150;3,3=1"))
+
+
 def test_certify_rejects_disconnected_before_solving():
     # Two paths of nearly equal length have nearly equal top eigenvalues, on
     # which a solve of the whole matrix can run to its iteration limit.

@@ -4,9 +4,9 @@ Perron data they already have instead of solving again.
 Every Perron solve goes through ``spectral._power_iteration`` (one graph,
 from ``f_spectral_radius``) or ``spectral.perron_values`` (a stack, as
 class searches use it), so counting the matrices they receive counts
-eigensolves whichever module asks for them. A single-graph solve that folds
-onto C C^T runs both loops inside its one ``_power_iteration`` call, so it
-still counts once.
+eigensolves whichever module asks for them. A single-graph solve that is
+reduced to a kernel runs the reduction and both of its runs on M inside its
+one ``_power_iteration`` call, so it still counts once.
 """
 
 import pytest
@@ -138,18 +138,19 @@ def test_cli_certify_solves_once(solves, capsys):
     assert len(solves) == 1
 
 
-@pytest.mark.parametrize("family", ["theta:3,3,2", "path:90"])
-def test_certify_solves_once_whether_or_not_it_folds(solves, folds, family):
-    # Both pass the fold's budget of 4n steps; theta:3,3,2 has odd cycles,
-    # so its fold is refused and it goes on on M.
+@pytest.mark.parametrize("family, kernel_max", [("theta:3,3,2", 0), ("path:90", 64)])
+def test_certify_solves_once_whether_or_not_it_reduces(monkeypatch, solves, reductions, family, kernel_max):
+    # Both pass the budget of 4n steps and reduce to a kernel of one vertex,
+    # which a cap of 0 refuses: theta:3,3,2 then goes on on M.
+    monkeypatch.setattr(spectral, "KERNEL_MAX", kernel_max)
     alpha, report = certify(make(parse_family(family)), parse_weight("sombor"))
     assert len(solves) == 1
-    assert [fold is not None for fold in folds] == [family == "path:90"]
+    assert [x is not None for x in reductions] == [kernel_max > 0]
     assert alpha > 0
 
 
-def test_cli_rho_solves_once_when_it_folds(solves, folds, capsys):
+def test_cli_rho_solves_once_when_it_reduces(solves, reductions, capsys):
     assert main(["rho", "--family", "path:200", "--weight", "sombor"]) == 0
     assert "rho 5.656156" in capsys.readouterr().out
     assert len(solves) == 1
-    assert len(folds) == 1 and folds[0] is not None
+    assert len(reductions) == 1 and reductions[0] is not None

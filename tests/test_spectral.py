@@ -10,7 +10,7 @@ import pytest
 from fspectra import cli, spectral
 from fspectra.errors import BadParams, MissingTableEntry, NoConvergence, SizeLimit
 from fspectra.families import FamilySpec, make, parse_family
-from fspectra.graph_core import Graph, is_connected
+from fspectra.graph_core import Graph, degrees, is_connected
 from fspectra.spectral import (
     f_adjacency,
     f_spectral_radius,
@@ -101,12 +101,22 @@ def test_spectral_radius_no_convergence(monkeypatch):
 def test_step_cap_counts_plain_steps(monkeypatch, cap):
     # Checks fall at steps 1, 3, 6, 10; a run of plain steps is cut short so
     # that the last step the cap allows is a check, and no result comes
-    # from a plain step. Past the fold at step 4n = 200, the steps on A stop
-    # one short of the cap, so the last step is the lifted vector's check.
+    # from a plain step. With no kernel allowed, the reduction at step
+    # 4n = 200 is refused and the run on M goes on to the cap.
     monkeypatch.setattr(spectral, "MAX_ITERATIONS", cap)
+    monkeypatch.setattr(spectral, "KERNEL_MAX", 0)
     with pytest.raises(NoConvergence) as exc:
         f_spectral_radius(make(parse_family("path:50")), CONST1)
     assert exc.value.iterations == cap
+
+
+def test_zero_tol_ends_at_the_step_cap(monkeypatch):
+    # No check accepts at tol = 0, and the reduction's Newton steps need not
+    # reach 0: it gives up after 100 evaluations, and the run on M goes on.
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 2_000)
+    with pytest.raises(NoConvergence) as exc:
+        f_spectral_radius(make(parse_family("path:200")), parse_weight("sombor"), tol=0)
+    assert exc.value.iterations == 2_000
 
 
 @pytest.mark.parametrize("c", [1e-3, 1e-9, 1e-12, 1e-300])
@@ -128,7 +138,18 @@ def test_spectral_radius_with_entries_300_orders_apart(weight, rho):
     # Plain steps divide by 2 rho_k, so no entry of theirs overflows either.
     res = f_spectral_radius(make(parse_family("theta:3,3,40")), parse_weight(weight))
     assert res.rho == pytest.approx(rho, rel=1e-12)
-    assert res.vector.min() > 0.0
+    if weight.startswith("table:2,2=1e-150"):
+        assert res.vector.min() > 0.0
+        return
+    # Vertices 6..44 are the long path's interior, and carry sin(k pi / 40)
+    # up to terms of relative size 1e-600. The hubs 0 and 1 carry
+    # w_23 x_6 / rho, about 3.935e-302, and the short paths' interior
+    # vertices 2..5 about 1e-602, below the double range, so they read 0.
+    x = res.vector
+    assert x[6:] == pytest.approx(np.sin(np.arange(1, 40) * math.pi / 40), rel=1e-12)
+    assert x[:2] == pytest.approx([1e-150 * math.sin(math.pi / 40) / rho] * 2, rel=1e-12)
+    assert x[0] == pytest.approx(3.935e-302, rel=1e-3)
+    assert x[2:6].tolist() == [0.0] * 4
 
 
 def test_spectral_radius_rejects_overflow_before_iterating(monkeypatch):
@@ -153,15 +174,13 @@ def test_spectral_radius_solves_where_unscaled_iterates_overflow(monkeypatch):
 # Step ceilings for the max-side extremal shapes, whose max row sum is many
 # times rho; a path or theta family takes hundreds to thousands of steps.
 HUB_STEPS = {"star:250": 10, "double-star:100,100": 20, "sn-plus-e:150": 40}
-# Step ceilings for small gaps rho - lambda_2, which the shift after each
-# check halves: about 1 - delta / rho per step, not 1 - delta / (2 rho).
-# Paths also fold after 4n steps onto A = C C^T, whose shift -theta / 2 <= 0
-# shrinks A's gap by about 1 - 2 delta_A / rho_A per step, each step worth
-# about four steps on M.
+# Step ceilings for small gaps rho - lambda_2. Paths are reduced after 4n
+# steps and then accepted at the next check; theta:3,3,200 converges on M
+# before that.
 SMALL_GAP_STEPS = {
     ("path:240", "zagreb1"): 9_500,
     ("path:200", "sombor"): 7_000,
-    ("theta:3,3,200", "sombor"): 115,
+    ("theta:3,3,200", "sombor"): 210,
 }
 
 
@@ -184,18 +203,18 @@ def test_spectral_radius_agrees_with_perron_values(family, weight):
 
 
 def test_small_gap_path_converges_within_25000_steps(monkeypatch):
-    # Under the shift s = rho, path:200's slowest mode shrinks by about
-    # 1 - delta / (2 rho) per step, which takes 39,903 steps; a shift near
-    # (rho - lambda_2) / 2 needs about half of them.
+    # On M alone, path:200's slowest mode shrinks by about 1 - delta / (2 rho)
+    # per step, which takes 39,903 steps; the reduction at step 4n = 800
+    # ends the solve at the next check.
     monkeypatch.setattr(spectral, "MAX_ITERATIONS", 25_000)
     res = f_spectral_radius(make(parse_family("path:200")), parse_weight("sombor"))
     assert res.rho == pytest.approx(5.656155742988, rel=1e-11)
 
 
 def test_shift_bound_skips_zero_entries():
-    # The isolated vertex's entry underflows to 0; its 0 / 0 must not enter
-    # the Collatz-Wielandt bound, or the shift falls back to rho and the
-    # solve takes about twice the steps of path:200 alone.
+    # The isolated vertex's entry halves at each step on M, and back-
+    # substitution, with no neighbour to sum, makes it 0 in the reduced
+    # vector: no warning, and about the steps of path:200 alone.
     f = parse_weight("sombor")
     path = f_spectral_radius(make(parse_family("path:200")), f)
     with warnings.catch_warnings():
@@ -216,8 +235,9 @@ C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 BUILT = {
     "spider:60,60,61": lambda: _with_path(make(parse_family("path:121")), 60, 61),
     "c4-between-paths:70,70": lambda: _with_path(_with_path(C4, 0, 70), 2, 70),
-    "path:150+chord:0,2": lambda: Graph(150, [*make(parse_family("path:150")).edges, (0, 2)]),
     "double-star:60,60+path:150": lambda: _with_path(make(parse_family("double-star:60,60")), 119, 150),
+    "grid:3,100": lambda: Graph(300, [*((v, v + 1) for v in range(300) if v % 100 < 99),
+                                      *((v, v + 100) for v in range(200))]),
 }
 
 
@@ -229,11 +249,11 @@ def _weight(name):
     return _total_table(3) if name == "table" else parse_weight(name)
 
 
-# Bipartite graphs that pass the budget of 4n steps. The branch vertex of the
-# spider or of the paths on C4 localizes the Perron vector under sombor,
-# zagreb1 and const:1.5, whose edges grow heavier at degree 3: the gap stays
-# large and they converge in at most 435 steps. Under a weight that does not
-# grow with degree their gap is a path's.
+# Graphs that pass the budget of 4n steps and are reduced to a kernel of one
+# vertex. The branch vertex of the spider or of the paths on C4 localizes
+# the Perron vector under sombor, zagreb1 and const:1.5, whose edges grow
+# heavier at degree 3: the gap stays large and they converge in at most 435
+# steps. Under a weight that does not grow with degree their gap is a path's.
 FLAT = "table:1,2=2;2,2=2;2,3=1.5"
 FOLDED = [
     *((family, weight) for family in ("path:90", "path:200", "path:240")
@@ -244,21 +264,12 @@ FOLDED = [
 
 
 @pytest.mark.parametrize("name, weight", FOLDED)
-def test_folded_solve_agrees_with_the_matrix(monkeypatch, folds, name, weight):
-    lifted = []
-    lift = spectral._Fold.lift
-
-    def spy(fold, *args):
-        lifted.append(lift(fold, *args))
-        return lifted[-1]
-
-    monkeypatch.setattr(spectral._Fold, "lift", spy)
+def test_folded_solve_agrees_with_the_matrix(reductions, name, weight):
     G, f = _graph(name), _weight(weight)
     res = f_spectral_radius(G, f)
-    assert len(folds) == 1 and folds[0] is not None
-    # A's tolerance of tol / 4 lets the lifted vector pass the check on M at once.
-    assert len(lifted) == 1
-    assert np.array_equal(res.vector, lifted[0] / lifted[0].max())
+    assert len(reductions) == 1 and reductions[0] is not None
+    # The reduced vector passes the check on M at once.
+    assert np.array_equal(res.vector, reductions[0] / reductions[0].max())
     M = f_adjacency(G, f)
     rho = perron_values(M[None])[0][0]
     assert abs(res.rho - rho) <= 1e-12 * rho
@@ -266,70 +277,57 @@ def test_folded_solve_agrees_with_the_matrix(monkeypatch, folds, name, weight):
     assert abs(M @ res.vector - res.rho * res.vector).max() <= 2 * spectral.DEFAULT_TOL * max(1.0, res.rho)
 
 
-@pytest.mark.parametrize("name, weight", FOLDED)
-def test_shifts_on_the_fold_stay_in_its_psd_range(monkeypatch, folds, name, weight):
-    # A is positive semidefinite and theta <= lambda_2(A), so each shift
-    # -theta / 2 on A lies in [-lambda_2 / 2, 0], up to rounding in theta.
-    shifts = []
-    safe_shift = spectral._safe_shift
+@pytest.mark.parametrize("name, weight", [("path:90", "sombor"), ("c4-between-paths:70,70", "randic")])
+def test_reduced_vector_the_check_rejects_is_not_returned(monkeypatch, name, weight):
+    # The smallest entry, at a path's end, is large enough that the residual
+    # catches its sign: the check rejects the vector and the run on M goes on.
+    reduced = spectral._reduced
+    given = []
 
-    def spy(M, *args):
-        shift = safe_shift(M, *args)
-        if args[-1]:
-            shifts.append(shift)
-        return shift
-
-    monkeypatch.setattr(spectral, "_safe_shift", spy)
-    f_spectral_radius(_graph(name), _weight(weight))
-    A = folds[0].A
-    dense = np.zeros((A.n, A.n))
-    dense[A.rows, A.cols] = A.vals
-    *_, lam2, rho = np.linalg.eigvalsh(dense)
-    assert shifts and max(shifts) < 0
-    assert min(shifts) >= -lam2 / 2 - 1e-12 * rho
-
-
-# The smallest entry of path:90's Perron vector is at an end, and the
-# residual catches its sign. The end entries under TINY_ENDS are about
-# 1e-22, so only the sign check does.
-TINY_ENDS = "table:1,2=1e-20;2,2=1"
-
-
-@pytest.mark.parametrize("name, weight", [("path:90", "sombor"), ("path:200", TINY_ENDS)])
-def test_lifted_vector_with_a_negative_entry_is_not_accepted(monkeypatch, folds, name, weight):
-    lift = spectral._Fold.lift
-    lifted = []
-
-    def negated(fold, *args):
-        x = lift(fold, *args)
-        x[np.argmin(abs(x))] *= -1
-        lifted.append(x)
+    def negated(*args):
+        x = reduced(*args)
+        x[np.argmin(x)] *= -1
+        given.append(x.copy())
         return x
 
-    monkeypatch.setattr(spectral._Fold, "lift", negated)
+    monkeypatch.setattr(spectral, "_reduced", negated)
     G, f = _graph(name), _weight(weight)
     res = f_spectral_radius(G, f)
-    assert len(folds) == 1 and folds[0] is not None
-    assert len(lifted) == 1 and lifted[0].min() < 0
+    assert len(given) == 1 and given[0].min() < 0
+    assert res.iterations > 4 * G.n + 1
     assert res.vector.min() > 0.0
     rho = perron_values(f_adjacency(G, f)[None])[0][0]
     assert abs(res.rho - rho) <= 1e-12 * rho
 
 
-@pytest.mark.parametrize(
-    "name, weight, iterations, rho",
-    [("path:150+chord:0,2", "table:1,2=1;2,2=1;2,3=0.5", 18_336, 1.9995506480921699),
-     ("double-star:60,60+path:150", "table:1,60=0.1;60,60=0.1;2,60=0.5;2,2=1;1,2=1",
-      20_100, 1.9995737984364776)],
-)
-def test_refused_fold_leaves_the_solve_unchanged(folds, name, weight, iterations, rho):
-    # Both pass the budget. The chord closes a triangle, and the hubs' d^2
-    # of 3,600 each, on both sides, exceed 4m: both keep iterating on M,
-    # with the step counts and values of the solver before the fold.
-    res = f_spectral_radius(_graph(name), parse_weight(weight))
-    assert folds == [None]
-    assert res.iterations == iterations
-    assert res.rho == pytest.approx(rho, rel=1e-15)
+@pytest.mark.parametrize("weight", ["sombor", "randic"])
+def test_refused_reduction_leaves_the_solve_on_stage_1(reductions, weight):
+    # Only the grid's 4 corners have degree 2, and removing one leaves its
+    # neighbours at degree 3, so the kernel of 296 vertices exceeds
+    # KERNEL_MAX and the run on M goes on to converge.
+    G, f = _graph("grid:3,100"), parse_weight(weight)
+    res = f_spectral_radius(G, f)
+    assert reductions == [None]
+    assert res.iterations > 4 * G.n
+    rho, _, errors = perron_values(f_adjacency(G, f)[None])
+    assert abs(res.rho - rho[0]) <= errors[0]
+    assert res.vector.min() > 0.0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reduced_solve_with_a_kernel_of_several_vertices(reductions, seed):
+    # A random core of 12 vertices and 8 extra edges, with two 80-edge paths
+    # hung on it: the paths make the gap small, and the core leaves a kernel
+    # of 6 to 9 vertices. Under randic, rho = 1 and x_v = sqrt(d_v) exactly.
+    rng = random.Random(seed)
+    G = random_connected_graph(rng, 12, 8)
+    for _ in range(2):
+        G = _with_path(G, rng.randrange(12), 80)
+    res = f_spectral_radius(G, parse_weight("randic"))
+    assert len(reductions) == 1 and reductions[0] is not None
+    assert res.rho == pytest.approx(1.0, rel=1e-14)
+    root_degrees = np.sqrt(degrees(G))
+    assert res.vector == pytest.approx(root_degrees / root_degrees.max(), rel=1e-12)
 
 
 def test_tiny_weights_leave_no_zero_in_the_perron_vector():
@@ -343,12 +341,12 @@ def test_tiny_weights_leave_no_zero_in_the_perron_vector():
     assert res.rho / 1e-300 == pytest.approx(ref.rho, rel=1e-12)
 
 
-def test_folded_solve_does_not_depend_on_edge_order(folds):
+def test_folded_solve_does_not_depend_on_edge_order(reductions):
     edges, f = sorted(_graph("c4-between-paths:70,70").edges), parse_weight("randic")
     G, H = Graph(144, edges), Graph(144, edges[::-1])
     assert list(G.edges) != list(H.edges)
     a, b = f_spectral_radius(G, f), f_spectral_radius(H, f)
-    assert len(folds) == 2 and None not in folds
+    assert len(reductions) == 2 and all(x is not None for x in reductions)
     assert a.rho == b.rho
     assert a.iterations == b.iterations
     assert np.array_equal(a.vector, b.vector)
