@@ -25,23 +25,25 @@ lambda_2 = rho - delta by about 1 - delta / (2 rho).
 A long path's gap is O(rho / n^2), so it would need O(n^2) steps. Instead,
 its vertices of degree at most 2 are eliminated from lambda I - M (Hoffman
 and Smith's series reduction, the generalized Lu-Man method's algebra),
-which leaves a small kernel K. So a solve runs in up to three stages:
+which leaves a kernel K: a few vertices for path-like graphs, nearly all of
+them for a 3 x k grid, whose every evaluation then costs a dense eigh of
+order about n. So a solve runs in up to three stages:
 
 1. Checks on M from x = 1, until one accepts or the first one at step 4n or
    later does not.
 2. The reduction (``_series``), rooted at that check's largest entry,
    removes every other vertex of current degree at most 2, first in, first
-   out; a fill edge joins its two neighbours and counts in their degrees. It
-   is refused if more than KERNEL_MAX vertices are left. At a trial lambda
-   (``_evaluate``), each removed v in turn has pivot p_v = lambda - w_vv and
-   adds w_va w_vb / p_v to w_ab for each pair a, b of its neighbours at
-   removal, a = b included. The least eigenpair (phi, u) of the kernel's
-   Schur complement lambda I - W_KK gives x_K = |u| and, in reverse order,
-   x_v = sum_a w_va x_a / p_v. As x.(lambda I - M)x = phi, lambda - phi / |x|^2
-   is x's Rayleigh quotient and the Newton point of phi, which is increasing
-   and concave above the removed block's Perron value. From lambda = r, each
-   evaluation steps there, or, if a pivot is not positive, halfway to the
-   check's Collatz-Wielandt bound max (Mx)_v / x_v, until a step is at most
+   out; a fill edge joins its two neighbours and counts in their degrees. At
+   a trial lambda (``_evaluate``), each removed v in turn has pivot
+   p_v = lambda - w_vv and adds w_va w_vb / p_v to w_ab for each pair a, b
+   of its neighbours at removal, a = b included. The least eigenpair
+   (phi, u) of the kernel's Schur complement lambda I - W_KK gives x_K = |u|
+   and, in reverse order, x_v = sum_a w_va x_a / p_v. As
+   x.(lambda I - M)x = phi, lambda - phi / |x|^2 is x's Rayleigh quotient
+   and the Newton point of phi, which is increasing and concave above the
+   removed block's Perron value. From lambda = r, each evaluation steps
+   there, or, if a pivot is not positive, halfway to the check's
+   Collatz-Wielandt bound max (Mx)_v / x_v, until a step is at most
    tol / 16 times lambda. A non-finite x, or 100 evaluations, refuse it.
 3. Checks on M again, on a fresh schedule, from the reduced vector.
 
@@ -62,7 +64,6 @@ from .weights import eval_weight
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 10 ** 6
-KERNEL_MAX = 64
 FULL_SPECTRUM_MAX_ORDER = 64
 INTERLACING_TOL = 1e-8
 
@@ -178,14 +179,12 @@ def _checks(M, x, step):
         step += plain
 
 
-def _series(M, root):
-    """The series reduction of M's graph rooted at ``root``: the removed
-    vertices in order, each with its neighbours at removal, and the kernel,
-    or None if the kernel has more than KERNEL_MAX vertices."""
-    start = np.searchsorted(M.rows, np.arange(M.n + 1)).tolist()
-    cols = M.cols.tolist()
-    adjacent = [set(cols[start[v]:start[v + 1]]) for v in range(M.n)]
-    queue = [v for v in range(M.n) if v != root and len(adjacent[v]) <= 2]
+def _series(weights, root):
+    """The series reduction, rooted at ``root``, of the graph of M's entries
+    given as one dict per vertex: the removed vertices in order, each with
+    its neighbours at removal, and the kernel."""
+    adjacent = [set(row) for row in weights]
+    queue = [v for v, near in enumerate(adjacent) if v != root and len(near) <= 2]
     queued = set(queue)
     removed = []
     for v in queue:
@@ -197,9 +196,7 @@ def _series(M, root):
             if a != root and a not in queued and len(adjacent[a]) <= 2:
                 queued.add(a)
                 queue.append(a)
-    if M.n - len(removed) > KERNEL_MAX:
-        return None
-    return removed, [v for v in range(M.n) if v not in queued]
+    return removed, [v for v in range(len(weights)) if v not in queued]
 
 
 def _evaluate(weights, removed, kernel, lam):
@@ -215,7 +212,12 @@ def _evaluate(weights, removed, kernel, lam):
         for a in near:
             for b in near:
                 w[a][b] = w[a].get(b, 0.0) + w[v][a] * w[v][b] / p
-    S = lam * np.eye(len(kernel)) - [[w[a].get(b, 0.0) for b in kernel] for a in kernel]
+    index = {v: i for i, v in enumerate(kernel)}
+    S = lam * np.eye(len(kernel))
+    for a in kernel:
+        for b, value in w[a].items():
+            if b in index:
+                S[index[a], index[b]] -= value
     phi, u = np.linalg.eigh(S)
     x = dict(zip(kernel, abs(u[:, 0]).tolist()))
     for (v, near), p in zip(reversed(removed), reversed(pivots)):
@@ -226,12 +228,10 @@ def _evaluate(weights, removed, kernel, lam):
 def _reduced(M, x, rho, tol):
     """Stage 2 from a check's x and Rayleigh quotient rho: the reduced
     vector, or None where the reduction is refused."""
-    series = _series(M, int(np.argmax(x)))
-    if series is None:
-        return None
     weights = [{} for _ in range(M.n)]
     for r, c, value in zip(M.rows.tolist(), M.cols.tolist(), M.vals.tolist()):
         weights[r][c] = value
+    series = _series(weights, int(np.argmax(x)))
     y, positive = M @ x, x > 0
     upper = float((y[positive] / x[positive]).max())
     lam = rho

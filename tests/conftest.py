@@ -27,3 +27,20 @@ def reductions(monkeypatch):
 
     monkeypatch.setattr(spectral, "_reduced", reduced)
     return tried
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """The kernel of each series reduction a single-graph solve builds."""
+    from fspectra import spectral
+
+    built = []
+    real = spectral._series
+
+    def series(*args):
+        removed, kernel = real(*args)
+        built.append(kernel)
+        return removed, kernel
+
+    monkeypatch.setattr(spectral, "_series", series)
+    return built

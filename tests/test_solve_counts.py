@@ -138,14 +138,15 @@ def test_cli_certify_solves_once(solves, capsys):
     assert len(solves) == 1
 
 
-@pytest.mark.parametrize("family, kernel_max", [("theta:3,3,2", 0), ("path:90", 64)])
-def test_certify_solves_once_whether_or_not_it_reduces(monkeypatch, solves, reductions, family, kernel_max):
-    # Both pass the budget of 4n steps and reduce to a kernel of one vertex,
-    # which a cap of 0 refuses: theta:3,3,2 then goes on on M.
-    monkeypatch.setattr(spectral, "KERNEL_MAX", kernel_max)
+@pytest.mark.parametrize("family, refused", [("theta:3,3,2", True), ("path:90", False)])
+def test_certify_solves_once_whether_or_not_it_reduces(monkeypatch, solves, reductions, family, refused):
+    # Both pass the budget of 4n steps and reduce; with every pivot refused,
+    # theta:3,3,2's reduction gives up and the run goes on on M.
+    if refused:
+        monkeypatch.setattr(spectral, "_evaluate", lambda *args: None)
     alpha, report = certify(make(parse_family(family)), parse_weight("sombor"))
     assert len(solves) == 1
-    assert [x is not None for x in reductions] == [kernel_max > 0]
+    assert [x is None for x in reductions] == [refused]
     assert alpha > 0
 
 

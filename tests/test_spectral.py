@@ -101,10 +101,10 @@ def test_spectral_radius_no_convergence(monkeypatch):
 def test_step_cap_counts_plain_steps(monkeypatch, cap):
     # Checks fall at steps 1, 3, 6, 10; a run of plain steps is cut short so
     # that the last step the cap allows is a check, and no result comes
-    # from a plain step. With no kernel allowed, the reduction at step
-    # 4n = 200 is refused and the run on M goes on to the cap.
+    # from a plain step. With every pivot refused, the reduction at step
+    # 4n = 200 gives up and the run on M goes on to the cap.
     monkeypatch.setattr(spectral, "MAX_ITERATIONS", cap)
-    monkeypatch.setattr(spectral, "KERNEL_MAX", 0)
+    monkeypatch.setattr(spectral, "_evaluate", lambda *args: None)
     with pytest.raises(NoConvergence) as exc:
         f_spectral_radius(make(parse_family("path:50")), CONST1)
     assert exc.value.iterations == cap
@@ -225,6 +225,13 @@ def test_shift_bound_skips_zero_entries():
     assert res.iterations <= path.iterations + 1_000
 
 
+def _grid(rows, columns):
+    """The rows x columns grid, vertex r * columns + c in row r, column c."""
+    n = rows * columns
+    return Graph(n, [*((v, v + 1) for v in range(n) if v % columns < columns - 1),
+                     *((v, v + columns) for v in range(n - columns))])
+
+
 def _with_path(G, v, length):
     """G with a path of ``length`` new edges hung on its vertex v."""
     path = [v, *range(G.n, G.n + length)]
@@ -236,8 +243,11 @@ BUILT = {
     "spider:60,60,61": lambda: _with_path(make(parse_family("path:121")), 60, 61),
     "c4-between-paths:70,70": lambda: _with_path(_with_path(C4, 0, 70), 2, 70),
     "double-star:60,60+path:150": lambda: _with_path(make(parse_family("double-star:60,60")), 119, 150),
-    "grid:3,100": lambda: Graph(300, [*((v, v + 1) for v in range(300) if v % 100 < 99),
-                                      *((v, v + 100) for v in range(200))]),
+    "grid:3,100": lambda: _grid(3, 100),
+    # A 2 x 1000 ladder whose end squares are made K4, so that no vertex has
+    # degree 2 and nothing is removed.
+    "k4-ended-ladder:1000": lambda: Graph(2000, [*_grid(2, 1000).edges, (0, 1001), (1, 1000),
+                                                 (998, 1999), (999, 1998)]),
 }
 
 
@@ -301,10 +311,10 @@ def test_reduced_vector_the_check_rejects_is_not_returned(monkeypatch, name, wei
 
 
 @pytest.mark.parametrize("weight", ["sombor", "randic"])
-def test_refused_reduction_leaves_the_solve_on_stage_1(reductions, weight):
-    # Only the grid's 4 corners have degree 2, and removing one leaves its
-    # neighbours at degree 3, so the kernel of 296 vertices exceeds
-    # KERNEL_MAX and the run on M goes on to converge.
+def test_refused_reduction_leaves_the_solve_on_stage_1(monkeypatch, reductions, weight):
+    # With every pivot refused, the reduction gives up after 100 evaluations
+    # and the run on M goes on to converge.
+    monkeypatch.setattr(spectral, "_evaluate", lambda *args: None)
     G, f = _graph("grid:3,100"), parse_weight(weight)
     res = f_spectral_radius(G, f)
     assert reductions == [None]
@@ -314,8 +324,36 @@ def test_refused_reduction_leaves_the_solve_on_stage_1(reductions, weight):
     assert res.vector.min() > 0.0
 
 
+@pytest.mark.parametrize("weight", ["sombor", "randic"])
+def test_reduced_solve_with_a_large_kernel(reductions, kernels, weight):
+    # Only the grid's 4 corners have degree 2, and removing one leaves its
+    # neighbours at degree 3, so 296 of its 300 vertices stay in the kernel.
+    G, f = _graph("grid:3,100"), parse_weight(weight)
+    res = f_spectral_radius(G, f)
+    assert [len(kernel) for kernel in kernels] == [296]
+    assert len(reductions) == 1 and reductions[0] is not None
+    assert np.array_equal(res.vector, reductions[0] / reductions[0].max())
+    rho, _, errors = perron_values(f_adjacency(G, f)[None])
+    assert abs(res.rho - rho[0]) <= errors[0]
+    assert res.vector.min() > 0.0
+
+
+def test_reduced_solve_near_the_order_limit_keeps_every_vertex(kernels):
+    # Nothing of this ladder is removed, so the reduction is a dense
+    # eigensolve of order 2000. A run on M alone needs more than
+    # MAX_ITERATIONS steps here. Under randic, rho = 1 and x_v = sqrt(d_v);
+    # with a gap of 3.3e-6, x may err by far more than the residual.
+    G = _graph("k4-ended-ladder:1000")
+    res = f_spectral_radius(G, parse_weight("randic"))
+    assert [len(kernel) for kernel in kernels] == [G.n]
+    assert res.iterations < 5 * G.n
+    assert res.rho == pytest.approx(1.0, rel=1e-14)
+    root_degrees = np.sqrt(degrees(G))
+    assert res.vector == pytest.approx(root_degrees / root_degrees.max(), rel=1e-9)
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_reduced_solve_with_a_kernel_of_several_vertices(reductions, seed):
+def test_reduced_solve_with_a_kernel_of_several_vertices(reductions, kernels, seed):
     # A random core of 12 vertices and 8 extra edges, with two 80-edge paths
     # hung on it: the paths make the gap small, and the core leaves a kernel
     # of 6 to 9 vertices. Under randic, rho = 1 and x_v = sqrt(d_v) exactly.
@@ -324,6 +362,7 @@ def test_reduced_solve_with_a_kernel_of_several_vertices(reductions, seed):
     for _ in range(2):
         G = _with_path(G, rng.randrange(12), 80)
     res = f_spectral_radius(G, parse_weight("randic"))
+    assert len(kernels) == 1 and 6 <= len(kernels[0]) <= 9
     assert len(reductions) == 1 and reductions[0] is not None
     assert res.rho == pytest.approx(1.0, rel=1e-14)
     root_degrees = np.sqrt(degrees(G))
