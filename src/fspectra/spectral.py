@@ -29,22 +29,34 @@ which leaves a kernel K: a few vertices for path-like graphs, nearly all of
 them for a 3 x k grid, whose every evaluation then costs a dense eigh of
 order about n. So a solve runs in up to three stages:
 
-1. Checks on M from x = 1, until one accepts or the first one at step 4n or
-   later does not.
-2. The reduction (``_series``), rooted at that check's largest entry,
-   removes every other vertex of current degree at most 2, first in, first
-   out; a fill edge joins its two neighbours and counts in their degrees. At
-   a trial lambda (``_evaluate``), each removed v in turn has pivot
-   p_v = lambda - w_vv and adds w_va w_vb / p_v to w_ab for each pair a, b
-   of its neighbours at removal, a = b included. The least eigenpair
-   (phi, u) of the kernel's Schur complement lambda I - W_KK gives x_K = |u|
-   and, in reverse order, x_v = sum_a w_va x_a / p_v. As
-   x.(lambda I - M)x = phi, lambda - phi / |x|^2 is x's Rayleigh quotient
-   and the Newton point of phi, which is increasing and concave above the
-   removed block's Perron value. From lambda = r, each evaluation steps
-   there, or, if a pivot is not positive, halfway to the check's
-   Collatz-Wielandt bound max (Mx)_v / x_v, until a step is at most
-   tol / 16 times lambda. A non-finite x, or 100 evaluations, refuse it.
+1. Checks on M from x = 1, until one accepts or stage 2 starts. At each
+   check that does not accept, the residual's decay since the previous
+   check, (r_k / r_j)^(1 / (s_k - s_j)) per step, predicts the step at
+   which a run on M would accept; a residual that did not shrink predicts
+   nothing. The first check whose prediction passes a budget of 12n steps,
+   as every check from step 12n on does, builds the reduction, rooted at
+   its largest entry. It starts at the first check at step 4k or later, k the
+   kernel's order: an evaluation costs a dense eigh of order k, and an
+   earlier start can cost one more of them.
+2. The reduction (``_series``) removes every vertex but the root of current
+   degree at most 2, first in, first out; a fill edge joins its two
+   neighbours and counts in their degrees. At a trial lambda
+   (``_evaluate``), each removed v in turn has pivot p_v = lambda - w_vv
+   and adds w_va w_vb / p_v to w_ab for each pair a, b of its neighbours at
+   removal, a = b included. The least eigenpair (phi, u) of the kernel's
+   Schur complement lambda I - W_KK gives x_K = |u| and, in reverse order,
+   x_v = sum_a w_va x_a / p_v. As x.(lambda I - M)x = phi, lambda - phi /
+   |x|^2 is x's Rayleigh quotient and the Newton point of phi, which is
+   increasing and concave above the removed block's Perron value. From
+   lambda = r, each evaluation steps there, within a bracket: lo is the
+   largest lambda whose pivots failed, and hi the smallest with phi > 0, or
+   else the check's Collatz-Wielandt bound max (Mx)_v / x_v. A failed pivot
+   moves halfway to hi, and a Newton point at or below lo is replaced by
+   (lo + hi) / 2. Once a step is at most tol / 16 times lambda, the x of
+   the evaluation at its Newton point is returned, or this x if, at the
+   rate it moved since the previous evaluation, the step would move it by
+   at most tol / 16 of its maximum. A non-finite x, or 100 evaluations,
+   refuse it.
 3. Checks on M again, on a fresh schedule, from the reduced vector.
 
 A refused reduction leaves stage 1's run going on. A check on M accepts r
@@ -179,74 +191,109 @@ def _checks(M, x, step):
         step += plain
 
 
-def _series(weights, root):
-    """The series reduction, rooted at ``root``, of the graph of M's entries
-    given as one dict per vertex: the removed vertices in order, each with
-    its neighbours at removal, and the kernel."""
-    adjacent = [set(row) for row in weights]
+def _series(M, root):
+    """The series reduction of M's graph, rooted at ``root``, as slots into
+    one flat list of entries: (values, removed, kernel, entries).
+
+    ``values`` holds one entry per unordered pair a <= b: M's entry where M
+    lists the pair, and 0 for each diagonal or fill entry the elimination
+    adds. ``removed`` lists the removed vertices in order, each as (v, the
+    slot of w_vv, (slot of w_va, a) for each neighbour a at removal, and
+    (slot of w_ab, slot of w_va, slot of w_vb) for each pair a <= b of
+    them). ``entries`` holds the kernel's entries as arrays of rows, columns
+    and slots, rows and columns indexing ``kernel``.
+    """
+    slots, adjacent = {}, [set() for _ in range(M.n)]
+    for a, b in zip(M.rows.tolist(), M.cols.tolist()):
+        adjacent[a].add(b)
+        if a < b:
+            slots[a, b] = len(slots)
     queue = [v for v, near in enumerate(adjacent) if v != root and len(near) <= 2]
     queued = set(queue)
     removed = []
     for v in queue:
         near = sorted(adjacent[v])
-        removed.append((v, near))
+        terms = [(slots[(v, a) if v < a else (a, v)], a) for a in near]
+        fills = [(slots.setdefault((a, b), len(slots)), s, t)
+                 for i, (s, a) in enumerate(terms) for t, b in terms[i:]]
+        removed.append((v, slots.setdefault((v, v), len(slots)), terms, fills))
         for a in near:
-            adjacent[a].discard(v)
-            adjacent[a].update(b for b in near if b != a)
-            if a != root and a not in queued and len(adjacent[a]) <= 2:
+            neighbours = adjacent[a]
+            neighbours.discard(v)
+            neighbours.update(near)
+            neighbours.discard(a)
+            if a != root and a not in queued and len(neighbours) <= 2:
                 queued.add(a)
                 queue.append(a)
-    return removed, [v for v in range(len(weights)) if v not in queued]
+    kernel = [v for v in range(M.n) if v not in queued]
+    index = {v: i for i, v in enumerate(kernel)}
+    entries = [(i, i, slots[a, a]) for i, a in enumerate(kernel) if (a, a) in slots]
+    entries += [(i, index[b], slots[(a, b) if a < b else (b, a)])
+                for i, a in enumerate(kernel) for b in adjacent[a]]
+    values = M.vals[M.rows < M.cols].tolist()
+    values += [0.0] * (len(slots) - len(values))
+    return values, removed, kernel, np.array(entries, dtype=np.intp).reshape(-1, 3).T
 
 
-def _evaluate(weights, removed, kernel, lam):
-    """(phi, x) of the reduction at lam from M's entries as one dict per
-    vertex, or None if a pivot is not positive."""
-    w = [dict(row) for row in weights]
+def _evaluate(series, lam):
+    """(phi, x) of the series reduction at lam, or None if a pivot is not
+    positive."""
+    values, removed, kernel, (rows, cols, kernel_slots) = series
+    w = values.copy()
     pivots = []
-    for v, near in removed:
-        p = lam - w[v].get(v, 0.0)
+    for _, diagonal, _, fills in removed:
+        p = lam - w[diagonal]
         if not p > 0:
             return None
         pivots.append(p)
-        for a in near:
-            for b in near:
-                w[a][b] = w[a].get(b, 0.0) + w[v][a] * w[v][b] / p
-    index = {v: i for i, v in enumerate(kernel)}
+        for s, a, b in fills:
+            w[s] += w[a] * w[b] / p
     S = lam * np.eye(len(kernel))
-    for a in kernel:
-        for b, value in w[a].items():
-            if b in index:
-                S[index[a], index[b]] -= value
+    S[rows, cols] -= [w[s] for s in kernel_slots.tolist()]
     phi, u = np.linalg.eigh(S)
-    x = dict(zip(kernel, abs(u[:, 0]).tolist()))
-    for (v, near), p in zip(reversed(removed), reversed(pivots)):
-        x[v] = sum(w[v][a] * x[a] for a in near) / p
-    return float(phi[0]), np.array([x[v] for v in range(len(w))])
+    x = [0.0] * (len(kernel) + len(removed))
+    for v, value in zip(kernel, abs(u[:, 0]).tolist()):
+        x[v] = value
+    for (v, _, terms, _), p in zip(reversed(removed), reversed(pivots)):
+        total = 0.0
+        for s, a in terms:
+            total += w[s] * x[a]
+        x[v] = total / p
+    return float(phi[0]), np.array(x)
 
 
-def _reduced(M, x, rho, tol):
+def _reduced(M, series, x, rho, tol):
     """Stage 2 from a check's x and Rayleigh quotient rho: the reduced
     vector, or None where the reduction is refused."""
-    weights = [{} for _ in range(M.n)]
-    for r, c, value in zip(M.rows.tolist(), M.cols.tolist(), M.vals.tolist()):
-        weights[r][c] = value
-    series = _series(weights, int(np.argmax(x)))
     y, positive = M @ x, x > 0
-    upper = float((y[positive] / x[positive]).max())
-    lam = rho
+    # rho lies above lo, where pivots fail, and at or below hi.
+    lo, hi = 0.0, float((y[positive] / x[positive]).max())
+    lam, previous, converged = rho, None, False
     for _ in range(100):
-        evaluated = _evaluate(weights, *series, lam)
+        evaluated = _evaluate(series, lam)
         if evaluated is None:
-            lam = (lam + upper) / 2
+            lo, lam, converged = lam, (lam + hi) / 2, False
             continue
         phi, z = evaluated
         if not np.isfinite(z).all():
             return None
-        step = phi / float(z @ z)
-        lam -= step
-        if abs(step) <= tol / 16 * lam:
+        if converged:
             return z
+        if phi > 0:
+            hi = min(hi, lam)
+        step = phi / float(z @ z)
+        converged = abs(step) <= tol / 16 * lam
+        # A vector that would move by at most tol / 16 of its maximum over
+        # the last step, at the rate it moved since the previous evaluation,
+        # needs no evaluation at the Newton point.
+        if converged and previous is not None:
+            moved = float(abs(z - previous[1]).max())
+            if abs(step) * moved <= tol / 16 * z.max() * abs(lam - previous[0]):
+                return z
+        previous = lam, z
+        lam -= step
+        if lam <= lo:
+            lam, converged = (lo + hi) / 2, False
     return None
 
 
@@ -254,12 +301,23 @@ def _stages(M, tol):
     """Every check on M of a solve, through the three stages of the module
     docstring; a check at step MAX_ITERATIONS is the last."""
     run = _checks(M, np.ones(M.n), 0)
+    last, series = None, None
     for check in run:
         yield check
-        step, x, rho = check[:3]
-        if step >= 4 * M.n:
+        # Neither this check nor the last accepted, so both residuals are
+        # positive.
+        step, x, rho, residual = check
+        if series is None and last is not None:
+            # Decaying at its rate since the last check, the residual would
+            # still be above tol * rho at step 12n.
+            steps_left = 12 * M.n - step
+            if steps_left <= 0 or residual < last[1] and tol * rho < residual * (
+                    residual / last[1]) ** (steps_left / (step - last[0])):
+                series = _series(M, int(np.argmax(x)))
+        if series is not None and step >= 4 * len(series[2]):
             break
-    x = _reduced(M, x, rho, tol)
+        last = step, residual
+    x = _reduced(M, series, x, rho, tol)
     yield from run if x is None else _checks(M, x, step)
 
 
@@ -323,7 +381,10 @@ def perron_values(stack):
 
 def f_spectral_radius(G, f, tol=DEFAULT_TOL):
     """Largest eigenvalue of the f-adjacency matrix of G by power iteration
-    on G's edge list, with series reduction for slow solves (module docstring).
+    on G's edge list, with series reduction for slow solves (module docstring):
+    a solve whose residual decay predicts more than 12n power steps hands
+    off to the reduction once it does, and no earlier than step 4k for a
+    kernel of k vertices.
 
     It stops once max|Mx - rho x| <= tol * rho, x at unit maximum entry;
     ``tol`` is relative at every scale, so rho(c f) = c rho(f) up to

@@ -38,9 +38,9 @@ def kernels(monkeypatch):
     real = spectral._series
 
     def series(*args):
-        removed, kernel = real(*args)
-        built.append(kernel)
-        return removed, kernel
+        reduction = real(*args)
+        built.append(reduction[2])
+        return reduction
 
     monkeypatch.setattr(spectral, "_series", series)
     return built

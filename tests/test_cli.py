@@ -410,8 +410,9 @@ def test_class_search_rejects_overflowing_row_sums(capsys):
 
 def test_rho_on_a_long_infty_under_randic_is_one(capsys):
     # rho = 1 exactly under randic on a connected graph. The odd cycles put
-    # lambda_n near -1 and the long path puts lambda_2 near 1; the series
-    # reduction ends the solve after 4n steps.
+    # lambda_n near -1 and the long path puts lambda_2 near 1; the residual's
+    # decay predicts a run on M past 12n steps by step 1,653, and the series
+    # reduction ends the solve at the next check.
     code, out, err = run(capsys, "rho", "--family", "infty:3,3,1500", "--weight", "randic")
     assert (code, out, err) == (0, "rho 1.000000\n", "")
 

@@ -138,10 +138,11 @@ def test_cli_certify_solves_once(solves, capsys):
     assert len(solves) == 1
 
 
-@pytest.mark.parametrize("family, refused", [("theta:3,3,2", True), ("path:90", False)])
+@pytest.mark.parametrize("family, refused", [("path:40", True), ("path:90", False)])
 def test_certify_solves_once_whether_or_not_it_reduces(monkeypatch, solves, reductions, family, refused):
-    # Both pass the budget of 4n steps and reduce; with every pivot refused,
-    # theta:3,3,2's reduction gives up and the run goes on on M.
+    # Both paths' residual decay predicts a run on M past its budget of 12n
+    # steps, so both reduce; with every pivot refused, path:40's reduction
+    # gives up and the run goes on on M.
     if refused:
         monkeypatch.setattr(spectral, "_evaluate", lambda *args: None)
     alpha, report = certify(make(parse_family(family)), parse_weight("sombor"))

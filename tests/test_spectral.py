@@ -101,8 +101,9 @@ def test_spectral_radius_no_convergence(monkeypatch):
 def test_step_cap_counts_plain_steps(monkeypatch, cap):
     # Checks fall at steps 1, 3, 6, 10; a run of plain steps is cut short so
     # that the last step the cap allows is a check, and no result comes
-    # from a plain step. With every pivot refused, the reduction at step
-    # 4n = 200 gives up and the run on M goes on to the cap.
+    # from a plain step. With every pivot refused, the reduction that the
+    # residual's decay calls for at step 36 gives up and the run on M goes
+    # on to the cap.
     monkeypatch.setattr(spectral, "MAX_ITERATIONS", cap)
     monkeypatch.setattr(spectral, "_evaluate", lambda *args: None)
     with pytest.raises(NoConvergence) as exc:
@@ -174,12 +175,13 @@ def test_spectral_radius_solves_where_unscaled_iterates_overflow(monkeypatch):
 # Step ceilings for the max-side extremal shapes, whose max row sum is many
 # times rho; a path or theta family takes hundreds to thousands of steps.
 HUB_STEPS = {"star:250": 10, "double-star:100,100": 20, "sn-plus-e:150": 40}
-# Step ceilings for small gaps rho - lambda_2. Paths are reduced after 4n
-# steps and then accepted at the next check; theta:3,3,200 converges on M
-# before that.
+# Step ceilings for small gaps rho - lambda_2. A path's residual decays so
+# slowly that it predicts a run on M past 12n steps by step 153 (path:240)
+# or 120 (path:200); the reduction then ends the solve at the next check.
+# theta:3,3,200 converges on M.
 SMALL_GAP_STEPS = {
-    ("path:240", "zagreb1"): 9_500,
-    ("path:200", "sombor"): 7_000,
+    ("path:240", "zagreb1"): 154,
+    ("path:200", "sombor"): 121,
     ("theta:3,3,200", "sombor"): 210,
 }
 
@@ -202,10 +204,59 @@ def test_spectral_radius_agrees_with_perron_values(family, weight):
     assert res.iterations <= SMALL_GAP_STEPS.get((family, weight), math.inf)
 
 
+@pytest.mark.parametrize(
+    "family, weight",
+    [*((family, weight) for family in HUB_STEPS for weight in ("sombor", "zagreb1", "const:1.5")),
+     ("theta:20,20,21", "sombor"), ("theta:3,3,200", "sombor"),
+     ("infty:3,3,43", "abc"), ("infty:3,3,43", "const:1.5"), ("cycle:200", "sombor")],
+)
+def test_large_gap_shapes_finish_on_the_matrix(reductions, family, weight):
+    # Their residual decay never predicts a run on M past 12n steps: a hub
+    # graph converges in at most 40 steps and the cycle at the first check.
+    # infty:3,3,43 under abc or const:1.5 converges at step 465 of a 576-step
+    # budget, while an early noisy rate once predicted 483; a reduction from
+    # an early check costs it about 40 evaluations, since its removed block's
+    # Perron value lies 1.6e-10 below rho, relatively.
+    res = f_spectral_radius(_graph(family), parse_weight(weight))
+    assert reductions == []
+    assert res.iterations <= {"cycle:200": 1, **HUB_STEPS}.get(family, 465)
+
+
+def test_zero_residual_accepts_at_tol_zero():
+    # x = 1 is the exact Perron vector of a cycle under const:1, whose scaled
+    # entries are 1/2, so the first residual reads 0 and nothing predicts.
+    res = f_spectral_radius(make(parse_family("cycle:200")), CONST1, tol=0)
+    assert (res.iterations, res.residual, res.rho) == (1, 0.0, 2.0)
+
+
+def test_bracketed_newton_from_an_early_check(monkeypatch):
+    # From the check at step 36 of theta:20,20,21 under sombor, Newton steps
+    # from above land below the removed block's Perron value, where pivots
+    # fail. Moving halfway to the Collatz-Wielandt bound after each such
+    # failure went round one cycle for all 100 evaluations and refused;
+    # bracketing ends in at most 20.
+    G, f = make(parse_family("theta:20,20,21")), parse_weight("sombor")
+    us, vs, w = spectral._edge_weights(G, f)
+    e = math.frexp(w.max())[1]
+    M = spectral._Operator(np.concatenate((us, vs)), np.concatenate((vs, us)),
+                           np.ldexp(np.concatenate((w, w)), -e), G.n)
+    _, x, rho, _ = next(check for check in spectral._checks(M, np.ones(G.n), 0) if check[0] == 36)
+    evaluations = []
+    evaluate = spectral._evaluate
+    monkeypatch.setattr(spectral, "_evaluate", lambda *args: evaluations.append(args[-1]) or evaluate(*args))
+    z = spectral._reduced(M, spectral._series(M, int(np.argmax(x))), x, rho, spectral.DEFAULT_TOL)
+    assert z is not None and len(evaluations) <= 20
+    z = z / z.max()
+    y = M @ z
+    r = float(z @ y) / float(z @ z)
+    assert abs(y - r * z).max() <= spectral.DEFAULT_TOL * r
+    assert math.ldexp(r, e) == pytest.approx(f_spectral_radius(G, f).rho, rel=1e-14)
+
+
 def test_small_gap_path_converges_within_25000_steps(monkeypatch):
     # On M alone, path:200's slowest mode shrinks by about 1 - delta / (2 rho)
-    # per step, which takes 39,903 steps; the reduction at step 4n = 800
-    # ends the solve at the next check.
+    # per step, which takes 39,903 steps; the reduction that the residual's
+    # decay calls for at step 120 ends the solve at the next check.
     monkeypatch.setattr(spectral, "MAX_ITERATIONS", 25_000)
     res = f_spectral_radius(make(parse_family("path:200")), parse_weight("sombor"))
     assert res.rho == pytest.approx(5.656155742988, rel=1e-11)
@@ -259,11 +310,12 @@ def _weight(name):
     return _total_table(3) if name == "table" else parse_weight(name)
 
 
-# Graphs that pass the budget of 4n steps and are reduced to a kernel of one
-# vertex. The branch vertex of the spider or of the paths on C4 localizes
-# the Perron vector under sombor, zagreb1 and const:1.5, whose edges grow
-# heavier at degree 3: the gap stays large and they converge in at most 435
-# steps. Under a weight that does not grow with degree their gap is a path's.
+# Graphs whose residual decay predicts a run on M past 12n steps, and which
+# are reduced to a kernel of one vertex. The branch vertex of the spider or
+# of the paths on C4 localizes the Perron vector under sombor, zagreb1 and
+# const:1.5, whose edges grow heavier at degree 3: the gap stays large and
+# they converge in at most 435 steps. Under a weight that does not grow with
+# degree their gap is a path's.
 FLAT = "table:1,2=2;2,2=2;2,3=1.5"
 FOLDED = [
     *((family, weight) for family in ("path:90", "path:200", "path:240")
@@ -325,12 +377,18 @@ def test_refused_reduction_leaves_the_solve_on_stage_1(monkeypatch, reductions, 
 
 
 @pytest.mark.parametrize("weight", ["sombor", "randic"])
-def test_reduced_solve_with_a_large_kernel(reductions, kernels, weight):
+def test_reduced_solve_with_a_large_kernel(monkeypatch, reductions, kernels, weight):
     # Only the grid's 4 corners have degree 2, and removing one leaves its
     # neighbours at degree 3, so 296 of its 300 vertices stay in the kernel.
+    # The reduction waits for step 4 * 296 and then takes two dense
+    # evaluations; from a check before step 561, under sombor, it took three.
+    evaluations = []
+    evaluate = spectral._evaluate
+    monkeypatch.setattr(spectral, "_evaluate", lambda *args: evaluations.append(args[-1]) or evaluate(*args))
     G, f = _graph("grid:3,100"), parse_weight(weight)
     res = f_spectral_radius(G, f)
     assert [len(kernel) for kernel in kernels] == [296]
+    assert len(evaluations) == 2 and res.iterations > 4 * 296
     assert len(reductions) == 1 and reductions[0] is not None
     assert np.array_equal(res.vector, reductions[0] / reductions[0].max())
     rho, _, errors = perron_values(f_adjacency(G, f)[None])
