@@ -38,14 +38,24 @@ order about n. So a solve runs in up to three stages:
    its largest entry. It starts at the first check at step 4k or later, k the
    kernel's order: an evaluation costs a dense eigh of order k, and an
    earlier start can cost one more of them.
-2. The reduction (``_series``) removes every vertex but the root of current
-   degree at most 2, first in, first out; a fill edge joins its two
+2. The reduction (``_series``) removes every vertex but the root of degree
+   at most 2. First the chains: maximal runs of such vertices, each ending
+   at one or two other vertices, its attachments, or at a leaf. Every edge
+   inside a chain joins two vertices of degree 2 and weighs w = f(2, 2), so
+   the chain's pivots, its Schur complement on its attachments and its
+   entries of x have closed forms in lambda / 2w (``_responses``): all
+   chains together cost a fixed number of array operations per
+   evaluation, whatever their lengths. A chain between two attachments
+   joins them by a fill edge. Then the skeleton: the other vertices of
+   current degree at most 2, first in, first out; a fill edge joins its two
    neighbours and counts in their degrees. At a trial lambda
-   (``_evaluate``), each removed v in turn has pivot p_v = lambda - w_vv
-   and adds w_va w_vb / p_v to w_ab for each pair a, b of its neighbours at
+   (``_evaluate``), the chains add their terms to their attachments'
+   entries, and each skeleton v in turn has pivot p_v = lambda - w_vv and
+   adds w_va w_vb / p_v to w_ab for each pair a, b of its neighbours at
    removal, a = b included. The least eigenpair (phi, u) of the kernel's
-   Schur complement lambda I - W_KK gives x_K = |u| and, in reverse order,
-   x_v = sum_a w_va x_a / p_v. As x.(lambda I - M)x = phi, lambda - phi /
+   Schur complement lambda I - W_KK gives x_K = |u|; in reverse order, x_v =
+   sum_a w_va x_a / p_v on the skeleton; and each chain vertex's x from its
+   attachments'. As x.(lambda I - M)x = phi, lambda - phi /
    |x|^2 is x's Rayleigh quotient and the Newton point of phi, which is
    increasing and concave above the removed block's Perron value. From
    lambda = r, each evaluation steps there, within a bracket: lo is the
@@ -55,18 +65,20 @@ order about n. So a solve runs in up to three stages:
    (lo + hi) / 2. Once a step is at most tol / 16 times lambda, the x of
    the evaluation at its Newton point is returned, or this x if, at the
    rate it moved since the previous evaluation, the step would move it by
-   at most tol / 16 of its maximum. A non-finite x, or 100 evaluations,
-   refuse it.
+   at most tol / 16 of its maximum; a Newton point that rounds to lambda
+   returns this x too. A non-finite x, or 100 evaluations, refuse it.
 3. Checks on M again, on a fresh schedule, from the reduced vector.
 
 A refused reduction leaves stage 1's run going on. A check on M accepts r
 once its residual is at most tol * r. No stage makes a negative entry, as
-M + r I is nonnegative and back-substitution multiplies positive numbers
-only; an entry whose exact value lies below the double range reads 0.
+M + r I is nonnegative, back-substitution multiplies positive numbers only
+and a chain's closed forms are positive wherever its pivots are; an entry
+whose exact value lies below the double range reads 0.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -192,31 +204,108 @@ def _checks(M, x, step):
 
 
 def _series(M, root):
-    """The series reduction of M's graph, rooted at ``root``, as slots into
-    one flat list of entries: (values, removed, kernel, entries).
+    """The series reduction of M's graph, rooted at ``root``, as a namespace
+    of the fields below and ``n``, M's order.
 
-    ``values`` holds one entry per unordered pair a <= b: M's entry where M
-    lists the pair, and 0 for each diagonal or fill entry the elimination
-    adds. ``removed`` lists the removed vertices in order, each as (v, the
-    slot of w_vv, (slot of w_va, a) for each neighbour a at removal, and
-    (slot of w_ab, slot of w_va, slot of w_vb) for each pair a <= b of
-    them). ``entries`` holds the kernel's entries as arrays of rows, columns
-    and slots, rows and columns indexing ``kernel``.
+    Chains are the maximal runs of vertices other than the root with at most
+    two neighbours; a run with no neighbour outside it is left to the
+    skeleton. M's entries must depend only on their endpoints' degrees, so
+    that every edge between two chain vertices of degree 2 weighs the same
+    ``w`` (0 where there is none).
+
+    Skeleton and kernel entries live in slots of one flat list, which starts
+    as ``values``: one value per unordered pair a <= b of vertices outside
+    chains, M's entry where M lists the pair and 0 for each diagonal or fill
+    entry the elimination adds. ``skeleton`` lists the removed skeleton
+    vertices in order, each as (v, the slot of w_vv, (slot of w_va, a) for
+    each neighbour a at removal, and (slot of w_ab, slot of w_va, slot of
+    w_vb) for each pair a <= b of them). ``entries`` holds the kernel's
+    entries as arrays of rows, columns and slots, rows and columns indexing
+    ``kernel``.
+
+    A chain is listed as one run toward each of its attachments, a pendant
+    chain's run without its leaf. Run entry e is the k-th of its run's R
+    vertices, counted from the far end: ``gather`` holds (k, k - 1, R + 1,
+    R) and ``power`` R - k, indices into the tables that ``_responses``
+    builds over ``m`` = 0, 1, .... ``beta`` is the weight of the run's edge
+    at its attachment and ``leaf_squares`` the square of its leaf's edge, or
+    0. Leaf entries follow the run entries: a leaf's part of x is
+    ``leaf_weights`` / lambda times that of run entry ``leaf_entries``.
+    ``vertices`` and ``attachments`` name each entry's vertex and
+    attachment. ``ends`` lists as (entries, factors, slots) the terms that
+    the chains add to the slots: beta times the part of each run's R-th
+    vertex to w_bb, b its attachment, and for a chain between a and b, the
+    weight of its edge at a times the part of its first vertex toward b to
+    w_ab, twice where a = b.
     """
-    slots, adjacent = {}, [set() for _ in range(M.n)]
+    adjacent = [set() for _ in range(M.n)]
     for a, b in zip(M.rows.tolist(), M.cols.tolist()):
         adjacent[a].add(b)
-        if a < b:
-            slots[a, b] = len(slots)
-    queue = [v for v, near in enumerate(adjacent) if v != root and len(near) <= 2]
+    low = [v != root and len(near) <= 2 for v, near in enumerate(adjacent)]
+    # weight[u, a]: M's entry at (u, a) for u of degree at most 2.
+    at_low = np.array(low)[M.rows]
+    weight = dict(zip(zip(M.rows[at_low].tolist(), M.cols[at_low].tolist()),
+                      M.vals[at_low].tolist()))
+    # runs: (vertices, attachment, beta, leaf edge squared); count: their entries.
+    seen, chained, runs, leaves, ends, w, count = set(), set(), [], [], [], 0.0, 0
+    for v in range(M.n):
+        # Walk each run of low vertices from one of its ends.
+        if not low[v] or v in seen or sum(low[a] for a in adjacent[v]) > 1:
+            continue
+        chain, previous = [v], None
+        while ahead := [a for a in adjacent[chain[-1]] if low[a] and a != previous]:
+            previous = chain[-1]
+            chain.append(ahead[0])
+        seen.update(chain)
+        if len(chain) == 1:
+            outside = sorted(adjacent[v])
+            first, last = outside[:1], outside[1:]
+        else:
+            first, last = ([a for a in adjacent[u] if not low[a]] for u in (chain[0], chain[-1]))
+        if not last:
+            chain.reverse()
+            first, last = last, first
+        if not last:
+            continue
+        chained.update(chain)
+        b = last[0]
+        adjacent[b].discard(chain[-1])
+        if first:
+            a = first[0]
+            adjacent[a].discard(chain[0])
+            if a != b:
+                adjacent[a].add(b)
+                adjacent[b].add(a)
+            ends.append((count, weight[chain[0], a] * (2 if a == b else 1), (min(a, b), max(a, b))))
+            new = [(chain, b, 0.0), (chain[::-1], a, 0.0)]
+        elif len(chain) == 1:
+            new = [(chain, b, 0.0)]
+        else:
+            leaves.append((chain[0], b, count, weight[chain[0], chain[1]]))
+            new = [(chain[1:], b, weight[chain[0], chain[1]] ** 2)]
+        for run, b, square in new:
+            count += len(run)
+            runs.append((run, b, weight[run[-1], b], square))
+            ends.append((count - 1, weight[run[-1], b], (b, b)))
+            if len(run) > 1:
+                w = weight[run[0], run[1]]
+
+    kept = np.ones(M.n, dtype=bool)
+    kept[list(chained)] = False
+    pairs = (M.rows < M.cols) & kept[M.rows] & kept[M.cols]
+    slots = {pair: i for i, pair in enumerate(zip(M.rows[pairs].tolist(), M.cols[pairs].tolist()))}
+    values = M.vals[pairs].tolist()
+    ends = [(e, factor, slots.setdefault(pair, len(slots))) for e, factor, pair in ends]
+    queue = [v for v, near in enumerate(adjacent)
+             if v != root and v not in chained and len(near) <= 2]
     queued = set(queue)
-    removed = []
+    skeleton = []
     for v in queue:
         near = sorted(adjacent[v])
         terms = [(slots[(v, a) if v < a else (a, v)], a) for a in near]
         fills = [(slots.setdefault((a, b), len(slots)), s, t)
                  for i, (s, a) in enumerate(terms) for t, b in terms[i:]]
-        removed.append((v, slots.setdefault((v, v), len(slots)), terms, fills))
+        skeleton.append((v, slots.setdefault((v, v), len(slots)), terms, fills))
         for a in near:
             neighbours = adjacent[a]
             neighbours.discard(v)
@@ -225,41 +314,105 @@ def _series(M, root):
             if a != root and a not in queued and len(neighbours) <= 2:
                 queued.add(a)
                 queue.append(a)
-    kernel = [v for v in range(M.n) if v not in queued]
+    kernel = [v for v in range(M.n) if v not in queued and v not in chained]
     index = {v: i for i, v in enumerate(kernel)}
     entries = [(i, i, slots[a, a]) for i, a in enumerate(kernel) if (a, a) in slots]
     entries += [(i, index[b], slots[(a, b) if a < b else (b, a)])
                 for i, a in enumerate(kernel) for b in adjacent[a]]
-    values = M.vals[M.rows < M.cols].tolist()
     values += [0.0] * (len(slots) - len(values))
-    return values, removed, kernel, np.array(entries, dtype=np.intp).reshape(-1, 3).T
+
+    sizes = np.array([len(run) for run, _, _, _ in runs], dtype=np.intp)
+    R = np.repeat(sizes, sizes)
+    k = np.arange(count) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1
+    per_run = np.array([(b, beta, square) for _, b, beta, square in runs]).reshape(-1, 3)
+    attachment, beta, square = np.repeat(per_run, sizes, axis=0).T
+    vertex = np.array([v for run, _, _, _ in runs for v in run])
+    leaf, leaf_attachment, leaf_entry, leaf_weight = np.array(leaves).reshape(-1, 4).T
+    entry, factor, slot = np.array(ends).reshape(-1, 3).T
+    return SimpleNamespace(
+        n=M.n, values=np.array(values), skeleton=skeleton, kernel=kernel,
+        entries=np.array(entries, dtype=np.intp).reshape(-1, 3).T,
+        w=w, m=np.arange(R.max(initial=0) + 2, dtype=float),
+        gather=np.array([k, k - 1, R + 1, R]), power=R - k, beta=beta, leaf_squares=square,
+        leaf_entries=leaf_entry.astype(np.intp), leaf_weights=leaf_weight,
+        vertices=np.concatenate((vertex, leaf)).astype(np.intp),
+        attachments=np.concatenate((attachment, leaf_attachment)).astype(np.intp),
+        ends=(entry.astype(np.intp), factor, slot.astype(np.intp)),
+    )
+
+
+def _responses(series, lam):
+    """Each chain entry's part of x_v per unit x_b, v its vertex and b its
+    attachment, at lam > 0; None if a chain's pivot is not positive.
+
+    Along a run, eliminated from its far end, the pivots are p_1 = lam -
+    l^2 / lam, l its leaf's edge or 0, and p_k = lam - w^2 / p_(k-1). So
+    p_k = w q_k / q_(k-1) with q_0 = 1 and q_k = S_(k+1) - kappa S_k,
+    kappa = l^2 / (lam w), where S_k = U_(k-1)(lam / 2w) is sinh(k theta) /
+    sinh(theta) for lam = 2w cosh(theta), sin(k t) / sin(t) for lam = 2w
+    cos(t), and k at lam = 2w. Back-substitution from x_b gives the k-th of
+    R vertices beta q_(k-1) / (w q_R), and the leaf l / lam times the first
+    vertex's part. Above 2w these are scaled so that nothing overflows:
+    s_k = S_k e^(-(k-1) theta) lies in [0, k], r_k = q_k e^(-k theta) =
+    s_(k+1) - l^2 / (lam mu) s_k with mu = w e^theta = lam / (1 + e^(-2
+    theta)), the pivots' limit, and the k-th vertex gets beta r_(k-1) / (mu
+    r_R) e^(-(R-k) theta). Below 2w, s = S, r = q and mu = w.
+    """
+    w = series.w
+    d = lam - 2 * w
+    if d > 0:
+        # theta = acosh(lam / 2w), with no digits lost to lam / 2w near 1.
+        # e^-theta underflows from theta = 745 on, so larger thetas, and
+        # w = 0, read as 750.
+        theta = min(2 * math.asinh(math.sqrt(d / (4 * w))), 750.0) if w else 750.0
+        s = np.expm1(series.m * (-2 * theta)) / math.expm1(-2 * theta)
+        scale = np.exp(series.m * -theta)
+        mu = lam / (1 + math.exp(-2 * theta))
+    else:
+        t = 2 * math.asin(math.sqrt(-d / (4 * w)))
+        s = np.sin(series.m * t) / math.sin(t) if t else series.m
+        scale = np.ones_like(series.m)
+        mu = w
+    g = s[series.gather]
+    r = g[::2] - series.leaf_squares / (lam * mu) * g[1::2]
+    if not r.min(initial=math.inf) > 0:
+        return None
+    y = series.beta / mu * r[0] / r[1] * scale[series.power]
+    return np.concatenate((y, series.leaf_weights / lam * y[series.leaf_entries]))
 
 
 def _evaluate(series, lam):
-    """(phi, x) of the series reduction at lam, or None if a pivot is not
-    positive."""
-    values, removed, kernel, (rows, cols, kernel_slots) = series
-    w = values.copy()
+    """(phi, x) of the series reduction at lam, or None if lam is not
+    positive or a pivot is not."""
+    if not lam > 0:
+        return None
+    y = _responses(series, lam)
+    if y is None:
+        return None
+    entry, factor, slot = series.ends
+    w = (series.values + np.bincount(slot, factor * y[entry], len(series.values))).tolist()
     pivots = []
-    for _, diagonal, _, fills in removed:
+    for _, diagonal, _, fills in series.skeleton:
         p = lam - w[diagonal]
         if not p > 0:
             return None
         pivots.append(p)
         for s, a, b in fills:
             w[s] += w[a] * w[b] / p
-    S = lam * np.eye(len(kernel))
+    rows, cols, kernel_slots = series.entries
+    S = lam * np.eye(len(series.kernel))
     S[rows, cols] -= [w[s] for s in kernel_slots.tolist()]
     phi, u = np.linalg.eigh(S)
-    x = [0.0] * (len(kernel) + len(removed))
-    for v, value in zip(kernel, abs(u[:, 0]).tolist()):
-        x[v] = value
-    for (v, _, terms, _), p in zip(reversed(removed), reversed(pivots)):
+    known = dict(zip(series.kernel, abs(u[:, 0]).tolist()))
+    for (v, _, terms, _), p in zip(reversed(series.skeleton), reversed(pivots)):
         total = 0.0
         for s, a in terms:
-            total += w[s] * x[a]
-        x[v] = total / p
-    return float(phi[0]), np.array(x)
+            total += w[s] * known[a]
+        known[v] = total / p
+    x = np.zeros(series.n)
+    x[list(known)] = list(known.values())
+    x += np.bincount(series.vertices, y * x[series.attachments], series.n)
+    return float(phi[0]), x
 
 
 def _reduced(M, series, x, rho, tol):
@@ -292,6 +445,8 @@ def _reduced(M, series, x, rho, tol):
                 return z
         previous = lam, z
         lam -= step
+        if lam == previous[0]:
+            return z
         if lam <= lo:
             lam, converged = (lo + hi) / 2, False
     return None
@@ -314,7 +469,7 @@ def _stages(M, tol):
             if steps_left <= 0 or residual < last[1] and tol * rho < residual * (
                     residual / last[1]) ** (steps_left / (step - last[0])):
                 series = _series(M, int(np.argmax(x)))
-        if series is not None and step >= 4 * len(series[2]):
+        if series is not None and step >= 4 * len(series.kernel):
             break
         last = step, residual
     x = _reduced(M, series, x, rho, tol)

@@ -31,15 +31,22 @@ def reductions(monkeypatch):
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """The kernel of each series reduction a single-graph solve builds."""
+    """The kernel of each series reduction a single-graph solve builds,
+    checked against removing one vertex at a time (``peeled_kernel``):
+    chains first, then the skeleton, leave the same kernel."""
     from fspectra import spectral
+    from helpers import peeled_kernel
 
     built = []
     real = spectral._series
 
-    def series(*args):
-        reduction = real(*args)
-        built.append(reduction[2])
+    def series(M, root):
+        reduction = real(M, root)
+        adjacent = [set() for _ in range(M.n)]
+        for a, b in zip(M.rows.tolist(), M.cols.tolist()):
+            adjacent[a].add(b)
+        assert reduction.kernel == peeled_kernel(adjacent, root)
+        built.append(reduction.kernel)
         return reduction
 
     monkeypatch.setattr(spectral, "_series", series)

@@ -218,3 +218,21 @@ def family_corpus(max_n=10):
     out.append(make(FamilySpec("c3_dot_p3")))
     out.append(make(FamilySpec("k5_minus_p4")))
     return out
+
+
+def peeled_kernel(adjacent, root):
+    """The vertices left by removing, first in first out, every vertex but
+    ``root`` with at most two neighbours, each removal joining its
+    neighbours: the kernel of a series reduction, one vertex at a time.
+    ``adjacent`` lists each vertex's neighbours as a set and is consumed."""
+    queue = [v for v, near in enumerate(adjacent) if v != root and len(near) <= 2]
+    queued = set(queue)
+    for v in queue:
+        near = adjacent[v]
+        for a in near:
+            adjacent[a].discard(v)
+            adjacent[a].update(near - {a})
+            if a != root and a not in queued and len(adjacent[a]) <= 2:
+                queued.add(a)
+                queue.append(a)
+    return [v for v in range(len(adjacent)) if v not in queued]

@@ -19,8 +19,8 @@ from fspectra.spectral import (
     perron_values,
 )
 from fspectra.search import class_graphs
-from fspectra.weights import eval_weight, parse_weight
-from helpers import induced_subgraph, random_connected_graph
+from fspectra.weights import NAMED_WEIGHTS, eval_weight, parse_weight
+from helpers import induced_subgraph, peeled_kernel, random_connected_graph
 
 TABLE = parse_weight("table:2,2=1;3,2=2;4,2=2")
 CONST1 = parse_weight("const:1")
@@ -229,6 +229,15 @@ def test_zero_residual_accepts_at_tol_zero():
     assert (res.iterations, res.residual, res.rho) == (1, 0.0, 2.0)
 
 
+def _scaled_operator(G, f):
+    """G's f-adjacency operator, scaled by 2^-e as a solve scales it, and e."""
+    us, vs, w = spectral._edge_weights(G, f)
+    e = math.frexp(w.max())[1]
+    M = spectral._Operator(np.concatenate((us, vs)), np.concatenate((vs, us)),
+                           np.ldexp(np.concatenate((w, w)), -e), G.n)
+    return M, e
+
+
 def test_bracketed_newton_from_an_early_check(monkeypatch):
     # From the check at step 36 of theta:20,20,21 under sombor, Newton steps
     # from above land below the removed block's Perron value, where pivots
@@ -236,10 +245,7 @@ def test_bracketed_newton_from_an_early_check(monkeypatch):
     # failure went round one cycle for all 100 evaluations and refused;
     # bracketing ends in at most 20.
     G, f = make(parse_family("theta:20,20,21")), parse_weight("sombor")
-    us, vs, w = spectral._edge_weights(G, f)
-    e = math.frexp(w.max())[1]
-    M = spectral._Operator(np.concatenate((us, vs)), np.concatenate((vs, us)),
-                           np.ldexp(np.concatenate((w, w)), -e), G.n)
+    M, e = _scaled_operator(G, f)
     _, x, rho, _ = next(check for check in spectral._checks(M, np.ones(G.n), 0) if check[0] == 36)
     evaluations = []
     evaluate = spectral._evaluate
@@ -447,6 +453,146 @@ def test_folded_solve_does_not_depend_on_edge_order(reductions):
     assert a.rho == b.rho
     assert a.iterations == b.iterations
     assert np.array_equal(a.vector, b.vector)
+
+
+def test_reduction_never_evaluates_one_lambda_twice_in_a_row(monkeypatch):
+    # Where the Newton point rounds to lambda itself, as on path:240 under
+    # sombor at lambda = 1.4140923114699402, the reduction returns the
+    # current vector instead of evaluating lambda again.
+    evaluations = []
+    evaluate = spectral._evaluate
+    monkeypatch.setattr(spectral, "_evaluate", lambda *args: evaluations.append(args[-1]) or evaluate(*args))
+    for n in (40, 90, 110, 140, 170, 200, 240, 242):
+        for weight in (*NAMED_WEIGHTS, "const:1.5"):
+            evaluations.clear()
+            f_spectral_radius(make(parse_family(f"path:{n}")), parse_weight(weight))
+            assert evaluations
+            assert all(a != b for a, b in zip(evaluations, evaluations[1:])), (n, weight)
+
+
+def _hung(G, lengths, seed=None):
+    """G with a path of each length hung on a vertex: vertex i for the i-th
+    length, or a seeded random vertex of G's."""
+    rng = random.Random(seed)
+    for i, length in enumerate(lengths):
+        G = _with_path(G, i if seed is None else rng.randrange(G.n), length)
+    return G
+
+
+K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+# Graphs and roots whose reductions have pendant chains of 1, 2, 3 and 50
+# vertices, chains between two vertices (one of a single vertex in
+# theta:2,3,4, one beside an edge in theta:1,3,4), chains from a vertex
+# back to itself (infty and the cycle), and skeletons (theta:2,2,2's other
+# hub and the random cores).
+# Each removed block's Perron value lies below 2 f(2, 2) for the paths, the
+# cycle and the K4, so those evaluate below, at and above it.
+CHAINED = {
+    "k4+paths:1,2,3,50": (lambda: _hung(K4, (1, 2, 3, 50)), 0),
+    "path:91": (lambda: make(parse_family("path:91")), 45),
+    "theta:3,4,5": (lambda: make(parse_family("theta:3,4,5")), 0),
+    "theta:2,3,4": (lambda: make(parse_family("theta:2,3,4")), 0),
+    "theta:1,3,4": (lambda: make(parse_family("theta:1,3,4")), 0),
+    "infty:5,6,4": (lambda: make(parse_family("infty:5,6,4")), None),
+    "cycle:60": (lambda: make(parse_family("cycle:60")), 7),
+    # Single-vertex chains only, so no edge joins two chain vertices: w = 0.
+    "theta:2,2,2": (lambda: make(parse_family("theta:2,2,2")), 0),
+    "random-core+paths:80,80": (
+        lambda: _hung(random_connected_graph(random.Random(5), 12, 8), (80, 80), 5), None),
+    "random-tree+paths:1,2,3,40": (
+        lambda: _hung(random_connected_graph(random.Random(6), 40), (1, 2, 3, 40), 6), None),
+}
+CHAIN_WEIGHTS = ["sombor", "randic", "zagreb2", "abc", "const:1.5"]
+
+
+def _chained(name, weight):
+    """The series reduction of a CHAINED graph under a weight, with its dense
+    scaled matrix, its removed vertices and their block's Perron value."""
+    make_graph, root = CHAINED[name]
+    G = make_graph()
+    M, _ = _scaled_operator(G, parse_weight(weight))
+    A = np.zeros((G.n, G.n))
+    A[M.rows, M.cols] = M.vals
+    series = spectral._series(M, int(np.argmax(degrees(G))) if root is None else root)
+    removed = np.setdiff1d(np.arange(G.n), series.kernel)
+    return series, A, removed, np.linalg.eigvalsh(A[np.ix_(removed, removed)])[-1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chains_first_leave_the_kernel_of_one_vertex_at_a_time(seed):
+    # Removing a vertex of degree at most 2 raises no degree, so removing the
+    # chains first, then the skeleton, leaves the same kernel. Some graphs
+    # get a disjoint cycle or path, whose vertices the skeleton removes.
+    rng = random.Random(seed)
+    for _ in range(25):
+        G = random_connected_graph(rng, rng.randint(2, 40), rng.randint(0, 15))
+        G = _hung(G, [rng.randint(1, 30) for _ in range(rng.randint(0, 3))], rng.random())
+        if rng.random() < 0.3:
+            size, n = rng.randint(1, 6), G.n
+            apart = [(n + i, n + i + 1) for i in range(size - 1)]
+            if size > 2 and rng.random() < 0.5:
+                apart.append((n, n + size - 1))
+            G = Graph(n + size, [*G.edges, *apart])
+        root = rng.randrange(G.n)
+        M, _ = _scaled_operator(G, CONST1)
+        reference = peeled_kernel([set(near) for near in G.adj], root)
+        assert spectral._series(M, root).kernel == reference
+
+
+@pytest.mark.parametrize("weight", CHAIN_WEIGHTS)
+@pytest.mark.parametrize("name", CHAINED)
+def test_reduced_vector_solves_every_removed_row(name, weight):
+    # Above the removed block's Perron value, x solves (lambda I - M) x = 0
+    # on removed rows, and on the kernel's rows gives phi x, whichever side
+    # of 2 f(2, 2) lambda lies: sines below, exponentials above and k at it.
+    series, A, removed, top = _chained(name, weight)
+    w = series.w
+    for lam in (top * (1 + 1e-9), 2 * w * (1 - 1e-4), 2 * w, 2 * w * (1 + 1e-12), 2.5 * w):
+        if not lam > top * (1 + 1e-10):
+            continue
+        phi, x = spectral._evaluate(series, lam)
+        assert x.min() > 0.0
+        r = lam * x - A @ x
+        assert (abs(r[removed]) <= 1e-12 * lam * x[removed]).all(), lam
+        kernel = series.kernel
+        assert abs(r[kernel] - phi * x[kernel]).max() <= 1e-12 * lam * x.max(), lam
+
+
+@pytest.mark.parametrize("weight", CHAIN_WEIGHTS)
+@pytest.mark.parametrize("name", CHAINED)
+def test_evaluation_refuses_exactly_at_and_below_the_removed_block(name, weight):
+    # Pivots fail where lambda I - M is not positive definite on the removed
+    # vertices, up to rounding: at most 10 ulps either side on these cases.
+    series, _, _, top = _chained(name, weight)
+    ulp = np.spacing(top)
+    for lam in (-top, 0.0, top / 2, top - 32 * ulp):
+        assert spectral._evaluate(series, lam) is None, lam
+    for lam in (top + 32 * ulp, top * (1 + 1e-9), 2 * top):
+        assert spectral._evaluate(series, lam) is not None, lam
+
+
+def test_reduced_vector_far_down_a_long_path_stays_finite():
+    # At 2.5 f(2, 2) the entries of path:2000 fall by e^-0.69 a vertex, to
+    # about 5e-302 at the ends, with nothing overflowing on the way.
+    M, _ = _scaled_operator(make(parse_family("path:2000")), parse_weight("sombor"))
+    series = spectral._series(M, 1000)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        _, x = spectral._evaluate(series, 2.5 * series.w)
+    assert np.isfinite(x).all() and 0.0 < x.min() < 1e-300
+
+
+@pytest.mark.parametrize("weight", NAMED_WEIGHTS)
+@pytest.mark.parametrize("n, bound", [(242, 1e-12), (2000, 1e-11)])
+def test_reduced_vector_is_accurate_entry_by_entry(reductions, n, bound, weight):
+    # The residual test bounds |Mx - rho x| by tol times the largest entry;
+    # the reduced vector meets it relative to each entry.
+    G, f = make(parse_family(f"path:{n}")), parse_weight(weight)
+    res = f_spectral_radius(G, f)
+    assert len(reductions) == 1 and reductions[0] is not None
+    us, vs, w = spectral._edge_weights(G, f)
+    x = res.vector
+    Mx = np.bincount(us, w * x[vs], n) + np.bincount(vs, w * x[us], n)
+    assert abs(1 - Mx / (res.rho * x)).max() <= bound
 
 
 def test_full_spectrum_known_values():
