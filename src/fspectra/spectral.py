@@ -23,40 +23,44 @@ a check. M + r I is nonnegative, and each other eigenvalue lambda shrinks by
 lambda_2 = rho - delta by about 1 - delta / (2 rho).
 
 A long path's gap is O(rho / n^2), so it would need O(n^2) steps. Instead,
-its vertices of degree at most 2 are eliminated from lambda I - M (Hoffman
-and Smith's series reduction, the generalized Lu-Man method's algebra),
-which leaves a kernel K: a few vertices for path-like graphs, nearly all of
-them for a 3 x k grid, whose every evaluation then costs a dense eigh of
-order about n. So a solve runs in up to three stages:
+vertices of degree at most 2 are eliminated from lambda I - M (Hoffman and
+Smith's series reduction, the generalized Lu-Man method's algebra), down to
+a kernel K: a few vertices for graphs made of chains, nearly all of them
+for a 3 x k grid. So a solve runs in up to three stages:
 
-1. Checks on M from x = 1, until one accepts or stage 2 starts. At each
-   check that does not accept, the residual's decay since the previous
-   check, (r_k / r_j)^(1 / (s_k - s_j)) per step, predicts the step at
-   which a run on M would accept; a residual that did not shrink predicts
-   nothing. The first check whose prediction passes a budget of 12n steps,
-   as every check from step 12n on does, builds the reduction, rooted at
-   its largest entry. It starts at the first check at step 4k or later, k the
-   kernel's order: an evaluation costs a dense eigh of order k, and an
-   earlier start can cost one more of them.
-2. The reduction (``_series``) removes every vertex but the root of degree
-   at most 2. First the chains: maximal runs of such vertices, each ending
-   at one or two other vertices, its attachments, or at a leaf. Every edge
-   inside a chain joins two vertices of degree 2 and weighs w = f(2, 2), so
-   the chain's pivots, its Schur complement on its attachments and its
-   entries of x have closed forms in lambda / 2w (``_responses``): all
-   chains together cost a fixed number of array operations per
-   evaluation, whatever their lengths. A chain between two attachments
-   joins them by a fill edge. Then the skeleton: the other vertices of
-   current degree at most 2, first in, first out; a fill edge joins its two
-   neighbours and counts in their degrees. At a trial lambda
+1. Checks on M from x = 1, until one accepts or stage 2 starts: at the
+   first check from step 4k on whose residual's decay since the previous
+   check, (r_k / r_j)^(1 / (s_k - s_j)) per step, predicts a run on M past
+   step 150 + 4c, as every check from that step on does; a residual that
+   did not shrink predicts nothing. c counts the vertices of degree other
+   than 2, each a Python step or a kernel order per evaluation. k = min(b,
+   2(m - n)) + 1, b the vertices of degree above 2, bounds the kernel's
+   order (a 2-core has at most 2(m - n) branch vertices), and a dense
+   evaluation of order k costs about 4k steps.
+2. The reduction (``_series``) is rooted at the middle one of the vertices
+   where x is largest, as x is flat along long chains early on. If the root
+   is a branch vertex of the 2-core, one with three or more neighbours in
+   it, the hubs carry the Perron mass and all of them are kept; else the
+   root alone. Every other vertex of degree at most 2 is removed. First
+   the chains: maximal runs of such vertices, each ending at one or two
+   other vertices, its attachments, or at a leaf. Every edge inside a
+   chain joins two vertices of degree 2 and weighs w = f(2, 2), so the
+   chain's pivots, its Schur complement on its attachments and its entries
+   of x have closed forms in lambda / 2w (``_responses``): all chains
+   together cost a fixed number of array operations per evaluation. A
+   chain between two attachments joins them by a fill edge. Then the
+   skeleton: the other vertices of current degree at most 2, first in,
+   first out; a fill edge joins its two neighbours. At a trial lambda
    (``_evaluate``), the chains add their terms to their attachments'
    entries, and each skeleton v in turn has pivot p_v = lambda - w_vv and
    adds w_va w_vb / p_v to w_ab for each pair a, b of its neighbours at
    removal, a = b included. The least eigenpair (phi, u) of the kernel's
-   Schur complement lambda I - W_KK gives x_K = |u|; in reverse order, x_v =
-   sum_a w_va x_a / p_v on the skeleton; and each chain vertex's x from its
-   attachments'. As x.(lambda I - M)x = phi, lambda - phi /
-   |x|^2 is x's Rayleigh quotient and the Newton point of phi, which is
+   Schur complement lambda I - W_KK, u positive and of unit norm, gives x_K
+   = u, in closed form for one or two kernel vertices; else by eigh, whose
+   small entries then come from their own rows. In reverse order, x_v =
+   sum_a w_va x_a / p_v on the skeleton, and each chain vertex's x follows
+   from its attachments'. As x.(lambda I - M)x = phi, lambda - phi / |x|^2
+   is x's Rayleigh quotient and the Newton point of phi, which is
    increasing and concave above the removed block's Perron value. From
    lambda = r, each evaluation steps there, within a bracket: lo is the
    largest lambda whose pivots failed, and hi the smallest with phi > 0, or
@@ -78,6 +82,7 @@ whose exact value lies below the double range reads 0.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -90,6 +95,7 @@ DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 10 ** 6
 FULL_SPECTRUM_MAX_ORDER = 64
 INTERLACING_TOL = 1e-8
+HANDOFF_STEPS = 150
 
 
 def check_tol(tol):
@@ -116,23 +122,18 @@ def f_adjacency(G, f):
 
 
 def _edge_weights(G, f):
-    """Endpoint arrays us, vs and weights w = f(d_u, d_v) of G's edges.
-
-    Edges come in ``G.edges`` order, the order ``f_adjacency`` walks, so a
-    missing table entry is named by the same degree pair; f is evaluated
-    once per distinct degree pair.
-    """
-    degs = degrees(G)
-    edges = list(G.edges)
-    memo = {}
-    w = []
-    for u, v in edges:
-        pair = degs[u], degs[v]
-        if pair not in memo:
-            memo[pair] = memo[pair[::-1]] = eval_weight(f, *pair)
-        w.append(memo[pair])
-    us, vs = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    return us, vs, np.array(w, dtype=float)
+    """Endpoint arrays us, vs and weights w = f(d_u, d_v) of G's edges, in
+    ``G.edges`` order, the order ``f_adjacency`` walks. f is evaluated once
+    per distinct degree pair, in order of first occurrence, so a missing
+    table entry is named by the same degree pair."""
+    ends = np.fromiter(chain.from_iterable(G.edges), np.intp, 2 * G.m).reshape(-1, 2)
+    pairs = np.bincount(ends.ravel(), minlength=G.n)[ends]
+    du, dv = pairs.T
+    # A degree pair's sum and product name it whichever way round it comes.
+    key = (du + dv) * G.n ** 2 + du * dv
+    match = key[:, None] == np.fromiter(dict.fromkeys(key.tolist()), np.intp)
+    values = np.array([eval_weight(f, *pairs[e].tolist()) for e in match.argmax(axis=0).tolist()])
+    return ends[:, 0], ends[:, 1], values[match.argmax(axis=1)]
 
 
 def _require_finite(sums, entries):
@@ -204,14 +205,12 @@ def _checks(M, x, step):
 
 
 def _series(M, root):
-    """The series reduction of M's graph, rooted at ``root``, as a namespace
-    of the fields below and ``n``, M's order.
-
-    Chains are the maximal runs of vertices other than the root with at most
-    two neighbours; a run with no neighbour outside it is left to the
-    skeleton. M's entries must depend only on their endpoints' degrees, so
-    that every edge between two chain vertices of degree 2 weighs the same
-    ``w`` (0 where there is none).
+    """The series reduction of M's graph from ``root`` (module docstring) as a
+    namespace of the fields below, ``n``, M's order, and ``buffers``, two
+    arrays of order n that ``_evaluate`` fills in turn. A run of removable
+    vertices with no neighbour outside it is left to the skeleton. M's
+    entries must depend only on their endpoints' degrees, so that every edge
+    between two chain vertices weighs the same ``w`` (0 where there is none).
 
     Skeleton and kernel entries live in slots of one flat list, which starts
     as ``values``: one value per unordered pair a <= b of vertices outside
@@ -238,66 +237,85 @@ def _series(M, root):
     weight of its edge at a times the part of its first vertex toward b to
     w_ab, twice where a = b.
     """
-    adjacent = [set() for _ in range(M.n)]
-    for a, b in zip(M.rows.tolist(), M.cols.tolist()):
-        adjacent[a].add(b)
-    low = [v != root and len(near) <= 2 for v, near in enumerate(adjacent)]
-    # weight[u, a]: M's entry at (u, a) for u of degree at most 2.
-    at_low = np.array(low)[M.rows]
-    weight = dict(zip(zip(M.rows[at_low].tolist(), M.cols[at_low].tolist()),
-                      M.vals[at_low].tolist()))
+    n, rows, cols = M.n, M.rows, M.cols
+    degree = np.bincount(rows, minlength=n)
+    start = np.append(0, np.cumsum(degree))
+    # Each vertex's first and second neighbour (columns ascend along a row)
+    # and their edges' weights; -1 and 0 past its degree.
+    ahead = start[:-1] + np.arange(2)[:, None]
+    first, second = np.where(degree > ahead - start[:-1], np.append(cols, (-1, -1))[ahead], -1).tolist()
+    weights = np.append(M.vals, (0.0, 0.0))[ahead].tolist()
+    kept = [root]
+    if degree[root] > 2:
+        # The 2-core: strip the vertices left with at most one neighbour.
+        core, neighbours, start = degree.tolist(), cols.tolist(), start.tolist()
+        stripped = np.flatnonzero(degree < 2).tolist()
+        for v in stripped:
+            for a in neighbours[start[v]:start[v + 1]]:
+                core[a] -= 1
+                if core[a] == 1:
+                    stripped.append(a)
+        if core[root] > 2:
+            kept = np.flatnonzero(np.array(core) > 2).tolist()
+    keep = np.zeros(n + 1, dtype=bool)
+    keep[kept] = True
+    low = np.append(degree < 3, False) & ~keep
+    lows = low.tolist()
+
+    def weight(u, a):
+        return weights[first[u] != a][u]
+
+    def beyond(u, a):
+        return second[u] if first[u] == a else first[u]
+
     # runs: (vertices, attachment, beta, leaf edge squared); count: their entries.
-    seen, chained, runs, leaves, ends, w, count = set(), set(), [], [], [], 0.0, 0
-    for v in range(M.n):
-        # Walk each run of low vertices from one of its ends.
-        if not low[v] or v in seen or sum(low[a] for a in adjacent[v]) > 1:
+    seen, chained, fills, runs, leaves, ends, w, count = set(), [], [], [], [], [], 0.0, 0
+    # Walk each run from an end: a low vertex with at most one low neighbour.
+    for v in np.flatnonzero(low[:-1] & (low[first] + low[second].astype(int) < 2)).tolist():
+        if v in seen:
             continue
-        chain, previous = [v], None
-        while ahead := [a for a in adjacent[chain[-1]] if low[a] and a != previous]:
-            previous = chain[-1]
-            chain.append(ahead[0])
+        chain, b = [v], first[v] if lows[first[v]] else second[v]
+        a = beyond(v, b)
+        while lows[b]:
+            chain.append(b)
+            b = beyond(b, chain[-2])
         seen.update(chain)
-        if len(chain) == 1:
-            outside = sorted(adjacent[v])
-            first, last = outside[:1], outside[1:]
-        else:
-            first, last = ([a for a in adjacent[u] if not low[a]] for u in (chain[0], chain[-1]))
-        if not last:
-            chain.reverse()
-            first, last = last, first
-        if not last:
+        if b < 0:
+            chain, a, b = chain[::-1], b, a
+        if b < 0:
             continue
-        chained.update(chain)
-        b = last[0]
-        adjacent[b].discard(chain[-1])
-        if first:
-            a = first[0]
-            adjacent[a].discard(chain[0])
+        chained += chain
+        if a >= 0:
             if a != b:
-                adjacent[a].add(b)
-                adjacent[b].add(a)
-            ends.append((count, weight[chain[0], a] * (2 if a == b else 1), (min(a, b), max(a, b))))
+                fills.append((a, b))
+            ends.append((count, weight(chain[0], a) * (2 if a == b else 1), (min(a, b), max(a, b))))
             new = [(chain, b, 0.0), (chain[::-1], a, 0.0)]
         elif len(chain) == 1:
             new = [(chain, b, 0.0)]
         else:
-            leaves.append((chain[0], b, count, weight[chain[0], chain[1]]))
-            new = [(chain[1:], b, weight[chain[0], chain[1]] ** 2)]
+            leaves.append((chain[0], b, count, weight(chain[0], chain[1])))
+            new = [(chain[1:], b, weight(chain[0], chain[1]) ** 2)]
         for run, b, square in new:
             count += len(run)
-            runs.append((run, b, weight[run[-1], b], square))
-            ends.append((count - 1, weight[run[-1], b], (b, b)))
+            runs.append((run, b, weight(run[-1], b), square))
+            ends.append((count - 1, weight(run[-1], b), (b, b)))
             if len(run) > 1:
-                w = weight[run[0], run[1]]
+                w = weight(run[0], run[1])
 
-    kept = np.ones(M.n, dtype=bool)
-    kept[list(chained)] = False
-    pairs = (M.rows < M.cols) & kept[M.rows] & kept[M.cols]
-    slots = {pair: i for i, pair in enumerate(zip(M.rows[pairs].tolist(), M.cols[pairs].tolist()))}
+    outside = np.ones(n, dtype=bool)
+    outside[chained] = False
+    rest = np.flatnonzero(outside).tolist()
+    inner = outside[rows] & outside[cols]
+    adjacent = {v: set() for v in rest}
+    for a, b in [*zip(rows[inner].tolist(), cols[inner].tolist()), *fills]:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    pairs = inner & (rows < cols)
+    slots = {pair: i for i, pair in enumerate(zip(rows[pairs].tolist(), cols[pairs].tolist()))}
     values = M.vals[pairs].tolist()
     ends = [(e, factor, slots.setdefault(pair, len(slots))) for e, factor, pair in ends]
-    queue = [v for v, near in enumerate(adjacent)
-             if v != root and v not in chained and len(near) <= 2]
+    keep = keep.tolist()
+    queue = [v for v in rest if not keep[v] and len(adjacent[v]) <= 2]
     queued = set(queue)
     skeleton = []
     for v in queue:
@@ -311,10 +329,10 @@ def _series(M, root):
             neighbours.discard(v)
             neighbours.update(near)
             neighbours.discard(a)
-            if a != root and a not in queued and len(neighbours) <= 2:
+            if not keep[a] and a not in queued and len(neighbours) <= 2:
                 queued.add(a)
                 queue.append(a)
-    kernel = [v for v in range(M.n) if v not in queued and v not in chained]
+    kernel = [v for v in rest if v not in queued]
     index = {v: i for i, v in enumerate(kernel)}
     entries = [(i, i, slots[a, a]) for i, a in enumerate(kernel) if (a, a) in slots]
     entries += [(i, index[b], slots[(a, b) if a < b else (b, a)])
@@ -330,8 +348,8 @@ def _series(M, root):
     leaf, leaf_attachment, leaf_entry, leaf_weight = np.array(leaves).reshape(-1, 4).T
     entry, factor, slot = np.array(ends).reshape(-1, 3).T
     return SimpleNamespace(
-        n=M.n, values=np.array(values), skeleton=skeleton, kernel=kernel,
-        entries=np.array(entries, dtype=np.intp).reshape(-1, 3).T,
+        n=n, values=np.array(values), skeleton=skeleton, kernel=kernel,
+        entries=np.array(entries, dtype=np.intp).reshape(-1, 3).T, buffers=[np.empty(n), np.empty(n)],
         w=w, m=np.arange(R.max(initial=0) + 2, dtype=float),
         gather=np.array([k, k - 1, R + 1, R]), power=R - k, beta=beta, leaf_squares=square,
         leaf_entries=leaf_entry.astype(np.intp), leaf_weights=leaf_weight,
@@ -382,11 +400,9 @@ def _responses(series, lam):
 
 
 def _evaluate(series, lam):
-    """(phi, x) of the series reduction at lam, or None if lam is not
-    positive or a pivot is not."""
-    if not lam > 0:
-        return None
-    y = _responses(series, lam)
+    """(phi, x) at lam, or None if lam or a pivot is not positive; x is one of
+    the series' two buffers, filled in turn, so it outlasts one more call."""
+    y = _responses(series, lam) if lam > 0 else None
     if y is None:
         return None
     entry, factor, slot = series.ends
@@ -399,20 +415,40 @@ def _evaluate(series, lam):
         pivots.append(p)
         for s, a, b in fills:
             w[s] += w[a] * w[b] / p
-    rows, cols, kernel_slots = series.entries
-    S = lam * np.eye(len(series.kernel))
-    S[rows, cols] -= [w[s] for s in kernel_slots.tolist()]
-    phi, u = np.linalg.eigh(S)
-    known = dict(zip(series.kernel, abs(u[:, 0]).tolist()))
+    values = [w[s] for s in series.entries[2].tolist()]
+    if len(series.kernel) == 1:
+        phi, u = lam - sum(values), [1.0]
+    else:
+        S = np.zeros((len(series.kernel),) * 2)
+        S[series.entries[0], series.entries[1]] = np.negative(values)
+        p_k = lam + S.diagonal()
+        if len(S) == 2:
+            # In closed form, each entry a sum of terms of one sign.
+            h = math.hypot(d := (p_k[1] - p_k[0]) / 2, c := -S[0, 1])
+            u = np.array([d + h, c] if d >= 0 else [c, h - d])
+            phi, u = float(p_k.mean() - h), u / math.hypot(*u)
+        else:
+            np.fill_diagonal(S, p_k)
+            phi, u = np.linalg.eigh(S)
+            phi, u = float(phi[0]), abs(u[:, 0])
+            # eigh gives each u_i to about lam * eps; its row, u_i = sum_j w_ij
+            # u_j / (lam - w_ii - phi), does better where that pivot > lam u_i.
+            p_k -= phi
+            np.fill_diagonal(S, 0.0)
+            swept = p_k > lam * u
+            u[swept] = -(S @ u)[swept] / p_k[swept]
+    known = dict(zip(series.kernel, map(float, u)))
     for (v, _, terms, _), p in zip(reversed(series.skeleton), reversed(pivots)):
         total = 0.0
         for s, a in terms:
             total += w[s] * known[a]
         known[v] = total / p
-    x = np.zeros(series.n)
+    x = series.buffers[0]
+    series.buffers.reverse()
+    x.fill(0.0)
     x[list(known)] = list(known.values())
     x += np.bincount(series.vertices, y * x[series.attachments], series.n)
-    return float(phi[0]), x
+    return phi, x
 
 
 def _reduced(M, series, x, rho, tol):
@@ -456,23 +492,28 @@ def _stages(M, tol):
     """Every check on M of a solve, through the three stages of the module
     docstring; a check at step MAX_ITERATIONS is the last."""
     run = _checks(M, np.ones(M.n), 0)
-    last, series = None, None
+    last = handoff = None
+
+    def beyond(budget):
+        # Decaying at its rate since the last check, the residual (positive,
+        # as neither check accepted) would still exceed tol * rho at ``budget``.
+        steps_left = budget - step
+        return steps_left <= 0 or residual < last[1] and tol * rho < residual * (
+            residual / last[1]) ** (steps_left / (step - last[0]))
+
     for check in run:
         yield check
-        # Neither this check nor the last accepted, so both residuals are
-        # positive.
         step, x, rho, residual = check
-        if series is None and last is not None:
-            # Decaying at its rate since the last check, the residual would
-            # still be above tol * rho at step 12n.
-            steps_left = 12 * M.n - step
-            if steps_left <= 0 or residual < last[1] and tol * rho < residual * (
-                    residual / last[1]) ** (steps_left / (step - last[0])):
-                series = _series(M, int(np.argmax(x)))
-        if series is not None and step >= 4 * len(series.kernel):
-            break
+        if last is not None and beyond(HANDOFF_STEPS):
+            if handoff is None:  # (start, budget)
+                branches = np.count_nonzero((degree := np.bincount(M.rows, minlength=M.n)) > 2)
+                handoff = (4 * min(branches, max(len(M.rows) - 2 * M.n, 0)) + 4,
+                           HANDOFF_STEPS + 4 * np.count_nonzero(degree != 2))
+            if step >= handoff[0] and beyond(handoff[1]):
+                break
         last = step, residual
-    x = _reduced(M, series, x, rho, tol)
+    top = np.flatnonzero(x == x.max())
+    x = _reduced(M, _series(M, int(top[len(top) // 2])), x, rho, tol)
     yield from run if x is None else _checks(M, x, step)
 
 
@@ -536,10 +577,9 @@ def perron_values(stack):
 
 def f_spectral_radius(G, f, tol=DEFAULT_TOL):
     """Largest eigenvalue of the f-adjacency matrix of G by power iteration
-    on G's edge list, with series reduction for slow solves (module docstring):
-    a solve whose residual decay predicts more than 12n power steps hands
-    off to the reduction once it does, and no earlier than step 4k for a
-    kernel of k vertices.
+    on G's edge list, with series reduction for slow solves (module
+    docstring): a solve whose residual decay predicts a run past 150 power
+    steps, plus 4 for each vertex of degree other than 2, hands off to it.
 
     It stops once max|Mx - rho x| <= tol * rho, x at unit maximum entry;
     ``tol`` is relative at every scale, so rho(c f) = c rho(f) up to

@@ -220,19 +220,36 @@ def family_corpus(max_n=10):
     return out
 
 
+def core_branches(adjacent):
+    """The vertices with at least three neighbours in the 2-core, the graph
+    left once vertices of at most one remaining neighbour are removed, one
+    at a time until none is left. ``adjacent`` lists each vertex's
+    neighbours as a set and is not changed."""
+    left = {v: set(near) for v, near in enumerate(adjacent)}
+    while stripped := [v for v, near in left.items() if len(near) <= 1]:
+        for v in stripped:
+            for a in left.pop(v):
+                left[a].discard(v)
+    return sorted(v for v, near in left.items() if len(near) >= 3)
+
+
 def peeled_kernel(adjacent, root):
-    """The vertices left by removing, first in first out, every vertex but
-    ``root`` with at most two neighbours, each removal joining its
-    neighbours: the kernel of a series reduction, one vertex at a time.
-    ``adjacent`` lists each vertex's neighbours as a set and is consumed."""
-    queue = [v for v, near in enumerate(adjacent) if v != root and len(near) <= 2]
+    """The vertices left by removing, first in first out, every vertex with
+    at most two neighbours that is not kept, each removal joining its
+    neighbours: the kernel of a series reduction, one vertex at a time. The
+    kept vertices are the 2-core's branch vertices (``core_branches``) if
+    ``root`` is one of them, else ``root`` alone. ``adjacent`` lists each
+    vertex's neighbours as a set and is consumed."""
+    branches = core_branches(adjacent)
+    kept = set(branches) if root in branches else {root}
+    queue = [v for v, near in enumerate(adjacent) if v not in kept and len(near) <= 2]
     queued = set(queue)
     for v in queue:
         near = adjacent[v]
         for a in near:
             adjacent[a].discard(v)
             adjacent[a].update(near - {a})
-            if a != root and a not in queued and len(adjacent[a]) <= 2:
+            if a not in kept and a not in queued and len(adjacent[a]) <= 2:
                 queued.add(a)
                 queue.append(a)
     return [v for v in range(len(adjacent)) if v not in queued]

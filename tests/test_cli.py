@@ -411,10 +411,23 @@ def test_class_search_rejects_overflowing_row_sums(capsys):
 def test_rho_on_a_long_infty_under_randic_is_one(capsys):
     # rho = 1 exactly under randic on a connected graph. The odd cycles put
     # lambda_n near -1 and the long path puts lambda_2 near 1; the residual's
-    # decay predicts a run on M past 12n steps by step 1,653, and the series
-    # reduction ends the solve at the next check.
+    # decay predicts a long run on M by step 15, and the series reduction on
+    # the two hubs ends the solve at the next check.
     code, out, err = run(capsys, "rho", "--family", "infty:3,3,1500", "--weight", "randic")
     assert (code, out, err) == (0, "rho 1.000000\n", "")
+
+
+@pytest.mark.parametrize("family, weight", [("infty:3,3,43", "sombor"), ("theta:60,60,61", "const:1")])
+def test_certify_a_graph_made_of_chains_is_normal(capsys, family, weight):
+    # Reduced on its two hubs, the Perron vector is accurate entry by entry,
+    # so each vertex's incidence sums to 1 within rounding. A run on M alone,
+    # accurate only in max norm, left largest vertex slacks of 9.5e-7 and
+    # 1.7e-8, and read strictly_subnormal.
+    code, out, err = run(capsys, "certify", "--family", family, "--weight", weight)
+    assert (code, err) == (0, "")
+    assert "classification normal" in out.splitlines()
+    slack = next(line for line in out.splitlines() if line.startswith("max_vertex_slack"))
+    assert float(slack.split()[1]) <= 1e-13
 
 
 def test_certify_refuses_a_perron_entry_below_the_double_range(capsys):

@@ -140,8 +140,8 @@ def test_cli_certify_solves_once(solves, capsys):
 
 @pytest.mark.parametrize("family, refused", [("path:40", True), ("path:90", False)])
 def test_certify_solves_once_whether_or_not_it_reduces(monkeypatch, solves, reductions, family, refused):
-    # Both paths' residual decay predicts a run on M past its budget of 12n
-    # steps, so both reduce; with every pivot refused, path:40's reduction
+    # Both paths' residual decay predicts a run on M past the handoff
+    # budget, so both reduce; with every pivot refused, path:40's reduction
     # gives up and the run goes on on M.
     if refused:
         monkeypatch.setattr(spectral, "_evaluate", lambda *args: None)

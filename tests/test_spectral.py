@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fspectra.spectral import (
 )
 from fspectra.search import class_graphs
 from fspectra.weights import NAMED_WEIGHTS, eval_weight, parse_weight
-from helpers import induced_subgraph, peeled_kernel, random_connected_graph
+from helpers import core_branches, induced_subgraph, peeled_kernel, random_connected_graph
 
 TABLE = parse_weight("table:2,2=1;3,2=2;4,2=2")
 CONST1 = parse_weight("const:1")
@@ -176,13 +177,13 @@ def test_spectral_radius_solves_where_unscaled_iterates_overflow(monkeypatch):
 # times rho; a path or theta family takes hundreds to thousands of steps.
 HUB_STEPS = {"star:250": 10, "double-star:100,100": 20, "sn-plus-e:150": 40}
 # Step ceilings for small gaps rho - lambda_2. A path's residual decays so
-# slowly that it predicts a run on M past 12n steps by step 153 (path:240)
-# or 120 (path:200); the reduction then ends the solve at the next check.
-# theta:3,3,200 converges on M.
+# slowly that by step 10 it predicts a run on M past 158 steps (150 plus 4
+# for each of its two leaves); the reduction then ends the solve at the next
+# check. theta:3,3,200's reduction starts at step 36.
 SMALL_GAP_STEPS = {
-    ("path:240", "zagreb1"): 154,
-    ("path:200", "sombor"): 121,
-    ("theta:3,3,200", "sombor"): 210,
+    ("path:240", "zagreb1"): 11,
+    ("path:200", "sombor"): 11,
+    ("theta:3,3,200", "sombor"): 37,
 }
 
 
@@ -207,19 +208,50 @@ def test_spectral_radius_agrees_with_perron_values(family, weight):
 @pytest.mark.parametrize(
     "family, weight",
     [*((family, weight) for family in HUB_STEPS for weight in ("sombor", "zagreb1", "const:1.5")),
-     ("theta:20,20,21", "sombor"), ("theta:3,3,200", "sombor"),
-     ("infty:3,3,43", "abc"), ("infty:3,3,43", "const:1.5"), ("cycle:200", "sombor")],
+     ("cycle:200", "sombor")],
 )
 def test_large_gap_shapes_finish_on_the_matrix(reductions, family, weight):
-    # Their residual decay never predicts a run on M past 12n steps: a hub
-    # graph converges in at most 40 steps and the cycle at the first check.
-    # infty:3,3,43 under abc or const:1.5 converges at step 465 of a 576-step
-    # budget, while an early noisy rate once predicted 483; a reduction from
-    # an early check costs it about 40 evaluations, since its removed block's
-    # Perron value lies 1.6e-10 below rho, relatively.
+    # Their residual decay never predicts a run on M past the handoff
+    # budget: a hub graph converges in at most 40 steps and the cycle at the
+    # first check.
     res = f_spectral_radius(_graph(family), parse_weight(weight))
     assert reductions == []
-    assert res.iterations <= {"cycle:200": 1, **HUB_STEPS}.get(family, 465)
+    assert res.iterations <= {"cycle:200": 1, **HUB_STEPS}[family]
+
+
+@pytest.mark.parametrize(
+    "family, weight",
+    [("theta:20,20,21", "sombor"), ("theta:60,60,61", "sombor"), ("theta:3,3,200", "sombor"),
+     ("infty:3,3,43", "abc"), ("infty:3,3,43", "const:1.5"),
+     ("infty:40,40,40", "zagreb1"), ("infty:40,40,40", "recip-randic")],
+)
+def test_graphs_made_of_chains_reduce_on_their_hubs(monkeypatch, reductions, kernels, family, weight):
+    # The two hubs carry the Perron mass, so the kernel keeps both and the
+    # removed block holds only chains, whose Perron value lies well below
+    # rho. Kept alone, one hub left the other in the removed block, whose
+    # Perron value then lies within rounding of rho: from these early checks
+    # five of these solves took 24 to 44 evaluations, and the check on M
+    # rejected the reduced vectors of infty:3,3,43 (abc) and infty:40,40,40
+    # (zagreb1, recip-randic), whose runs on M then passed 200,000 steps.
+    evaluations = []
+    evaluate = spectral._evaluate
+    monkeypatch.setattr(spectral, "_evaluate", lambda *args: evaluations.append(args[-1]) or evaluate(*args))
+    G, f = _graph(family), parse_weight(weight)
+    res = f_spectral_radius(G, f)
+    assert kernels == [[v for v in range(G.n) if len(G.adj[v]) == 3]]
+    assert len(reductions) == 1 and reductions[0] is not None and len(evaluations) <= 10
+    # The first check on M accepts the reduced vector.
+    assert np.array_equal(res.vector, reductions[0] / reductions[0].max())
+    rho, _, errors = perron_values(f_adjacency(G, f)[None])
+    assert abs(res.rho - rho[0]) <= errors[0]
+    assert res.vector.min() > 0.0
+
+
+def test_equal_hubs_get_equal_entries():
+    # The two hubs of theta:60,60,61 are interchangeable, and the kernel's
+    # closed form gives them exactly equal entries.
+    x = f_spectral_radius(make(parse_family("theta:60,60,61")), parse_weight("sombor")).vector
+    assert x[0] == x[1] == 1.0
 
 
 def test_zero_residual_accepts_at_tol_zero():
@@ -239,18 +271,20 @@ def _scaled_operator(G, f):
 
 
 def test_bracketed_newton_from_an_early_check(monkeypatch):
-    # From the check at step 36 of theta:20,20,21 under sombor, Newton steps
-    # from above land below the removed block's Perron value, where pivots
-    # fail. Moving halfway to the Collatz-Wielandt bound after each such
-    # failure went round one cycle for all 100 evaluations and refused;
-    # bracketing ends in at most 20.
+    # Rooted at vertex 2, next to hub 0, the reduction of theta:20,20,21
+    # keeps that vertex alone and removes both hubs, so the removed block's
+    # Perron value lies close below rho. From the check at step 36 under
+    # sombor, Newton steps from above land below it, where pivots fail;
+    # the bracket still ends the reduction within 20 evaluations.
     G, f = make(parse_family("theta:20,20,21")), parse_weight("sombor")
     M, e = _scaled_operator(G, f)
     _, x, rho, _ = next(check for check in spectral._checks(M, np.ones(G.n), 0) if check[0] == 36)
     evaluations = []
     evaluate = spectral._evaluate
     monkeypatch.setattr(spectral, "_evaluate", lambda *args: evaluations.append(args[-1]) or evaluate(*args))
-    z = spectral._reduced(M, spectral._series(M, int(np.argmax(x))), x, rho, spectral.DEFAULT_TOL)
+    series = spectral._series(M, 2)
+    assert series.kernel == [2]
+    z = spectral._reduced(M, series, x, rho, spectral.DEFAULT_TOL)
     assert z is not None and len(evaluations) <= 20
     z = z / z.max()
     y = M @ z
@@ -316,8 +350,8 @@ def _weight(name):
     return _total_table(3) if name == "table" else parse_weight(name)
 
 
-# Graphs whose residual decay predicts a run on M past 12n steps, and which
-# are reduced to a kernel of one vertex. The branch vertex of the spider or
+# Graphs whose residual decay predicts a run on M past the handoff budget,
+# and which are reduced to a kernel of one vertex. The branch vertex of the spider or
 # of the paths on C4 localizes the Perron vector under sombor, zagreb1 and
 # const:1.5, whose edges grow heavier at degree 3: the gap stays large and
 # they converge in at most 435 steps. Under a weight that does not grow with
@@ -386,8 +420,9 @@ def test_refused_reduction_leaves_the_solve_on_stage_1(monkeypatch, reductions, 
 def test_reduced_solve_with_a_large_kernel(monkeypatch, reductions, kernels, weight):
     # Only the grid's 4 corners have degree 2, and removing one leaves its
     # neighbours at degree 3, so 296 of its 300 vertices stay in the kernel.
-    # The reduction waits for step 4 * 296 and then takes two dense
-    # evaluations; from a check before step 561, under sombor, it took three.
+    # The reduction waits for step 4 * 297, 297 bounding the kernel's order,
+    # and then takes two dense evaluations; from a check before step 561,
+    # under sombor, it took three.
     evaluations = []
     evaluate = spectral._evaluate
     monkeypatch.setattr(spectral, "_evaluate", lambda *args: evaluations.append(args[-1]) or evaluate(*args))
@@ -419,14 +454,16 @@ def test_reduced_solve_near_the_order_limit_keeps_every_vertex(kernels):
 @pytest.mark.parametrize("seed", range(8))
 def test_reduced_solve_with_a_kernel_of_several_vertices(reductions, kernels, seed):
     # A random core of 12 vertices and 8 extra edges, with two 80-edge paths
-    # hung on it: the paths make the gap small, and the core leaves a kernel
-    # of 6 to 9 vertices. Under randic, rho = 1 and x_v = sqrt(d_v) exactly.
+    # hung on it: the paths make the gap small. Under randic, rho = 1 and
+    # x_v = sqrt(d_v) exactly, largest at a vertex of largest degree, which
+    # here is a branch vertex of the 2-core: the kernel keeps all 6 to 9 of
+    # them.
     rng = random.Random(seed)
     G = random_connected_graph(rng, 12, 8)
     for _ in range(2):
         G = _with_path(G, rng.randrange(12), 80)
     res = f_spectral_radius(G, parse_weight("randic"))
-    assert len(kernels) == 1 and 6 <= len(kernels[0]) <= 9
+    assert kernels == [core_branches(G.adj)] and 6 <= len(kernels[0]) <= 9
     assert len(reductions) == 1 and reductions[0] is not None
     assert res.rho == pytest.approx(1.0, rel=1e-14)
     root_degrees = np.sqrt(degrees(G))
@@ -483,8 +520,9 @@ K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 # Graphs and roots whose reductions have pendant chains of 1, 2, 3 and 50
 # vertices, chains between two vertices (one of a single vertex in
 # theta:2,3,4, one beside an edge in theta:1,3,4), chains from a vertex
-# back to itself (infty and the cycle), and skeletons (theta:2,2,2's other
-# hub and the random cores).
+# back to itself (infty and the cycle), kernels of two hubs (theta:3,4,5,
+# infty:5,6,4) and skeletons (theta:2,2,2's hubs, rooted at a vertex
+# between them, and the random cores).
 # Each removed block's Perron value lies below 2 f(2, 2) for the paths, the
 # cycle and the K4, so those evaluate below, at and above it.
 CHAINED = {
@@ -496,7 +534,7 @@ CHAINED = {
     "infty:5,6,4": (lambda: make(parse_family("infty:5,6,4")), None),
     "cycle:60": (lambda: make(parse_family("cycle:60")), 7),
     # Single-vertex chains only, so no edge joins two chain vertices: w = 0.
-    "theta:2,2,2": (lambda: make(parse_family("theta:2,2,2")), 0),
+    "theta:2,2,2": (lambda: make(parse_family("theta:2,2,2")), 2),
     "random-core+paths:80,80": (
         lambda: _hung(random_connected_graph(random.Random(5), 12, 8), (80, 80), 5), None),
     "random-tree+paths:1,2,3,40": (
@@ -569,6 +607,31 @@ def test_evaluation_refuses_exactly_at_and_below_the_removed_block(name, weight)
         assert spectral._evaluate(series, lam) is None, lam
     for lam in (top + 32 * ulp, top * (1 + 1e-9), 2 * top):
         assert spectral._evaluate(series, lam) is not None, lam
+
+
+def _triangle_path_kite(length):
+    """Triangle 0, 1, 2 joined at 0 by a path of ``length`` edges to vertex 3
+    of a triangle 3, 4, 5 and a square 3, 5, 6, 7 that share the edge 3-5."""
+    path = [0, *range(8, 7 + length), 3]
+    return Graph(7 + length, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (5, 6), (6, 7), (3, 7),
+                              *zip(path, path[1:])])
+
+
+@pytest.mark.parametrize("weight", ["const:1", "abc", "recip-randic"])
+def test_small_kernel_entries_are_accurate_entry_by_entry(reductions, kernels, weight):
+    # Three branch vertices make the kernel's eigenpair an eigh, which gives
+    # each entry only to within rounding of the largest. The Perron vector
+    # sits at one end of the path, so the other end's hubs carry tiny
+    # entries: from eigh alone one read 0. Recomputed from their own rows,
+    # every entry solves its row of M to rounding.
+    G, f = _triangle_path_kite(60), parse_weight(weight)
+    res = f_spectral_radius(G, f)
+    assert [len(kernel) for kernel in kernels] == [3] and reductions[0] is not None
+    us, vs, w = spectral._edge_weights(G, f)
+    x = res.vector
+    Mx = np.bincount(us, w * x[vs], G.n) + np.bincount(vs, w * x[us], G.n)
+    assert x.min() > 0.0
+    assert abs(1 - Mx / (res.rho * x)).max() <= 1e-12
 
 
 def test_reduced_vector_far_down_a_long_path_stays_finite():
@@ -805,3 +868,21 @@ def test_edge_list_solve_names_the_missing_pair_as_f_adjacency_does(family):
     with pytest.raises(MissingTableEntry) as got:
         f_spectral_radius(G, f)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edge_weights_match_a_loop_over_the_edges(seed):
+    # The vectorized lookup against a loop over G.edges: the same arrays, and
+    # f called once per distinct degree pair, in order of first occurrence
+    # and oriented as there.
+    rng = random.Random(seed)
+    G = random_connected_graph(rng, rng.randint(2, 60), rng.randint(0, 30))
+    sombor, calls = parse_weight("sombor"), []
+    f = SimpleNamespace(func=lambda x, y: calls.append((x, y)) or sombor.func(x, y))
+    us, vs, w = spectral._edge_weights(G, f)
+    edges, degs, first = list(G.edges), degrees(G), {}
+    for u, v in edges:
+        first.setdefault(frozenset((degs[u], degs[v])), (degs[u], degs[v]))
+    assert calls == list(first.values())
+    assert [us.tolist(), vs.tolist()] == [list(ends) for ends in zip(*edges)]
+    assert w.tolist() == [eval_weight(sombor, degs[u], degs[v]) for u, v in edges]
