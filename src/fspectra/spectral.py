@@ -123,17 +123,17 @@ def f_adjacency(G, f):
 
 def _edge_weights(G, f):
     """Endpoint arrays us, vs and weights w = f(d_u, d_v) of G's edges, in
-    ``G.edges`` order, the order ``f_adjacency`` walks. f is evaluated once
-    per distinct degree pair, in order of first occurrence, so a missing
-    table entry is named by the same degree pair."""
+    ``G.edges`` order as ``f_adjacency`` walks them, with f called once per
+    degree pair in order of first occurrence: both name a missing pair alike."""
     ends = np.fromiter(chain.from_iterable(G.edges), np.intp, 2 * G.m).reshape(-1, 2)
     pairs = np.bincount(ends.ravel(), minlength=G.n)[ends]
     du, dv = pairs.T
     # A degree pair's sum and product name it whichever way round it comes.
-    key = (du + dv) * G.n ** 2 + du * dv
-    match = key[:, None] == np.fromiter(dict.fromkeys(key.tolist()), np.intp)
-    values = np.array([eval_weight(f, *pairs[e].tolist()) for e in match.argmax(axis=0).tolist()])
-    return ends[:, 0], ends[:, 1], values[match.argmax(axis=1)]
+    keys, values = ((du + dv) * G.n ** 2 + du * dv).tolist(), {}
+    for e, key in enumerate(keys):
+        if key not in values:
+            values[key] = eval_weight(f, *pairs[e].tolist())
+    return ends[:, 0], ends[:, 1], np.fromiter(map(values.__getitem__, keys), float, len(keys))
 
 
 def _require_finite(sums, entries):
