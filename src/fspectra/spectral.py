@@ -35,8 +35,8 @@ for a 3 x k grid. So a solve runs in up to three stages:
    did not shrink predicts nothing. c counts the vertices of degree other
    than 2, each a Python step or a kernel order per evaluation. k = min(b,
    2(m - n)) + 1, b the vertices of degree above 2, bounds the kernel's
-   order (a 2-core has at most 2(m - n) branch vertices), and a dense
-   evaluation of order k costs about 4k steps.
+   order (a connected graph's 2-core has at most 2(m - n) branch
+   vertices); a dense evaluation of order k costs about 4k steps.
 2. The reduction (``_series``) is rooted at the middle one of the vertices
    where x is largest, as x is flat along long chains early on. If the root
    is a branch vertex of the 2-core, one with three or more neighbours in
