@@ -26,7 +26,13 @@ GRAPH_MAX_ORDER = 2000
 
 
 class Graph:
-    """Immutable simple undirected graph on n labeled vertices."""
+    """Immutable simple undirected graph on n labeled vertices.
+
+    ``edges`` holds each edge once as (u, v) with u < v. ``adj`` (each
+    vertex's neighbours, ascending) and ``masks`` (each vertex's neighbour
+    bits) are built on first access and then kept: a Perron solve reads
+    ``edges`` only, so it builds neither.
+    """
 
     __slots__ = ("n", "edges", "adj", "masks", "_hash")
 
@@ -42,16 +48,28 @@ class Graph:
             norm.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(norm)
-        lists = [[] for _ in range(n)]
-        masks = [0] * n
-        for u, v in norm:
-            lists[u].append(v)
-            lists[v].append(u)
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        self.adj = tuple(tuple(sorted(a)) for a in lists)
-        self.masks = tuple(masks)
         self._hash = hash((n, self.edges))
+
+    def __getattr__(self, name):
+        # Python calls this only where normal lookup fails: for ``adj`` and
+        # ``masks``, until their slots are set here.
+        if name == "adj":
+            # In sorted edge order each list gets its smaller neighbours,
+            # then its larger ones, each ascending.
+            lists = [[] for _ in range(self.n)]
+            for u, v in sorted(self.edges):
+                lists[u].append(v)
+                lists[v].append(u)
+            self.adj = tuple(map(tuple, lists))
+            return self.adj
+        if name == "masks":
+            masks = [0] * self.n
+            for u, v in self.edges:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            self.masks = tuple(masks)
+            return self.masks
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def m(self):
@@ -96,8 +114,13 @@ class InternalPath:
 
 
 def degrees(G):
-    """Degree of every vertex, indexed by vertex."""
-    return [len(G.adj[v]) for v in range(G.n)]
+    """Degree of every vertex, indexed by vertex, counted off the edge set
+    so that G's adjacency lists need not be built."""
+    deg = [0] * G.n
+    for u, v in G.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
 
 
 def is_connected(G):
@@ -191,8 +214,6 @@ def fundamental_cycles(G):
     Each cycle is returned as [v0, v1, ..., v0]. Raises Disconnected for
     disconnected input; returns [] for trees.
     """
-    if not is_connected(G):
-        raise Disconnected("cycle basis needs a connected graph")
     parent = [-1] * G.n
     depth = [0] * G.n
     order = [0]
@@ -207,6 +228,8 @@ def fundamental_cycles(G):
                 parent[u] = v
                 depth[u] = depth[v] + 1
                 order.append(u)
+    if len(order) < G.n:
+        raise Disconnected("cycle basis needs a connected graph")
     tree = set()
     for v in range(G.n):
         if parent[v] >= 0:

@@ -25,14 +25,13 @@ shaped graphs possible.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import (
-    BadParams,
-    BadSplit,
-    IncompleteIncidence,
-)
+import numpy as np
+
+from .errors import BadParams, BadSplit, IncompleteIncidence
 from .graph_core import degrees, fundamental_cycles, internal_paths, is_connected
-from .spectral import check_tol, f_spectral_radius
+from .spectral import _edge_weights, check_tol, f_spectral_radius
 from .weights import eval_weight
 
 NORMALITY_TOL = 1e-8
@@ -42,6 +41,10 @@ SHIFT_TOL = 1e-12
 # Relative headroom accepted when alpha' computed from an eigensolver lands
 # a hair above the exact boundary 1/4 (cycles hit the boundary exactly).
 _ALPHA_PRIME_SLACK = 1e-9
+
+# The classification for (every slack >= -tol, every slack <= tol).
+_CLASSES = {(True, True): "normal", (True, False): "strictly_subnormal",
+            (False, True): "strictly_supernormal", (False, False): "none"}
 
 
 def alpha_of(G, f):
@@ -63,7 +66,8 @@ class IncidenceWeights:
 
     Keys are (v, (a, b)) with a < b and v in {a, b}. Construction rejects
     keys that are not incidences of the host graph; completeness is checked
-    where it matters, in classify_normality.
+    where it matters, in classify_normality. Certificates built here keep
+    their values as arrays over the host's sorted edges (``_EdgeIncidence``).
     """
 
     def __init__(self, graph, values):
@@ -90,6 +94,25 @@ class IncidenceWeights:
 
     def items(self):
         return self._values.items()
+
+    def _ends(self, edges):
+        """Rows (B(u, e), B(v, e)) for the edges e = (u, v), read by ``value`` in order."""
+        return np.array([self.value(w, e) for e in edges for w in e]).reshape(-1, 2)
+
+
+class _EdgeIncidence(IncidenceWeights):
+    """B with ``ends[k] = (B(u, e), B(v, e))`` for the k-th sorted edge e = (u, v) of
+    the host; ``value`` and ``items`` read a dict built on first use, in edge order."""
+
+    def __init__(self, graph, edges, ends):
+        self.graph, self.edges, self.ends = graph, edges, ends
+
+    @cached_property
+    def _values(self):
+        return {(w, e): b for e, pair in zip(self.edges, self.ends.tolist()) for w, b in zip(e, pair)}
+
+    def _ends(self, edges):
+        return self.ends if edges == self.edges else super()._ends(edges)
 
 
 def principal_incidence(G, f):
@@ -118,13 +141,10 @@ def _principal(G, f):
     zero = int(x.argmin())
     if x[zero] == 0:
         raise BadParams(f"principal incidence needs a positive Perron vector, but vertex {zero}'s entry reads 0")
-    degs = degrees(G)
-    values = {}
-    for u, v in G.edges:
-        w = eval_weight(f, degs[u], degs[v])
-        values[(u, (u, v))] = w * x[v] / (res.rho * x[u])
-        values[(v, (u, v))] = w * x[u] / (res.rho * x[v])
-    return alpha, IncidenceWeights(G, values)
+    edges = G.sorted_edges()
+    us, vs, w = _edge_weights(G, f, edges)
+    return alpha, _EdgeIncidence(G, edges, np.column_stack((w * x[vs] / (res.rho * x[us]),
+                                                           w * x[us] / (res.rho * x[vs]))))
 
 
 @dataclass
@@ -156,48 +176,34 @@ def classify_normality(G, f, B, alpha, tol=NORMALITY_TOL, weight_overrides=None)
     cycle products. ``tol`` must be finite and >= 0.
     """
     check_tol(tol)
-    degs = degrees(G)
-    overrides = {}
-    if weight_overrides:
-        overrides = {
-            (min(a, b), max(a, b)): float(w) for (a, b), w in weight_overrides.items()
-        }
+    overrides = {(min(a, b), max(a, b)): float(w) for (a, b), w in (weight_overrides or {}).items()}
+    edges = G.sorted_edges()
+    index = dict(zip(edges, range(len(edges))))
+    ends = B._ends(edges)
+    us, vs, w = _edge_weights(G, f, edges)
+    for e in overrides.keys() & index.keys():
+        w[index[e]] = overrides[e]
+    ww = w * w
+    if not ww.all():
+        raise BadParams(f"edge {edges[int(ww.argmin())]}'s weight squares to 0: its edge slack is undefined")
+    with np.errstate(all="ignore"):  # inf and nan as in float arithmetic
+        edge_slack = ends[:, 0] * ends[:, 1] / ww - alpha
+    vertex_slack = 1.0 - np.bincount(np.column_stack((us, vs)).ravel(), ends.ravel(), G.n)
 
-    vertex_sum = {v: 0.0 for v in range(G.n)}
-    edge_slack = {}
-    for u, v in sorted(G.edges):
-        bu = B.value(u, (u, v))
-        bv = B.value(v, (u, v))
-        vertex_sum[u] += bu
-        vertex_sum[v] += bv
-        w = overrides.get((u, v), eval_weight(f, degs[u], degs[v]))
-        edge_slack[(u, v)] = bu * bv / (w * w) - alpha
-    vertex_slack = {v: 1.0 - s for v, s in vertex_sum.items()}
-
-    slacks = [*vertex_slack.values(), *edge_slack.values()]
-    sub_ok = all(s >= -tol for s in slacks)
-    sup_ok = all(s <= tol for s in slacks)
-    if sub_ok and sup_ok:
-        classification = "normal"
-    elif sub_ok:
-        classification = "strictly_subnormal"
-    elif sup_ok:
-        classification = "strictly_supernormal"
-    else:
-        classification = "none"
-
-    consistent = all(_cycle_consistent(B, cycle, tol) for cycle in fundamental_cycles(G))
-    return NormalityReport(alpha, classification, consistent, tol, vertex_slack, edge_slack, B)
+    slacks = np.concatenate((vertex_slack, edge_slack))
+    classification = _CLASSES[bool((slacks >= -tol).all()), bool((slacks <= tol).all())]
+    pairs = ends.tolist()
+    consistent = all(_cycle_consistent(pairs, index, cycle, tol) for cycle in fundamental_cycles(G))
+    return NormalityReport(alpha, classification, consistent, tol, dict(enumerate(vertex_slack.tolist())),
+                           dict(zip(edges, edge_slack.tolist())), B)
 
 
-def _cycle_consistent(B, cycle, tol):
-    """True when the ratios B(b, ab) / B(a, ab) around the closed walk
-    ``cycle`` are all positive and multiply to 1 within tol."""
+def _cycle_consistent(pairs, index, cycle, tol):
+    """True when the ratios B(b, ab) / B(a, ab) around the closed walk ``cycle``, read
+    from ``pairs[index[e]] = (B(u, e), B(v, e))``, are positive and multiply to 1 within tol."""
     log_product = 0.0
     for a, b in zip(cycle, cycle[1:]):
-        e = (min(a, b), max(a, b))
-        num = B.value(b, e)
-        den = B.value(a, e)
+        den, num = pairs[index[a, b]] if a < b else pairs[index[b, a]][::-1]
         if num <= 0.0 or den <= 0.0:
             return False
         log_product += math.log(num) - math.log(den)
@@ -222,11 +228,9 @@ class FThetaContext:
     def from_alpha_prime(cls, alpha_prime, f):
         if alpha_prime <= 0:
             raise BadParams("alpha' must be positive")
-        if alpha_prime > 0.25:
-            if alpha_prime <= 0.25 * (1.0 + _ALPHA_PRIME_SLACK):
-                alpha_prime = 0.25
-            else:
-                raise BadParams(f"alpha' = {alpha_prime} outside (0, 1/4]")
+        if alpha_prime > 0.25 * (1.0 + _ALPHA_PRIME_SLACK):
+            raise BadParams(f"alpha' = {alpha_prime} outside (0, 1/4]")
+        alpha_prime = min(alpha_prime, 0.25)
         theta = math.acosh(0.5 / math.sqrt(alpha_prime))
         return cls(alpha_prime, theta, eval_weight(f, 2, 2), f)
 
@@ -308,8 +312,7 @@ def inequality_oracles(ctx, shift_pairs=None, doubling_grid=None):
         doubling_grid = [3.0 + 0.5 * k for k in range(15)]
 
     F = ctx.f_theta
-    shift_margin = math.inf
-    shift_witness = None
+    shift_margin, shift_witness = math.inf, None
     for a, b in shift_pairs:
         if not (a >= b >= 0):
             raise BadParams(f"shift grid needs a >= b >= 0, got ({a}, {b})")
@@ -318,8 +321,7 @@ def inequality_oracles(ctx, shift_pairs=None, doubling_grid=None):
             shift_margin = margin
             shift_witness = (a, b)
 
-    doubling_margin = math.inf
-    doubling_witness = None
+    doubling_margin, doubling_witness = math.inf, None
     for x in doubling_grid:
         if x < 3:
             raise BadParams(f"doubling grid needs x >= 3, got {x}")
@@ -329,13 +331,10 @@ def inequality_oracles(ctx, shift_pairs=None, doubling_grid=None):
             doubling_witness = x
 
     return InequalityReport(
-        shift_holds=shift_margin >= -SHIFT_TOL,
-        shift_margin=shift_margin,
+        shift_holds=shift_margin >= -SHIFT_TOL, shift_margin=shift_margin,
         shift_witness=shift_witness if shift_margin < -SHIFT_TOL else None,
-        doubling_holds=doubling_margin > 0.0,
-        doubling_margin=doubling_margin,
-        doubling_witness=doubling_witness if doubling_margin <= 0.0 else None,
-    )
+        doubling_holds=doubling_margin > 0.0, doubling_margin=doubling_margin,
+        doubling_witness=doubling_witness if doubling_margin <= 0.0 else None)
 
 
 @dataclass
@@ -371,10 +370,7 @@ def incidence_from_splits(G, f, alpha, splits=None, modify_short_edges=False):
     paths = internal_paths(G)
     if not paths:
         raise BadParams("graph has no internal paths (no vertex of degree >= 3)")
-    covered = set()
-    for p in paths:
-        covered.update(p.edge_sequence())
-    if covered != set(G.edges):
+    if {e for p in paths for e in p.edge_sequence()} != G.edges:
         raise BadParams("graph has edges outside internal paths (pendants?)")
 
     ctx = FThetaContext.from_alpha(alpha, f)
@@ -396,10 +392,8 @@ def incidence_from_splits(G, f, alpha, splits=None, modify_short_edges=False):
 
         if l == 1:
             if not modify_short_edges:
-                raise BadSplit(
-                    "length-1 internal path needs modify_short_edges=True; "
-                    "the certificate then covers a reweighted edge"
-                )
+                raise BadSplit("length-1 internal path needs modify_short_edges=True; "
+                               "the certificate then covers a reweighted edge")
             overrides[edge_seq[0]] = eval_weight(f, d0, 2)
             dl = 2
         c_start, c_end = path_endpoint_values(l, l1, l2, d0, dl, ctx)
@@ -410,7 +404,12 @@ def incidence_from_splits(G, f, alpha, splits=None, modify_short_edges=False):
             values[(verts[i], edge_seq[i])] = x_i
             values[(verts[i], edge_seq[i - 1])] = 1.0 - x_i
 
-    return SplitCertificate(IncidenceWeights(G, values), overrides)
+    edges = G.sorted_edges()
+    ends = np.array([[values[e[0], e], values[e[1], e]] for e in edges])
+    if not np.isfinite(ends).all():  # only an endpoint's beta(d) F(l) can overflow
+        bad = next(key for key, val in values.items() if not math.isfinite(val))
+        raise BadParams(f"non-finite incidence value at {bad}")
+    return SplitCertificate(_EdgeIncidence(G, edges, ends), overrides)
 
 
 def certify(G, f, tol=NORMALITY_TOL):

@@ -121,11 +121,12 @@ def f_adjacency(G, f):
     return M
 
 
-def _edge_weights(G, f):
-    """Endpoint arrays us, vs and weights w = f(d_u, d_v) of G's edges, in
-    ``G.edges`` order as ``f_adjacency`` walks them, with f called once per
-    degree pair in order of first occurrence: both name a missing pair alike."""
-    ends = np.fromiter(chain.from_iterable(G.edges), np.intp, 2 * G.m).reshape(-1, 2)
+def _edge_weights(G, f, edges=None):
+    """Endpoint arrays us, vs and weights w = f(d_u, d_v) of G's edges in
+    the order of ``edges`` (default ``G.edges``, as ``f_adjacency`` walks
+    them), with f called once per degree pair in order of first occurrence:
+    a walk calling f on each edge in that order names the same missing pair."""
+    ends = np.fromiter(chain.from_iterable(edges or G.edges), np.intp, 2 * G.m).reshape(-1, 2)
     pairs = np.bincount(ends.ravel(), minlength=G.n)[ends]
     du, dv = pairs.T
     # A degree pair's sum and product name it whichever way round it comes.

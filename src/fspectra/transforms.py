@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .errors import BadParams, NoCycle
+from .errors import BadParams, Disconnected, NoCycle
 from .graph_core import (
     Graph,
     degrees,
@@ -73,9 +73,10 @@ def best_cycle_subdivision(G, f):
     eigenvector; the edge from v to its smaller-indexed cycle neighbor is
     subdivided. Returns (edge, subdivided graph).
     """
-    if not is_connected(G):
-        raise NoCycle("cycle subdivision needs a connected graph with a cycle")
-    cycles = fundamental_cycles(G)
+    try:
+        cycles = fundamental_cycles(G)
+    except Disconnected:
+        raise NoCycle("cycle subdivision needs a connected graph with a cycle") from None
     if not cycles:
         raise NoCycle("graph has no cycle")
     cycle = min(cycles, key=lambda c: (len(c), sorted(set(c))))

@@ -253,3 +253,80 @@ def peeled_kernel(adjacent, root):
                 queued.add(a)
                 queue.append(a)
     return [v for v in range(len(adjacent)) if v not in queued]
+
+
+def eager_lists(G):
+    """Adjacency lists and neighbour masks of G, built eagerly: one pass
+    over the edges, then each list sorted."""
+    lists = [[] for _ in range(G.n)]
+    masks = [0] * G.n
+    for u, v in G.edges:
+        lists[u].append(v)
+        lists[v].append(u)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return tuple(tuple(sorted(a)) for a in lists), tuple(masks)
+
+
+def dict_principal(G, f):
+    """(alpha, principal incidence) as a dict-valued ``IncidenceWeights``,
+    one ``eval_weight`` call per edge. Reference for ``luman._principal``."""
+    from fspectra.graph_core import degrees
+    from fspectra.luman import IncidenceWeights, _alpha
+    from fspectra.spectral import f_spectral_radius
+    from fspectra.weights import eval_weight
+
+    res = f_spectral_radius(G, f)
+    x, degs, values = res.vector, degrees(G), {}
+    for u, v in G.edges:
+        w = eval_weight(f, degs[u], degs[v])
+        values[(u, (u, v))] = w * x[v] / (res.rho * x[u])
+        values[(v, (u, v))] = w * x[u] / (res.rho * x[v])
+    return _alpha(res.rho), IncidenceWeights(G, values)
+
+
+def dict_classify(G, f, B, alpha, tol=1e-8, weight_overrides=None):
+    """``luman.classify_normality`` read value by value through ``B.value``
+    and summed in Python floats, in sorted edge order. Reference only."""
+    import math
+
+    from fspectra.graph_core import degrees, fundamental_cycles
+    from fspectra.luman import NormalityReport
+    from fspectra.weights import eval_weight
+
+    degs = degrees(G)
+    overrides = {(min(a, b), max(a, b)): float(w) for (a, b), w in (weight_overrides or {}).items()}
+    vertex_sum = {v: 0.0 for v in range(G.n)}
+    edge_slack = {}
+    for u, v in sorted(G.edges):
+        bu = B.value(u, (u, v))
+        bv = B.value(v, (u, v))
+        vertex_sum[u] += bu
+        vertex_sum[v] += bv
+        w = overrides.get((u, v), eval_weight(f, degs[u], degs[v]))
+        edge_slack[(u, v)] = bu * bv / (w * w) - alpha
+    vertex_slack = {v: 1.0 - s for v, s in vertex_sum.items()}
+    slacks = [*vertex_slack.values(), *edge_slack.values()]
+    sub_ok = all(s >= -tol for s in slacks)
+    sup_ok = all(s <= tol for s in slacks)
+    if sub_ok and sup_ok:
+        classification = "normal"
+    elif sub_ok:
+        classification = "strictly_subnormal"
+    elif sup_ok:
+        classification = "strictly_supernormal"
+    else:
+        classification = "none"
+
+    def consistent(cycle):
+        log_product = 0.0
+        for a, b in zip(cycle, cycle[1:]):
+            e = (min(a, b), max(a, b))
+            num, den = B.value(b, e), B.value(a, e)
+            if num <= 0.0 or den <= 0.0:
+                return False
+            log_product += math.log(num) - math.log(den)
+        return abs(math.expm1(log_product)) <= tol
+
+    return NormalityReport(alpha, classification, all(map(consistent, fundamental_cycles(G))), tol,
+                           vertex_slack, edge_slack, B)

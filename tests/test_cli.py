@@ -74,6 +74,35 @@ def test_certify(capsys):
     assert "B 0 " in out
 
 
+# sha256 and line count of the whole stdout of `certify --family <family>
+# --weight <weight>`, every B line included, as the dict-based certificate
+# printed it before certificates moved onto edge arrays.
+CERTIFY_DIGESTS = {
+    ("theta:20,20,21", "sombor"): ("951cd6904ddfc3bec9a5be7e1e3f149cfd76e56525fa43093c6e1ec70d59459e", 127),
+    ("path:90", "recip-randic"): ("209d96c8af0f03b514d6d654c10144c9d51f32406e9aa92d2762c5bc60209a7e", 183),
+    ("infty-star:20,25", "zagreb1"): ("bf50bc01d5e3d755407b6105fbfc39bc814a9d99b2c07238151965c065b228d7", 95),
+}
+
+
+@pytest.mark.parametrize("family, weight", sorted(CERTIFY_DIGESTS))
+def test_certify_output_pinned(capsys, family, weight):
+    code, out, err = run(capsys, "certify", "--family", family, "--weight", weight)
+    assert (code, err) == (0, "")
+    assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) == CERTIFY_DIGESTS[family, weight]
+
+
+@pytest.mark.parametrize(
+    "family, weight, message",
+    [
+        ("theta:20,20,21", "table:2,2=1;3,3=1", "no table entry for degree pair (3, 2)"),
+        # The square of the pendant edges' weight underflows to 0.
+        ("path:5", "table:1,2=1e-170;2,2=1", "edge (0, 1)'s weight squares to 0: its edge slack is undefined"),
+    ],
+)
+def test_certify_with_an_unusable_weight_exits_2(capsys, family, weight, message):
+    assert run(capsys, "certify", "--family", family, "--weight", weight) == (2, "", f"error: {message}\n")
+
+
 def test_subdivide_roundtrip(capsys):
     code, out, _ = run(capsys, "subdivide", "--family", "cycle:4", "--edge", "0,1")
     assert code == 0

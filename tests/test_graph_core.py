@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fspectra.errors import BadParams, NoCycle, SizeLimit
+from fspectra import graph_core
+from fspectra.errors import BadParams, Disconnected, NoCycle, SizeLimit
 from fspectra.families import FamilySpec, forbidden_fixtures, make, parse_family
 from fspectra.graph_core import (
     GRAPH_MAX_ORDER,
@@ -31,6 +32,7 @@ from helpers import (
     brute_is_isomorphic,
     brute_twins,
     complete_multipartite,
+    eager_lists,
     random_connected_graph,
     relabeled,
 )
@@ -135,6 +137,54 @@ def test_fundamental_cycles():
         assert cyc[0] == cyc[-1]
         for a, b in zip(cyc, cyc[1:]):
             assert G.has_edge(a, b)
+
+
+def test_fundamental_cycles_refuse_a_disconnected_graph_from_their_own_search(monkeypatch):
+    monkeypatch.setattr(graph_core, "is_connected", None)  # not called
+    with pytest.raises(Disconnected):
+        fundamental_cycles(Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]))
+    assert fundamental_cycles(Graph(3, [(0, 1), (1, 2), (2, 0)])) == [[1, 0, 2, 1]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lazy_lists_and_masks_equal_an_eager_build(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        n = rng.randint(1, 40)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.random()]
+        G = Graph(n, rng.sample(edges, len(edges)))
+        H = Graph(n, edges)
+        adj, masks = eager_lists(G)
+        assert (G.adj, G.masks) == (adj, masks)
+        assert (H.masks, H.adj) == (masks, adj)  # masks first, read off the edges alone
+
+
+def built(G):
+    """The lazily built fields that G holds so far, read from their slots
+    without going through ``Graph.__getattr__``."""
+    names = []
+    for name in ("adj", "masks"):
+        try:
+            getattr(Graph, name).__get__(G)
+        except AttributeError:
+            continue
+        names.append(name)
+    return names
+
+
+def test_solves_and_matrices_build_no_adjacency(monkeypatch):
+    from fspectra.spectral import f_adjacency, f_spectral_radius
+    from fspectra.weights import parse_weight
+
+    asked = []
+    build = Graph.__getattr__
+    monkeypatch.setattr(Graph, "__getattr__", lambda G, name: asked.append(name) or build(G, name))
+    G = make(parse_family("path:242"))
+    f_spectral_radius(G, parse_weight("sombor"))
+    f_adjacency(G, parse_weight("zagreb1"))
+    assert (asked, built(G)) == ([], [])
+    assert G.adj[0] == (1,) and G.masks[1] == 0b101
+    assert (asked, built(G)) == (["adj", "masks"], ["adj", "masks"])
 
 
 def test_contains_induced_examples():

@@ -22,7 +22,8 @@ from fspectra.luman import (
     principal_incidence,
 )
 from fspectra.spectral import f_spectral_radius
-from fspectra.weights import eval_weight, parse_weight
+from fspectra.weights import NAMED_WEIGHTS, eval_weight, parse_weight
+from helpers import dict_classify, dict_principal, random_connected_graph
 
 TABLE = parse_weight("table:2,2=1;3,2=2;4,2=2")
 SOMBOR = parse_weight("sombor")
@@ -481,3 +482,85 @@ def test_principal_certificates_random_weights_sample():
             assert report.consistent
             assert max(abs(s) for s in report.vertex_slack.values()) <= 1e-8
             assert max(abs(s) for s in report.edge_slack.values()) <= 1e-8
+
+
+# ------------------------------------------- array certificates, dict reference
+
+
+def assert_same_report(report, reference):
+    """Every field equal, floats exactly, slack dicts in the same key order."""
+    assert (report.alpha, report.classification, report.consistent, report.tol) == (
+        reference.alpha, reference.classification, reference.consistent, reference.tol)
+    assert list(report.vertex_slack.items()) == list(reference.vertex_slack.items())
+    assert list(report.edge_slack.items()) == list(reference.edge_slack.items())
+    assert dict(report.incidence.items()) == dict(reference.incidence.items())
+
+
+# The families of test_spectral_radius_agrees_with_perron_values.
+SOLVED_FAMILIES = ["star:250", "double-star:100,100", "sn-plus-e:150", "c3:40,40,40", "theta:20,20,21",
+                   "path:90", "cycle:12", "path:200", "theta:60,60,61", "infty:3,3,43", "path:240",
+                   "theta:3,3,200", "theta:100,100,101"]
+
+
+@pytest.mark.parametrize("weight", [*NAMED_WEIGHTS, "const:1e-6"])
+@pytest.mark.parametrize("family", SOLVED_FAMILIES)
+def test_certify_equals_the_dict_reference_on_families(family, weight):
+    G, f = make(parse_family(family)), parse_weight(weight)
+    alpha, report = certify(G, f)
+    ref_alpha, B = dict_principal(G, f)
+    assert alpha == ref_alpha
+    assert_same_report(report, dict_classify(G, f, B, ref_alpha))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_certify_equals_the_dict_reference_on_random_graphs(seed):
+    rng = random.Random(seed)
+    for _ in range(5):
+        G = random_connected_graph(rng, rng.randint(2, 80), rng.randint(0, 10))
+        f = parse_weight(rng.choice([*NAMED_WEIGHTS, "const:1.5"]))
+        if G.n == 2 and eval_weight(f, 1, 1) == 0:
+            continue  # abc on K2: rho = 0 has no alpha
+        alpha, report = certify(G, f, tol=1e-10)
+        ref_alpha, B = dict_principal(G, f)
+        assert alpha == ref_alpha
+        assert_same_report(report, dict_classify(G, f, B, ref_alpha, tol=1e-10))
+        # A dict-valued copy of the principal B is read through ``value``.
+        copy = IncidenceWeights(G, dict(report.incidence.items()))
+        assert_same_report(classify_normality(G, f, copy, alpha), dict_classify(G, f, copy, alpha))
+
+
+@pytest.mark.parametrize("family", ["theta:1,3,4", "theta:1,4,6", "infty:4,3,1", "theta:2,3,3",
+                                    "infty:10,10,10", "infty-star:12,15"])
+@pytest.mark.parametrize("weight", ["sombor", "zagreb1", "abc", "table:2,2=1;2,3=2;3,3=3;2,4=3;3,4=1"])
+def test_split_classification_equals_the_dict_reference(family, weight):
+    G, f = make(parse_family(family)), parse_weight(weight)
+    alpha = alpha_of(G, f)
+    paths = internal_paths(G)
+    longest = max(range(len(paths)), key=lambda i: (not paths[i].closed, paths[i].length))
+    split = {} if paths[longest].closed else {longest: (paths[longest].length + 1, paths[longest].length - 1)}
+    cert = incidence_from_splits(G, f, alpha, split, modify_short_edges=True)
+    assert bool(cert.weight_overrides) == any(p.length == 1 for p in paths)
+    for overrides in (cert.weight_overrides, None):
+        assert_same_report(classify_normality(G, f, cert.incidence, alpha, weight_overrides=overrides),
+                           dict_classify(G, f, cert.incidence, alpha, weight_overrides=overrides))
+
+
+def test_a_missing_key_is_named_as_the_dict_reference_names_it():
+    G, f = make(parse_family("theta:2,2,3")), SOMBOR
+    alpha, report = certify(G, f)
+    values = dict(report.incidence.items())
+    for key in values:
+        B = IncidenceWeights(G, {k: v for k, v in values.items() if k != key})
+        with pytest.raises(IncompleteIncidence) as got:
+            classify_normality(G, f, B, alpha)
+        with pytest.raises(IncompleteIncidence) as expected:
+            dict_classify(G, f, B, alpha)
+        assert str(got.value) == str(expected.value) == f"no value stored for {key}"
+
+
+def test_an_edge_weight_that_squares_to_zero_is_refused():
+    # The pendant edges weigh 1e-170, whose square underflows to 0: the edge
+    # slack would divide by it.
+    G, f = make(parse_family("path:5")), parse_weight("table:1,2=1e-170;2,2=1")
+    with pytest.raises(BadParams, match=r"edge \(0, 1\)'s weight squares to 0"):
+        certify(G, f)
