@@ -51,11 +51,8 @@ _EXPORTS = {
         "NormalityReport",
         "alpha_of",
         "certify",
-        "check_recurrence",
         "classify_normality",
         "incidence_from_splits",
-        "inequality_oracles",
-        "path_endpoint_values",
         "principal_incidence",
     ),
     "search": (

@@ -132,7 +132,6 @@ _FAMILIES = {
     ),
 }
 
-FAMILY_KINDS = tuple(_FAMILIES)
 _TOKEN_TO_KIND = {row.token: kind for kind, row in _FAMILIES.items()}
 
 

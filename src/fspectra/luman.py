@@ -24,8 +24,8 @@ shaped graphs possible.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +35,6 @@ from .spectral import _edge_weights, check_tol, f_spectral_radius
 from .weights import eval_weight
 
 NORMALITY_TOL = 1e-8
-RECURRENCE_TOL = 1e-10
-SHIFT_TOL = 1e-12
 
 # Relative headroom accepted when alpha' computed from an eigensolver lands
 # a hair above the exact boundary 1/4 (cycles hit the boundary exactly).
@@ -64,55 +62,45 @@ def _alpha(rho):
 class IncidenceWeights:
     """Finite, nonnegative values on (vertex, incident edge) pairs of a host graph.
 
-    Keys are (v, (a, b)) with a < b and v in {a, b}. Construction rejects
-    keys that are not incidences of the host graph; completeness is checked
-    where it matters, in classify_normality. Certificates built here keep
-    their values as arrays over the host's sorted edges (``_EdgeIncidence``).
+    ``values`` maps keys (v, (a, b)) with v in {a, b} to values. They are kept as
+    ``ends[k] = (B(a, e), B(b, e))`` for the k-th sorted host edge e = (a, b),
+    NaN where ``values`` gives none. Construction refuses keys that are not
+    incidences of the host graph and values that are negative or not finite;
+    completeness is checked where it matters, in classify_normality.
     """
 
     def __init__(self, graph, values):
-        self.graph = graph
-        vals = {}
-        for (v, e), val in dict(values).items():
-            a, b = e
-            key = (min(a, b), max(a, b))
-            if key not in graph.edges or v not in key:
+        self.graph, self.edges = graph, graph.sorted_edges()
+        ends = {e: [math.nan, math.nan] for e in self.edges}
+        for (v, (a, b)), val in dict(values).items():
+            key = (a, b) if a < b else (b, a)
+            if key not in ends or v not in key:
                 raise BadParams(f"({v}, {key}) is not an incidence of the host graph")
             if val < 0:
                 raise BadParams(f"negative incidence value at ({v}, {key})")
             if not math.isfinite(val):
                 raise BadParams(f"non-finite incidence value at ({v}, {key})")
-            vals[(v, key)] = float(val)
-        self._values = vals
+            ends[key][key.index(v)] = val
+        self.ends = np.array(list(ends.values()), float).reshape(-1, 2)
+
+    @classmethod
+    def _of_ends(cls, graph, edges, ends):
+        """B whose ``ends`` array over ``edges`` = graph.sorted_edges() is taken as it is."""
+        B = cls.__new__(cls)
+        B.graph, B.edges, B.ends = graph, edges, ends
+        return B
 
     def value(self, v, e):
-        a, b = e
-        key = (v, (min(a, b), max(a, b)))
-        if key not in self._values:
-            raise IncompleteIncidence(f"no value stored for {key}")
-        return self._values[key]
+        key = (min(e), max(e))
+        k = bisect_left(self.edges, key)
+        if self.edges[k:k + 1] != [key] or v not in key or math.isnan(val := self.ends[k, key.index(v)]):
+            raise IncompleteIncidence(f"no value stored for {(v, key)}")
+        return float(val)
 
     def items(self):
-        return self._values.items()
-
-    def _ends(self, edges):
-        """Rows (B(u, e), B(v, e)) for the edges e = (u, v), read by ``value`` in order."""
-        return np.array([self.value(w, e) for e in edges for w in e]).reshape(-1, 2)
-
-
-class _EdgeIncidence(IncidenceWeights):
-    """B with ``ends[k] = (B(u, e), B(v, e))`` for the k-th sorted edge e = (u, v) of
-    the host; ``value`` and ``items`` read a dict built on first use, in edge order."""
-
-    def __init__(self, graph, edges, ends):
-        self.graph, self.edges, self.ends = graph, edges, ends
-
-    @cached_property
-    def _values(self):
-        return {(w, e): b for e, pair in zip(self.edges, self.ends.tolist()) for w, b in zip(e, pair)}
-
-    def _ends(self, edges):
-        return self.ends if edges == self.edges else super()._ends(edges)
+        """((v, e), B(v, e)) for every stored value, in sorted edge order."""
+        return [((v, e), b) for e, pair in zip(self.edges, self.ends.tolist())
+                for v, b in zip(e, pair) if not math.isnan(b)]
 
 
 def principal_incidence(G, f):
@@ -143,8 +131,8 @@ def _principal(G, f):
         raise BadParams(f"principal incidence needs a positive Perron vector, but vertex {zero}'s entry reads 0")
     edges = G.sorted_edges()
     us, vs, w = _edge_weights(G, f, edges)
-    return alpha, _EdgeIncidence(G, edges, np.column_stack((w * x[vs] / (res.rho * x[us]),
-                                                           w * x[us] / (res.rho * x[vs]))))
+    return alpha, IncidenceWeights._of_ends(G, edges, np.column_stack((w * x[vs] / (res.rho * x[us]),
+                                                                      w * x[us] / (res.rho * x[vs]))))
 
 
 @dataclass
@@ -173,13 +161,20 @@ def classify_normality(G, f, B, alpha, tol=NORMALITY_TOL, weight_overrides=None)
     exists for the length-1 internal-path construction, where the produced
     certificate applies to a reweighted matrix (see incidence_from_splits).
     Consistency is verified on a fundamental cycle basis, which spans all
-    cycle products. ``tol`` must be finite and >= 0.
+    cycle products. ``tol`` must be finite and >= 0. B must be built on G's
+    edges and hold a value for each of their ends.
     """
     check_tol(tol)
     overrides = {(min(a, b), max(a, b)): float(w) for (a, b), w in (weight_overrides or {}).items()}
     edges = G.sorted_edges()
+    if B.edges != edges:
+        raise BadParams("the incidence matrix's host edges are not the graph's edges")
+    ends = B.ends
+    missing = np.isnan(ends).ravel()
+    if missing.any():  # the first unset (vertex, edge) in sorted edge order
+        k, i = divmod(int(missing.argmax()), 2)
+        raise IncompleteIncidence(f"no value stored for {(edges[k][i], edges[k])}")
     index = dict(zip(edges, range(len(edges))))
-    ends = B._ends(edges)
     us, vs, w = _edge_weights(G, f, edges)
     for e in overrides.keys() & index.keys():
         w[index[e]] = overrides[e]
@@ -239,13 +234,6 @@ class FThetaContext:
         f22 = eval_weight(f, 2, 2)
         return cls.from_alpha_prime(f22 * f22 * alpha, f)
 
-    @classmethod
-    def from_theta(cls, theta, f):
-        if theta < 0:
-            raise BadParams("theta must be >= 0")
-        alpha_prime = (0.5 / math.cosh(theta)) ** 2
-        return cls(alpha_prime, float(theta), eval_weight(f, 2, 2), f)
-
     def beta(self, d):
         r = eval_weight(self.weight, d, 2) / self.f22
         return r * r
@@ -253,88 +241,6 @@ class FThetaContext:
     def f_theta(self, x):
         """F_theta(x) = (1 - tanh(theta) tanh(x theta / 2)) / 2, in (0, 1)."""
         return 0.5 * (1.0 - math.tanh(self.theta) * math.tanh(0.5 * x * self.theta))
-
-
-def check_recurrence(ctx, p, q, window):
-    """Verify x_n = F_theta(p+q-2n) solves x_n = 1 - alpha'/x_{n-1} within
-    RECURRENCE_TOL.
-
-    The check runs over n in [-window, window]; the sequence never touches
-    zero because F_theta maps into (0, 1).
-    """
-    worst = 0.0
-    for n in range(-window, window + 1):
-        prev = ctx.f_theta(p + q - 2 * (n - 1))
-        cur = ctx.f_theta(p + q - 2 * n)
-        worst = max(worst, abs(cur - (1.0 - ctx.alpha_prime / prev)))
-    return worst <= RECURRENCE_TOL
-
-
-def path_endpoint_values(l, l1, l2, d0, dl, ctx):
-    """Endpoint incidence values (beta(d0) F(l1), beta(dl) F(l2)) for a path
-    of length l split as l1 + l2 = 2l.
-
-    The symmetric split l1 = l2 = l is the similar-endpoints case. For
-    l = 1 the values are still well defined but certify a reweighted edge;
-    see incidence_from_splits.
-    """
-    if l < 1:
-        raise BadSplit("internal path length must be >= 1")
-    if l1 + l2 != 2 * l:
-        raise BadSplit(f"split ({l1}, {l2}) must sum to 2*{l}")
-    return ctx.beta(d0) * ctx.f_theta(l1), ctx.beta(dl) * ctx.f_theta(l2)
-
-
-@dataclass
-class InequalityReport:
-    """Worst margins of the two F_theta grid inequalities.
-
-    shift: F(a) + F(-b) - F(a-b) - F(0) >= 0 for a >= b >= 0.
-    doubling: 4 F(2x) - 3 F(x) > 0 for x >= 3 (strict when theta > 0).
-    """
-
-    shift_holds: bool
-    shift_margin: float
-    shift_witness: tuple | None
-    doubling_holds: bool
-    doubling_margin: float
-    doubling_witness: float | None
-
-
-def inequality_oracles(ctx, shift_pairs=None, doubling_grid=None):
-    """Evaluate both F_theta inequalities of the FThetaContext ``ctx`` on
-    grids, returning worst margins. The shift inequality holds when its
-    worst margin is at least -SHIFT_TOL; the doubling one must be positive.
-    """
-    if shift_pairs is None:
-        shift_pairs = [(a, b) for a in range(11) for b in range(a + 1)]
-    if doubling_grid is None:
-        doubling_grid = [3.0 + 0.5 * k for k in range(15)]
-
-    F = ctx.f_theta
-    shift_margin, shift_witness = math.inf, None
-    for a, b in shift_pairs:
-        if not (a >= b >= 0):
-            raise BadParams(f"shift grid needs a >= b >= 0, got ({a}, {b})")
-        margin = F(a) + F(-b) - F(a - b) - F(0)
-        if margin < shift_margin:
-            shift_margin = margin
-            shift_witness = (a, b)
-
-    doubling_margin, doubling_witness = math.inf, None
-    for x in doubling_grid:
-        if x < 3:
-            raise BadParams(f"doubling grid needs x >= 3, got {x}")
-        margin = 4.0 * F(2 * x) - 3.0 * F(x)
-        if margin < doubling_margin:
-            doubling_margin = margin
-            doubling_witness = x
-
-    return InequalityReport(
-        shift_holds=shift_margin >= -SHIFT_TOL, shift_margin=shift_margin,
-        shift_witness=shift_witness if shift_margin < -SHIFT_TOL else None,
-        doubling_holds=doubling_margin > 0.0, doubling_margin=doubling_margin,
-        doubling_witness=doubling_witness if doubling_margin <= 0.0 else None)
 
 
 @dataclass
@@ -396,20 +302,14 @@ def incidence_from_splits(G, f, alpha, splits=None, modify_short_edges=False):
                                "the certificate then covers a reweighted edge")
             overrides[edge_seq[0]] = eval_weight(f, d0, 2)
             dl = 2
-        c_start, c_end = path_endpoint_values(l, l1, l2, d0, dl, ctx)
-        values[(verts[0], edge_seq[0])] = c_start
-        values[(verts[-1], edge_seq[-1])] = c_end
+        values[(verts[0], edge_seq[0])] = ctx.beta(d0) * ctx.f_theta(l1)
+        values[(verts[-1], edge_seq[-1])] = ctx.beta(dl) * ctx.f_theta(l2)
         for i in range(1, l):
             x_i = ctx.f_theta(l1 - 2 * i)
             values[(verts[i], edge_seq[i])] = x_i
             values[(verts[i], edge_seq[i - 1])] = 1.0 - x_i
 
-    edges = G.sorted_edges()
-    ends = np.array([[values[e[0], e], values[e[1], e]] for e in edges])
-    if not np.isfinite(ends).all():  # only an endpoint's beta(d) F(l) can overflow
-        bad = next(key for key, val in values.items() if not math.isfinite(val))
-        raise BadParams(f"non-finite incidence value at {bad}")
-    return SplitCertificate(_EdgeIncidence(G, edges, ends), overrides)
+    return SplitCertificate(IncidenceWeights(G, values), overrides)
 
 
 def certify(G, f, tol=NORMALITY_TOL):

@@ -269,8 +269,9 @@ def eager_lists(G):
 
 
 def dict_principal(G, f):
-    """(alpha, principal incidence) as a dict-valued ``IncidenceWeights``,
-    one ``eval_weight`` call per edge. Reference for ``luman._principal``."""
+    """(alpha, principal incidence) as an ``IncidenceWeights`` built from a
+    (vertex, edge) mapping, one ``eval_weight`` call per edge. Reference for
+    ``luman._principal``."""
     from fspectra.graph_core import degrees
     from fspectra.luman import IncidenceWeights, _alpha
     from fspectra.spectral import f_spectral_radius
@@ -330,3 +331,22 @@ def dict_classify(G, f, B, alpha, tol=1e-8, weight_overrides=None):
 
     return NormalityReport(alpha, classification, all(map(consistent, fundamental_cycles(G))), tol,
                            vertex_slack, edge_slack, B)
+
+
+def recurrence_residual(ctx, p, q, window):
+    """The largest |x_n - (1 - alpha'/x_{n-1})| for n in -window..window, with
+    x_n = F_theta(p + q - 2n) from the FThetaContext ``ctx``. F_theta maps
+    into (0, 1), so no x_n is zero."""
+    F = ctx.f_theta
+    return max(abs(F(p + q - 2 * n) - (1.0 - ctx.alpha_prime / F(p + q - 2 * n + 2)))
+               for n in range(-window, window + 1))
+
+
+def shift_margin(F, a, b):
+    """F(a) + F(-b) - F(a - b) - F(0), which is >= 0 for a >= b >= 0."""
+    return F(a) + F(-b) - F(a - b) - F(0)
+
+
+def doubling_margin(F, x):
+    """4 F(2x) - 3 F(x), which is > 0 for x >= 3 when theta > 0."""
+    return 4.0 * F(2 * x) - 3.0 * F(x)

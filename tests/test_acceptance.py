@@ -8,17 +8,18 @@ the whole class attains both the minimum and the maximum, the predicted pair
 included; see test_criterion_04_randic.
 """
 
+import math
 import random
 import time
 
 from fspectra.families import FamilySpec, forbidden_fixtures, identify_pendant_free_bicyclic, make, parse_family
 from fspectra.graph_core import base_graph, canonical_form, contains_induced, degrees, subdivided
-from fspectra.luman import FThetaContext, certify, check_recurrence, inequality_oracles
+from fspectra.luman import FThetaContext, certify
 from fspectra.search import enumerate_pendant_free_bicyclic, extremal
 from fspectra.spectral import f_spectral_radius, interlacing_check
 from fspectra.transforms import best_cycle_subdivision, kelmans
 from fspectra.weights import eval_weight, parse_weight
-from helpers import family_corpus, random_connected_graph
+from helpers import doubling_margin, family_corpus, random_connected_graph, recurrence_residual, shift_margin
 
 TABLE = parse_weight("table:2,2=1;3,2=2;4,2=2")
 
@@ -200,23 +201,21 @@ def test_criterion_06_interlacing():
 
 def test_criterion_07_f_theta_machinery():
     const1 = parse_weight("const:1")
+
+    def at_theta(theta):
+        return FThetaContext.from_alpha_prime((0.5 / math.cosh(theta)) ** 2, const1)
+
     # recurrence identity over windows of length 17
     for ap in (0.05, 0.1, 0.2, 0.25):
         ctx = FThetaContext.from_alpha_prime(ap, const1)
         for p, q in ((0, 0), (1, 5), (3, 3), (-2, 6)):
-            assert check_recurrence(ctx, p, q, 8), (ap, p, q)
+            assert recurrence_residual(ctx, p, q, 8) <= 1e-10, (ap, p, q)
     # shift inequality on the stated grid at theta = 0.5
-    shift_rep = inequality_oracles(
-        FThetaContext.from_theta(0.5, const1),
-        shift_pairs=[(a, b) for a in range(11) for b in range(a + 1)],
-    )
-    assert shift_rep.shift_holds
+    F = at_theta(0.5).f_theta
+    assert min(shift_margin(F, a, b) for a in range(11) for b in range(a + 1)) >= -1e-12
     # doubling inequality on the stated theta/x grids
-    doubling_ok = True
-    for theta in (0.1, 0.66, 2.0):
-        ctx = FThetaContext.from_theta(theta, const1)
-        rep = inequality_oracles(ctx, doubling_grid=[3 + 0.5 * k for k in range(15)])
-        doubling_ok = doubling_ok and rep.doubling_holds and rep.doubling_margin > 0
+    doubling_ok = all(doubling_margin(at_theta(theta).f_theta, 3 + 0.5 * k) > 0
+                      for theta in (0.1, 0.66, 2.0) for k in range(15))
     report("7 f-theta", doubling_ok, "recurrence windows (17 points) and both grid inequalities")
     assert doubling_ok
 

@@ -2,9 +2,9 @@
 
 import pytest
 
+from fspectra import families
 from fspectra.errors import BadParams, SizeLimit
 from fspectra.families import (
-    FAMILY_KINDS,
     FamilySpec,
     forbidden_fixtures,
     identify_pendant_free_bicyclic,
@@ -201,7 +201,7 @@ PINNED_EDGES = [
 
 
 def test_every_kind_builds_its_pinned_labelled_graph():
-    assert sorted(parse_family(text).kind for text, _, _ in PINNED_EDGES) == sorted(FAMILY_KINDS)
+    assert sorted(parse_family(text).kind for text, _, _ in PINNED_EDGES) == sorted(families._FAMILIES)
     for text, n, edges in PINNED_EDGES:
         G = make(parse_family(text))
         assert (G.n, G.sorted_edges()) == (n, edges), text

@@ -14,16 +14,14 @@ from fspectra.luman import (
     IncidenceWeights,
     alpha_of,
     certify,
-    check_recurrence,
     classify_normality,
     incidence_from_splits,
-    inequality_oracles,
-    path_endpoint_values,
     principal_incidence,
 )
 from fspectra.spectral import f_spectral_radius
 from fspectra.weights import NAMED_WEIGHTS, eval_weight, parse_weight
-from helpers import dict_classify, dict_principal, random_connected_graph
+from helpers import (dict_classify, dict_principal, doubling_margin, random_connected_graph,
+                     recurrence_residual, shift_margin)
 
 TABLE = parse_weight("table:2,2=1;3,2=2;4,2=2")
 SOMBOR = parse_weight("sombor")
@@ -164,6 +162,24 @@ def test_classify_incomplete_incidence():
         classify_normality(G, CONST1, B, 0.25)
 
 
+def test_value_of_an_absent_incidence_is_incomplete():
+    G = make(FamilySpec("path", (3,)))
+    B = IncidenceWeights(G, {(1, (1, 0)): 0.5})
+    assert B.value(1, (0, 1)) == 0.5
+    assert B.items() == [((1, (0, 1)), 0.5)]
+    # Unset ends of host edges, a non-edge, and a vertex off its edge.
+    for v, e in ((0, (0, 1)), (1, (1, 2)), (0, (0, 2)), (2, (0, 1))):
+        with pytest.raises(IncompleteIncidence, match=rf"^no value stored for \({v}, \({min(e)}, {max(e)}\)\)$"):
+            B.value(v, e)
+
+
+def test_classify_refuses_an_incidence_on_another_graph():
+    alpha, report = certify(make(parse_family("path:5")), SOMBOR)
+    for other in ("cycle:5", "star:5"):
+        with pytest.raises(BadParams, match="host edges are not the graph's edges"):
+            classify_normality(make(parse_family(other)), SOMBOR, report.incidence, alpha)
+
+
 # --------------------------------------------------------------- F_theta
 
 
@@ -218,13 +234,12 @@ def test_alpha_prime_domain():
 
 
 def test_recurrence_boundary_trivial():
-    ctx = ctx_for(0.25)
-    assert check_recurrence(ctx, 3, 9, 6)
+    assert recurrence_residual(ctx_for(0.25), 3, 9, 6) <= 1e-10
 
 
 def test_recurrence_examples():
-    assert check_recurrence(ctx_for(0.2), 2, 4, 5)
-    assert check_recurrence(ctx_for(0.05), 0, 0, 8)
+    assert recurrence_residual(ctx_for(0.2), 2, 4, 5) <= 1e-10
+    assert recurrence_residual(ctx_for(0.05), 0, 0, 8) <= 1e-10
 
 
 def test_recurrence_short_forward_iteration():
@@ -261,24 +276,39 @@ def test_closed_form_matches_moebius_solution():
 # ------------------------------------------------------ endpoint values
 
 
+def path_ends(B, path):
+    """(B at the path's first vertex, B at its last vertex) on the path's end edges."""
+    edge_seq = path.edge_sequence()
+    return B.value(path.vertices[0], edge_seq[0]), B.value(path.vertices[-1], edge_seq[-1])
+
+
 def test_path_endpoint_values_bad_split():
-    ctx = ctx_for(0.2)
-    with pytest.raises(BadSplit):
-        path_endpoint_values(3, 4, 3, 3, 3, ctx)
+    # theta(3,3,3) has three internal paths of length 3.
+    with pytest.raises(BadSplit, match=r"split \(4, 3\) for path 0 must sum to 6"):
+        incidence_from_splits(make(parse_family("theta:3,3,3")), TABLE, 1 / 16, splits={0: (4, 3)})
 
 
 def test_path_endpoint_symmetric_case():
-    ctx = FThetaContext.from_alpha_prime(0.2, TABLE)
-    a, b = path_endpoint_values(2, 2, 2, 3, 3, ctx)
-    assert a == b
-    assert a == pytest.approx(ctx.beta(3) * ctx.f_theta(2))
+    G = make(parse_family("theta:3,3,3"))
+    ctx = FThetaContext.from_alpha(1 / 16, TABLE)
+    B = incidence_from_splits(G, TABLE, 1 / 16).incidence
+    for path in internal_paths(G):
+        assert path_ends(B, path) == (ctx.beta(3) * ctx.f_theta(3),) * 2
 
 
 def test_path_endpoint_theta_zero():
-    ctx = FThetaContext.from_alpha_prime(0.25, TABLE)
-    a, b = path_endpoint_values(3, 4, 2, 3, 4, ctx)
-    assert a == pytest.approx(ctx.beta(3) / 2)
-    assert b == pytest.approx(ctx.beta(4) / 2)
+    # f(2,2) = 1, so alpha = 1/4 puts alpha' on the boundary, where F = 1/2
+    # and each end reads beta(3) / 2 = f(3,2)^2 / 2 whatever the split.
+    G = make(parse_family("theta:3,3,3"))
+    B = incidence_from_splits(G, TABLE, 0.25, splits={0: (4, 2)}).incidence
+    assert path_ends(B, internal_paths(G)[0]) == (2.0, 2.0)
+
+
+def test_split_refuses_an_overflowing_endpoint():
+    # beta(3) = (f(3,2) / f(2,2))^2 = 1e600 overflows, and so does beta(3) F(3).
+    G, f = make(parse_family("theta:3,3,3")), parse_weight("table:2,2=1e-150;2,3=1e150")
+    with pytest.raises(BadParams, match=r"^non-finite incidence value at \(0, \(0, 2\)\)$"):
+        incidence_from_splits(G, f, 1.0)
 
 
 def test_asymmetric_split_installs_exactly():
@@ -417,7 +447,7 @@ def test_length_one_endpoints_read_far_end_as_degree_two(family, split):
     start = paths[idx].vertices[0]
     end = v if start == u else u
     cert = incidence_from_splits(G, SOMBOR, alpha, splits={idx: split}, modify_short_edges=True)
-    expect = path_endpoint_values(1, *split, degrees(G)[start], 2, ctx)
+    expect = ctx.beta(degrees(G)[start]) * ctx.f_theta(split[0]), ctx.beta(2) * ctx.f_theta(split[1])
     assert (cert.incidence.value(start, (u, v)), cert.incidence.value(end, (u, v))) == expect
 
 
@@ -431,40 +461,27 @@ def test_split_certificate_needs_pendant_free():
 # ----------------------------------------------------------- inequalities
 
 
+def at_theta(theta):
+    """The context whose theta is ``theta``: alpha' = (1 / (2 cosh theta))^2."""
+    return ctx_for((0.5 / math.cosh(theta)) ** 2)
+
+
 def test_inequality_oracles_default_grids():
-    for theta_target in (0.1, 0.66, 2.0):
-        ap = (0.5 / math.cosh(theta_target)) ** 2
-        rep = inequality_oracles(ctx_for(ap))
-        assert rep.shift_holds
-        assert rep.doubling_holds
-        assert rep.doubling_margin > 0.0
+    # The shift inequality on a >= b in 0..10, the doubling one on x = 3, 3.5, ..., 10.
+    for theta in (0.1, 0.5, 0.66, 2.0):
+        F = at_theta(theta).f_theta
+        assert min(shift_margin(F, a, b) for a in range(11) for b in range(a + 1)) >= -1e-12
+        assert min(doubling_margin(F, 3.0 + 0.5 * k) for k in range(15)) > 0.0
 
 
 def test_inequality_shift_equality_at_origin():
-    ctx = ctx_for(0.1)
-    rep = inequality_oracles(ctx, shift_pairs=[(0, 0)])
-    assert rep.shift_margin == pytest.approx(0.0, abs=1e-15)
-
-
-def test_inequality_grid_validation():
-    ctx = ctx_for(0.1)
-    with pytest.raises(BadParams):
-        inequality_oracles(ctx, shift_pairs=[(1, 2)])
-    with pytest.raises(BadParams):
-        inequality_oracles(ctx, doubling_grid=[2.0])
-
-
-def test_inequality_oracles_on_a_theta_context():
-    rep = inequality_oracles(FThetaContext.from_theta(0.5, CONST1))
-    assert rep.shift_holds and rep.doubling_holds
-    with pytest.raises(BadParams):
-        FThetaContext.from_theta(-1.0, CONST1)
+    assert shift_margin(ctx_for(0.1).f_theta, 0, 0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_from_theta_round_trip():
-    ctx = FThetaContext.from_theta(0.7, CONST1)
+    ctx = at_theta(0.7)
     assert math.cosh(ctx.theta) == pytest.approx(0.5 * ctx.alpha_prime ** -0.5)
-    assert FThetaContext.from_alpha_prime(ctx.alpha_prime, CONST1).theta == pytest.approx(0.7)
+    assert ctx.theta == pytest.approx(0.7)
 
 
 # -------------------------------------------------- exactness property

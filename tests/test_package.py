@@ -17,8 +17,7 @@ EXPORTS = {
     "degrees format_graph_text internal_paths is_connected "
     "parse_graph_text read_graph_file write_graph_file",
     "luman": "FThetaContext IncidenceWeights NormalityReport alpha_of certify "
-    "check_recurrence classify_normality incidence_from_splits inequality_oracles "
-    "path_endpoint_values principal_incidence",
+    "classify_normality incidence_from_splits principal_incidence",
     "search": "SearchReport TheoremReport enumerate_connected "
     "enumerate_pendant_free_bicyclic extremal verify_theorem",
     "spectral": "SpectralResult f_adjacency f_spectral_radius full_spectrum "
@@ -64,7 +63,7 @@ def test_every_export_resolves_from_a_fresh_import():
         "    assert scope[name] is getattr(home, name), name\n"
         "print(len(names))"
     )
-    assert int(out) == len(names) == 58
+    assert int(out) == len(names) == 55
 
 
 def test_submodules_resolve_as_attributes():
