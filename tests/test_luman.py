@@ -466,12 +466,23 @@ def at_theta(theta):
     return ctx_for((0.5 / math.cosh(theta)) ** 2)
 
 
-def test_inequality_oracles_default_grids():
+def assert_inequalities_hold(F):
     # The shift inequality on a >= b in 0..10, the doubling one on x = 3, 3.5, ..., 10.
-    for theta in (0.1, 0.5, 0.66, 2.0):
-        F = at_theta(theta).f_theta
-        assert min(shift_margin(F, a, b) for a in range(11) for b in range(a + 1)) >= -1e-12
-        assert min(doubling_margin(F, 3.0 + 0.5 * k) for k in range(15)) > 0.0
+    assert min(shift_margin(F, a, b) for a in range(11) for b in range(a + 1)) >= -1e-12
+    assert min(doubling_margin(F, 3.0 + 0.5 * k) for k in range(15)) > 0.0
+
+
+def test_inequality_oracles_default_grids():
+    for theta in (0.1, 0.66, 2.0):
+        assert_inequalities_hold(at_theta(theta).f_theta)
+
+
+def test_inequality_oracles_on_a_theta_context():
+    ctx = FThetaContext.from_alpha_prime((0.5 / math.cosh(0.5)) ** 2, CONST1)
+    assert ctx.theta == pytest.approx(0.5)
+    assert_inequalities_hold(ctx.f_theta)
+    with pytest.raises(BadParams):
+        FThetaContext.from_alpha_prime(0.26, CONST1)
 
 
 def test_inequality_shift_equality_at_origin():
